@@ -25,7 +25,14 @@ from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
 from .sat.encode import FormulaSizeError, build_formula
 from .sat.external import SolverError
-from .sat.search import BudgetExhausted, SearchParams, Unsat, Witness, search
+from .sat.search import (
+    BudgetExhausted,
+    SearchParams,
+    Unsat,
+    Witness,
+    cap_levels,
+    search,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -128,7 +135,7 @@ def cmd_sat_search(args) -> int:
         max_clauses=args.max_clauses,
     )
     if args.emit_cnf:
-        vm, formula = build_formula(params)
+        vm, formula = build_formula(params, cap_levels(params)[0])
         _write_atomic(args.emit_cnf, emit_dimacs(formula))
         _write_atomic(args.emit_cnf + ".vars", vm.sidecar())
         print(f"emitted {formula.clause_count} clauses over {formula.var_count} "
@@ -144,7 +151,16 @@ def cmd_sat_search(args) -> int:
         "solve_calls": outcome.solve_calls,
         "candidates_rejected": outcome.candidates_rejected,
         "elapsed_seconds": f"{outcome.elapsed:.2f}",
+        "cap_levels": ",".join(
+            "none" if d is None else str(d) for d in outcome.stats.cap_levels
+        ),
     }
+    for phase, seconds in outcome.stats.phase_seconds.items():
+        meta[f"{phase}_seconds"] = f"{seconds:.3f}"
+    for kind, count in sorted(outcome.stats.rejections.items()):
+        meta[f"rejected.{kind}"] = count
+    for key, value in outcome.stats.solver.items():
+        meta[f"dpll.{key}"] = value
     if isinstance(outcome, Witness):
         meta["status"] = "witness"
         meta["d"] = _fmt_ext(outcome.d)
@@ -254,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-diam-le-2", action="store_true",
                    help="drop the diameter > 2 requirement")
     p.add_argument("--allow-non-sharp", action="store_true",
-                   help="accept witnesses even when diam G2 < diam G + 2")
+                   help="accept witnesses even when diam G2 < diam G + 2 "
+                        "(and drop the diameter-cap staircase)")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--max-candidates", type=int, default=None)
     p.add_argument("--max-clauses", type=int, default=500_000)
@@ -262,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external DIMACS solver command (default: $DISTLAB_SOLVER, "
                         "else the built-in DPLL)")
     p.add_argument("--emit-cnf", default=None,
-                   help="write the DIMACS formula and a .vars sidecar here")
+                   help="write the DIMACS formula of the first solve call here, "
+                        "with a .vars sidecar of '<index> <kind> <vertices>' "
+                        "lines; unless --allow-non-sharp this is the lowest "
+                        "diameter-cap level, whose reach variables have kinds "
+                        "r<s> (i j within distance s) and m<s> (i k j, "
+                        "joined through k)")
     p.add_argument("--emit-only", action="store_true",
                    help="with --emit-cnf: stop after writing the formula")
     p.set_defaults(func=cmd_sat_search)

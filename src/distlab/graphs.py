@@ -164,7 +164,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; ``math.inf`` when disconnected."""
-    dist = all_pairs_distances(g)
+    return matrix_diameter(all_pairs_distances(g))
+
+
+def matrix_diameter(dist: np.ndarray) -> int | float:
+    """Largest entry of a distance matrix; ``math.inf`` if any is ``UNREACHABLE``."""
     if (dist == UNREACHABLE).any():
         return math.inf
     return int(dist.max())
@@ -176,14 +180,16 @@ def diameter_pair(g: Graph) -> tuple[int | float, int | float]:
     return (math.inf if d < 0 else int(d), math.inf if d2 < 0 else int(d2))
 
 
-def k_distance(g: Graph, k: int) -> Graph:
+def k_distance(g: Graph, k: int, dist: np.ndarray | None = None) -> Graph:
     """Graph on the same vertices joining pairs at distance exactly ``k``.
 
-    ``k = 1`` reproduces ``g``; ``k >= 1`` required.
+    ``k = 1`` reproduces ``g``; ``k >= 1`` required.  ``dist``, when
+    given, must be ``all_pairs_distances(g)``; it saves the BFS.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    dist = all_pairs_distances(g)
+    if dist is None:
+        dist = all_pairs_distances(g)
     idx = np.arange(g.n, dtype=np.uint64)
     bits = np.where(dist == k, np.uint64(1) << idx[None, :], np.uint64(0))
     rows = np.bitwise_or.reduce(bits, axis=1)

@@ -7,6 +7,7 @@ from .encode import (
     decode_model,
     encode_b_definition,
     encode_diam2_exclusion,
+    encode_diameter_cap,
     encode_free_vertex_ordering,
     encode_g2_min_degree,
     encode_p2_fixing,
@@ -17,8 +18,10 @@ from .search import (
     BudgetExhausted,
     EncodingMismatch,
     SearchParams,
+    SearchStats,
     Unsat,
     Witness,
+    cap_levels,
     search,
     verify_witness,
 )
@@ -34,6 +37,7 @@ __all__ = [
     "decode_model",
     "encode_b_definition",
     "encode_diam2_exclusion",
+    "encode_diameter_cap",
     "encode_free_vertex_ordering",
     "encode_g2_min_degree",
     "encode_p2_fixing",
@@ -43,8 +47,10 @@ __all__ = [
     "BudgetExhausted",
     "EncodingMismatch",
     "SearchParams",
+    "SearchStats",
     "Unsat",
     "Witness",
+    "cap_levels",
     "search",
     "verify_witness",
 ]

@@ -92,8 +92,9 @@ class VarMap:
     """Contiguous 1-based layout: a-vars, then b-vars, then auxiliaries.
 
     a(i, j) is adjacency of the candidate graph, b(i, j) adjacency of its
-    2-distance graph; both normalize to i < j.  Auxiliaries carry a kind
-    tag plus the pair they serve, for the sidecar dump.
+    2-distance graph; both normalize to i < j.  Auxiliaries record the
+    vertices they serve, for the sidecar dump: ``aux`` variables are listed
+    under the kind ``aux``, ``tagged`` ones under their own kind.
     """
 
     def __init__(self, n: int):
@@ -111,7 +112,7 @@ class VarMap:
             self._b[p] = nxt
             nxt += 1
         self._next = nxt
-        self._aux: list[tuple[int, str, int, int]] = []
+        self._aux: list[tuple[int, str, tuple[int, ...]]] = []
 
     @staticmethod
     def _norm(i: int, j: int) -> tuple[int, int]:
@@ -126,9 +127,18 @@ class VarMap:
         return self._b[self._norm(i, j)]
 
     def aux(self, kind: str, i: int, j: int) -> int:
+        """A fresh definition variable for pair (i, j); ``kind`` names its
+        role at the call site, the sidecar lists it as ``aux``."""
+        return self._new("aux", (i, j))
+
+    def tagged(self, kind: str, *verts: int) -> int:
+        """A fresh variable listed under ``kind`` with ``verts`` in the sidecar."""
+        return self._new(kind, verts)
+
+    def _new(self, kind: str, verts: tuple[int, ...]) -> int:
         var = self._next
         self._next += 1
-        self._aux.append((var, kind, i, j))
+        self._aux.append((var, kind, verts))
         return var
 
     @property
@@ -144,7 +154,8 @@ class VarMap:
     def pairs(self) -> list[tuple[int, int]]:
         return list(self._pairs)
 
-    def describe(self, var: int) -> tuple[str, int, int]:
+    def describe(self, var: int) -> tuple:
+        """``(kind, vertices...)`` of a variable, as in the sidecar."""
         na = len(self._pairs)
         if 1 <= var <= na:
             i, j = self._pairs[var - 1]
@@ -152,19 +163,19 @@ class VarMap:
         if na < var <= 2 * na:
             i, j = self._pairs[var - na - 1]
             return ("b", i, j)
-        for v, _kind, i, j in self._aux:
+        for v, kind, verts in self._aux:
             if v == var:
-                return ("aux", i, j)
+                return (kind, *verts)
         raise KeyError(f"unknown variable {var}")
 
     def sidecar(self) -> str:
-        """One line per variable: ``<index> <kind> <i> <j>``."""
+        """One line per variable: ``<index> <kind> <vertices...>``."""
         lines = []
         na = len(self._pairs)
         for idx, (i, j) in enumerate(self._pairs, start=1):
             lines.append(f"{idx} a {i} {j}")
         for idx, (i, j) in enumerate(self._pairs, start=na + 1):
             lines.append(f"{idx} b {i} {j}")
-        for v, _kind, i, j in self._aux:
-            lines.append(f"{v} aux {i} {j}")
+        for v, kind, verts in self._aux:
+            lines.append(" ".join([str(v), kind, *map(str, verts)]))
         return "\n".join(lines) + "\n"

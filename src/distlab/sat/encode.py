@@ -6,7 +6,8 @@ b-definition fragment is present.  ``build_formula`` combines them for
 the extremal search: a fixed geodesic of the 2-distance graph, shortcut
 exclusion up to a bounded detour length, optional exclusion of diameter
 at most 2, a minimum-degree floor on the 2-distance graph (implied by
-asking its diameter to be finite), and lex ordering on free vertices.
+asking its diameter to be finite), lex ordering on free vertices, and,
+when asked, a cap on the diameter by layered reachability.
 """
 from __future__ import annotations
 
@@ -163,6 +164,58 @@ def encode_g2_min_degree(vm: VarMap) -> CnfFormula:
     return out
 
 
+def encode_diameter_cap(vm: VarMap, max_d: int) -> CnfFormula:
+    """Every pair of the candidate graph lies within distance ``max_d``.
+
+    r_s(i,j) is one-sided: true only if dist(i,j) <= s.  r_1 is the
+    adjacency a; each composition builds r_{s+t} from r_s and r_t through
+    a middle vertex k, r_{s+t}(i,j) -> r_max(s,t)(i,j) or OR_k m(i,k,j),
+    with m -> r_s(i,k) and m -> r_t(k,j).  Levels double up to the largest
+    power of two within ``max_d`` (r_2, r_4, ...), then add the remaining
+    binary digits (r_6 = r_4 o r_2), and the units r_max_d(i,j) close it.
+    Sound because every r_s implies its bound; complete because setting
+    each r_s to the exact "distance <= s" satisfies every clause.
+
+    With P = C(n,2) pairs and c = floor(log2 max_d) + popcount(max_d) - 1
+    compositions, the fragment has P * (c * (2n - 3) + 1) clauses and
+    P * c * (n - 1) fresh variables, tagged ``r<s>`` (pair i j) and
+    ``m<s>`` (i k j) in the sidecar.
+    """
+    if max_d < 1:
+        raise ValueError(f"diameter cap must be at least 1, got {max_d}")
+    clauses: list[list[int]] = []
+    n = vm.n
+    reach = {1: {p: vm.a(*p) for p in vm.pairs()}}
+
+    def compose(s: int, t: int) -> int:
+        rs, rt, rmax = reach[s], reach[t], reach[max(s, t)]
+        level = {}
+        for i, j in vm.pairs():
+            r = vm.tagged(f"r{s + t}", i, j)
+            level[(i, j)] = r
+            big = [-r, rmax[(i, j)]]
+            for k in _others(n, i, j):
+                m = vm.tagged(f"m{s + t}", i, k, j)
+                big.append(m)
+                clauses.append([-m, rs[(i, k) if i < k else (k, i)]])
+                clauses.append([-m, rt[(k, j) if k < j else (j, k)]])
+            clauses.append(big)
+        reach[s + t] = level
+        return s + t
+
+    top = 1
+    while 2 * top <= max_d:
+        top = compose(top, top)
+    rest = max_d - top
+    for bit in reversed(range(rest.bit_length())):
+        if rest >> bit & 1:
+            top = compose(top, 1 << bit)
+    clauses.extend([r] for r in reach[max_d].values())
+    out = CnfFormula(vm.var_count)
+    out.extend(clauses)
+    return out
+
+
 def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
     """Lex-leader ordering on adjacent free-vertex pairs.
 
@@ -204,8 +257,14 @@ def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
     return out
 
 
-def build_formula(params: "SearchParams") -> tuple[VarMap, CnfFormula]:
-    """Assemble the full search formula; fragments in a fixed order."""
+def build_formula(
+    params: "SearchParams", max_d: int | None = None
+) -> tuple[VarMap, CnfFormula]:
+    """Assemble the full search formula; fragments in a fixed order.
+
+    ``max_d`` appends :func:`encode_diameter_cap` last, so the variables
+    of the other fragments are numbered the same with or without it.
+    """
     vm = VarMap(params.n)
     fragments = [encode_b_definition(vm)]
     fragments.append(encode_p2_fixing(vm, params.p2_len))
@@ -219,6 +278,8 @@ def build_formula(params: "SearchParams") -> tuple[VarMap, CnfFormula]:
     if params.min_d2 >= 1:
         fragments.append(encode_g2_min_degree(vm))
     fragments.append(encode_free_vertex_ordering(vm, params.p2_len))
+    if max_d is not None:
+        fragments.append(encode_diameter_cap(vm, max_d))
     out = CnfFormula(vm.var_count)
     for frag in fragments:
         out.clauses.extend(frag.clauses)

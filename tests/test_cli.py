@@ -11,7 +11,8 @@ from distlab.enumeration import SurveyTable, survey
 from distlab.graph6 import emit, parse
 from distlab.graphs import cycle_graph, from_edge_list, k_distance, path_graph
 from distlab.sat.cnf import parse_dimacs
-from distlab.sat.search import SearchParams, verify_witness
+from distlab.sat.encode import build_formula
+from distlab.sat.search import SearchParams, cap_levels, verify_witness
 
 CLI_SOLVER = f"{sys.executable} -m distlab.sat.dimacs_cli"
 
@@ -121,6 +122,23 @@ def test_sat_search_witness(capsys):
     assert meta["d"] == str(d) and meta["d2"] == str(d2)
 
 
+def test_sat_search_reports_levels_phases_rejections_and_solver(capsys):
+    rc = main(["sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    meta = _meta(captured.err)
+    assert meta["status"] == "witness"
+    assert meta["cap_levels"] == "3"
+    for phase in ("encode", "solve", "decode", "verify"):
+        assert float(meta[f"{phase}_seconds"]) >= 0
+    rejected = {k: int(v) for k, v in meta.items() if k.startswith("rejected.")}
+    assert rejected == {"rejected.not_sharp": int(meta["candidates_rejected"])}
+    assert int(meta["candidates_rejected"]) > 0
+    for key in ("decisions", "conflicts", "propagations"):
+        assert int(meta[f"dpll.{key}"]) >= 0
+    assert int(meta["dpll.decisions"]) > 0
+
+
 def test_sat_search_unsat(capsys):
     rc = main(["sat-search", "--n", "4", "--p2-len", "3", "--min-d2", "5"])
     captured = capsys.readouterr()
@@ -155,6 +173,22 @@ def test_sat_search_emit_only(tmp_path, capsys):
     sidecar = (tmp_path / "search.cnf.vars").read_text().splitlines()
     assert len(sidecar) == formula.var_count
     assert sidecar[0] == "1 a 0 1"
+
+
+def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
+    cnf_path = tmp_path / "search.cnf"
+    rc = main([
+        "sat-search", "--n", "9", "--p2-len", "6", "--min-d2", "6",
+        "--emit-cnf", str(cnf_path), "--emit-only",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    params = SearchParams(n=9, p2_len=6, min_d2=6)
+    _, want = build_formula(params, cap_levels(params)[0])
+    assert parse_dimacs(cnf_path.read_text()).clauses == want.clauses
+    kinds = {line.split()[1] for line in (tmp_path / "search.cnf.vars").read_text().splitlines()}
+    assert {"a", "b", "aux", "r2", "m2", "r4", "m4"} <= kinds
+    assert not any(k.startswith(("r5", "r6")) for k in kinds)
 
 
 def test_sat_search_external_solver(capsys):

@@ -122,3 +122,14 @@ def test_sidecar_lines():
     assert lines[3] == "4 b 0 1"
     assert lines[-1] == "7 aux 1 2"
     assert len(lines) == vm.var_count
+
+
+def test_tagged_variables_keep_their_kind():
+    vm = VarMap(3)
+    vm.aux("t", 1, 2)
+    r = vm.tagged("r2", 0, 2)
+    m = vm.tagged("m2", 0, 1, 2)
+    assert (r, m) == (8, 9)
+    assert vm.describe(7) == ("aux", 1, 2)
+    assert vm.describe(m) == ("m2", 0, 1, 2)
+    assert vm.sidecar().splitlines()[-2:] == ["8 r2 0 2", "9 m2 0 1 2"]

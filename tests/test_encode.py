@@ -11,6 +11,7 @@ from distlab.sat.encode import (
     decode_model,
     encode_b_definition,
     encode_diam2_exclusion,
+    encode_diameter_cap,
     encode_free_vertex_ordering,
     encode_g2_min_degree,
     encode_p2_fixing,
@@ -20,7 +21,7 @@ from distlab.sat.encode import (
 from distlab.sat.search import SearchParams
 
 import brute
-from util import reference_distances, reference_k_distance_edges
+from util import reference_diameter, reference_distances, reference_k_distance_edges
 
 
 def _mask_graph(n, mask):
@@ -168,6 +169,43 @@ def test_diam2_exclusion_exact_on_five_vertices():
     assert admitted == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diameter_cap_is_exact(n):
+    """With the a-variables pinned, the cap is SAT iff the BFS diameter <= D."""
+    for max_d in range(1, n):
+        vm = VarMap(n)
+        formula = encode_diameter_cap(vm, max_d)
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = _mask_graph(n, mask)
+            d = reference_diameter(g)
+            _, status, _ = _solve_with_graph(formula, vm, g)
+            assert (status == SAT) == (0 <= d <= max_d), (n, max_d, mask)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 13])
+def test_diameter_cap_size_closed_form(n):
+    pairs = n * (n - 1) // 2
+    for max_d in range(1, n):
+        vm = VarMap(n)
+        base = vm.var_count
+        formula = encode_diameter_cap(vm, max_d)
+        compositions = max_d.bit_length() - 1 + bin(max_d).count("1") - 1
+        assert formula.clause_count == pairs * (compositions * (2 * n - 3) + 1)
+        assert vm.var_count - base == pairs * compositions * (n - 1)
+        assert formula.var_count == vm.var_count
+    with pytest.raises(ValueError):
+        encode_diameter_cap(VarMap(4), 0)
+
+
+def test_diameter_cap_tags_its_variables():
+    vm = VarMap(4)
+    encode_diameter_cap(vm, 3)
+    kinds = [vm.describe(v)[0] for v in range(2 * 6 + 1, vm.var_count + 1)]
+    assert set(kinds) == {"r2", "m2", "r3", "m3"}
+    assert vm.describe(13) == ("r2", 0, 1)
+    assert vm.describe(14) == ("m2", 0, 2, 1)
+
+
 def test_g2_min_degree_exhaustive():
     vm = VarMap(4)
     parts = [encode_b_definition(vm), encode_g2_min_degree(vm)]
@@ -278,6 +316,16 @@ def test_build_formula_respects_flags():
     strict = SearchParams(n=5, p2_len=1, min_d2=2)
     _, strict_formula = build_formula(strict)
     assert strict_formula.clause_count > formula.clause_count
+
+
+def test_build_formula_appends_the_cap_last():
+    params = SearchParams(n=6, p2_len=2, min_d2=3)
+    vm, plain = build_formula(params)
+    cap_vm, capped = build_formula(params, 3)
+    cap = encode_diameter_cap(VarMap(6), 3)
+    assert capped.clauses[: plain.clause_count] == plain.clauses
+    assert capped.clause_count == plain.clause_count + cap.clause_count
+    assert cap_vm.sidecar().startswith(vm.sidecar())
 
 
 def test_build_formula_size_guard_propagates():

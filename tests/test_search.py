@@ -1,17 +1,21 @@
 import math
 import sys
+import time
 
 import pytest
 
+import distlab._kernels
 from distlab.bounds import family_graph
 from distlab.canon import are_isomorphic
-from distlab.graphs import complete_graph, from_edge_list, path_graph
+from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
+from distlab.sat.dpll import DpllSolver
 from distlab.sat.external import SolverError
 from distlab.sat.search import (
     BudgetExhausted,
     SearchParams,
     Unsat,
     Witness,
+    cap_levels,
     search,
     verify_witness,
 )
@@ -152,3 +156,133 @@ def test_verify_rejects_broken_pinned_path():
     assert sharp_pin is not None
     ok, _, _, reason = verify_witness(sharp_pin, params)
     assert not ok and "geodesic" in reason
+
+
+def test_cap_levels_staircase():
+    assert cap_levels(SearchParams(n=9, p2_len=6, min_d2=6)) == [4, 5, 6]
+    assert cap_levels(SearchParams(n=9, p2_len=6, min_d2=3)) == [3, 4, 5, 6]
+    assert cap_levels(SearchParams(n=6, p2_len=2, min_d2=3, forbid_diam_le_2=False)) == [1, 2, 3]
+    assert cap_levels(SearchParams(n=6, p2_len=3, min_d2=6)) == [4]
+    assert cap_levels(SearchParams(n=9, p2_len=6, min_d2=6, require_sharp=False)) == [None]
+
+
+def test_staircase_escalates_past_unsat_level():
+    params = SearchParams(n=9, p2_len=6, min_d2=3)
+    out = search(params)
+    assert isinstance(out, Witness)
+    assert (out.d, out.d2) == (4, 6)
+    assert verify_witness(out.graph, params)[0]
+    assert out.stats.cap_levels == [3, 4]
+    assert out.solve_calls == 2 and out.candidates_rejected == 0
+
+
+@pytest.mark.parametrize("target", [(9, 6, 6), (13, 8, 8)])
+def test_family_order_targets_take_one_solve_call(target):
+    out = search(SearchParams(*target))
+    assert isinstance(out, Witness)
+    assert out.solve_calls == 1
+    assert out.stats.rejections == {}
+
+
+@pytest.fixture(scope="module")
+def six_vertex_graphs():
+    """Every labeled graph on 6 vertices with its distance matrix."""
+    out = []
+    for mask in range(1 << 15):
+        g = from_edge_list(6, brute.mask_edges(6, mask))
+        out.append((g, all_pairs_distances(g)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p2_len, min_d2, forbid",
+    [(2, 3, True), (4, 4, True), (5, 5, True), (3, 6, True), (2, 3, False), (0, 4, False)],
+)
+def test_search_matches_brute_force_on_six_vertices(six_vertex_graphs, p2_len, min_d2, forbid):
+    params = SearchParams(n=6, p2_len=p2_len, min_d2=min_d2, forbid_diam_le_2=forbid)
+    # a pinned pair off distance 2 fails verify_witness, so skipping it first
+    # only saves time
+    exists = any(
+        verify_witness(g, params, dist=dist)[0]
+        for g, dist in six_vertex_graphs
+        if all(dist[i][i + 1] == 2 for i in range(p2_len))
+    )
+    out = search(params)
+    assert isinstance(out, Witness if exists else Unsat)
+    if exists:
+        assert verify_witness(out.graph, params)[0]
+    else:
+        assert out.stats.cap_levels == cap_levels(params)
+
+
+def test_candidate_budget_counts_across_levels():
+    params = SearchParams(n=6, p2_len=0, min_d2=0, forbid_diam_le_2=False)
+    full = search(params)
+    assert full.stats.cap_levels == [1, 2]
+    assert full.stats.rejections["not_sharp"] >= 3
+    out = search(
+        SearchParams(n=6, p2_len=0, min_d2=0, forbid_diam_le_2=False, max_candidates=3)
+    )
+    assert isinstance(out, BudgetExhausted) and out.reason == "candidate budget"
+    assert out.stats.cap_levels == [1, 2]
+    assert out.candidates_rejected == 3
+    # level 1 admits only K6: one rejection, then one unsat call
+    assert out.solve_calls == 4
+
+
+def test_time_budget_counts_across_levels(monkeypatch):
+    real_solve = DpllSolver.solve
+    budgets = []
+
+    def slow_solve(self, *args, time_budget=None, **kwargs):
+        budgets.append(time_budget)
+        if len(budgets) == 1:
+            time.sleep(0.2)
+        return real_solve(self, *args, time_budget=time_budget, **kwargs)
+
+    monkeypatch.setattr(DpllSolver, "solve", slow_solve)
+    out = search(SearchParams(n=9, p2_len=6, min_d2=3, budget_seconds=60.0))
+    assert isinstance(out, Witness) and out.stats.cap_levels == [3, 4]
+    assert len(budgets) == 2
+    assert budgets[1] <= 60.0 - 0.2
+
+
+def test_rejection_histogram_and_phases():
+    out = search(SearchParams(n=6, p2_len=2, min_d2=3))
+    assert isinstance(out, Witness)
+    assert out.stats.rejections == {"not_sharp": out.candidates_rejected}
+    assert out.candidates_rejected > 0
+    assert set(out.stats.phase_seconds) == {"encode", "solve", "decode", "verify"}
+    assert all(v > 0 for v in out.stats.phase_seconds.values())
+    assert set(out.stats.solver) == {"decisions", "conflicts", "propagations"}
+    assert out.stats.solver["decisions"] > 0
+
+
+def test_rejection_kinds_name_the_failed_check():
+    cases = [
+        (complete_graph(5), SearchParams(n=5, p2_len=0, min_d2=0), "diameter_le_2"),
+        (path_graph(4), SearchParams(n=4, p2_len=0, min_d2=1, require_sharp=False),
+         "g2_disconnected"),
+        (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=7, require_sharp=False),
+         "d2_below_min"),
+        (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=6), "ok"),
+    ]
+    for g, params, kind in cases:
+        assert verify_witness(g, params)[3].kind == kind
+
+
+def test_one_candidate_costs_two_bfs_runs(monkeypatch):
+    calls = []
+    real = distlab._kernels.distances
+
+    def counting(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(distlab._kernels, "distances", counting)
+    out = search(SearchParams(n=9, p2_len=6, min_d2=6))
+    assert isinstance(out, Witness) and out.solve_calls == 1
+    assert len(calls) == 2
+    calls.clear()
+    verify_witness(FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=6))
+    assert len(calls) == 2

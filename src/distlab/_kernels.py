@@ -1,152 +1,122 @@
-"""Hot numeric kernels: word-parallel BFS over bitset adjacency rows.
+"""Breadth-first search from every source at once, on plain-int bitsets.
 
-Two interchangeable backends compute the same results bit for bit:
+A graph on n <= 64 vertices is a sequence of n adjacency rows: bit ``j``
+of ``rows[i]`` is set iff ``{i, j}`` is an edge.  The BFS packs the
+whole n x n reach matrix into one int of n * n bits, row ``s`` in bits
+``s*n .. s*n + n - 1``, and advances every source one level per pass.
+A pass costs n big-int steps: for each vertex ``v``, the sources whose
+frontier holds ``v`` (``(frontier >> v) & COL``, with bit ``s*n`` of
+``COL`` set for each ``s``) each get a copy of ``rows[v]`` in their own
+row block (``sel * rows[v]``; the blocks do not overlap, so the product
+never carries).
 
-* ``numba``: ``@njit``-compiled scalar loops (default when numba imports).
-* ``numpy``: pure-vectorized fallback, no compilation step.
-
-Selection is made once at import time from the ``DISTLAB_BACKEND``
-environment variable (``auto`` | ``numba`` | ``numpy``; default ``auto``).
-Adjacency is a 1-D ``uint64`` array: bit ``j`` of ``adj[i]`` set iff
-``{i, j}`` is an edge, so vertex counts are capped at 64.
-
-Distance matrices use ``UNREACHABLE`` (-1) for pairs in different
-components.  ``diameter_pair`` returns -1 in either slot to mean an
-infinite diameter.
+Level ``k`` is the packed matrix of pairs at distance exactly ``k``;
+its n row slices are the rows of the k-distance graph.  Distance
+matrices use ``UNREACHABLE`` (-1) for pairs in different components,
+and ``diameter_pair`` returns -1 in either slot for an infinite
+diameter.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from functools import cache
+from typing import Sequence
 
 UNREACHABLE = -1
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
+MAX_VERTICES = 64
 
-
-def apd_numpy(adj: np.ndarray) -> np.ndarray:
-    """All-pairs BFS distances, every source advanced one level per pass."""
-    n = adj.shape[0]
-    idx = np.arange(n, dtype=np.uint64)
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
-    dist[np.arange(n), np.arange(n)] = 0
-    visited = np.uint64(1) << idx
-    frontier = visited.copy()
-    d = 0
-    while frontier.any():
-        # gather the union of neighbor rows over each source's frontier
-        in_frontier = ((frontier[:, None] >> idx[None, :]) & np.uint64(1)).astype(bool)
-        gathered = np.where(in_frontier, adj[None, :], np.uint64(0))
-        nxt = np.bitwise_or.reduce(gathered, axis=1) & ~visited
-        d += 1
-        newly = ((nxt[:, None] >> idx[None, :]) & np.uint64(1)).astype(bool)
-        if not newly.any():
-            break
-        dist[newly] = d
-        visited |= nxt
-        frontier = nxt
-    return dist
-
-
-def _pack_rows_numpy(mask: np.ndarray) -> np.ndarray:
-    """Pack a boolean (n, n) matrix into per-row uint64 bitsets."""
-    n = mask.shape[0]
-    idx = np.arange(n, dtype=np.uint64)
-    bits = np.where(mask, np.uint64(1) << idx[None, :], np.uint64(0))
-    return np.bitwise_or.reduce(bits, axis=1)
-
-
-def pair_numpy(adj: np.ndarray) -> tuple[int, int]:
-    """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2."""
-    dist = apd_numpy(adj)
-    d = -1 if (dist == UNREACHABLE).any() else int(dist.max())
-    dist2 = apd_numpy(_pack_rows_numpy(dist == 2))
-    d2 = -1 if (dist2 == UNREACHABLE).any() else int(dist2.max())
-    return d, d2
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def apd_numba(adj):  # pragma: no cover - compiled
-        n = adj.shape[0]
-        dist = np.full((n, n), -1, dtype=np.int16)
-        one = np.uint64(1)
-        zero = np.uint64(0)
-        for s in range(n):
-            dist[s, s] = 0
-            visited = one << np.uint64(s)
-            frontier = visited
-            d = 0
-            while frontier != zero:
-                nxt = zero
-                for v in range(n):
-                    if (frontier >> np.uint64(v)) & one:
-                        nxt |= adj[v]
-                nxt &= ~visited
-                if nxt == zero:
-                    break
-                d += 1
-                for v in range(n):
-                    if (nxt >> np.uint64(v)) & one:
-                        dist[s, v] = d
-                visited |= nxt
-                frontier = nxt
-        return dist
-
-    @njit(cache=True)
-    def pair_numba(adj):  # pragma: no cover - compiled
-        n = adj.shape[0]
-        one = np.uint64(1)
-        dist = apd_numba(adj)
-        d = 0
-        for i in range(n):
-            for j in range(n):
-                if dist[i, j] < 0:
-                    d = -1
-                elif d >= 0 and dist[i, j] > d:
-                    d = dist[i, j]
-        adj2 = np.zeros(n, dtype=np.uint64)
-        for i in range(n):
-            for j in range(n):
-                if dist[i, j] == 2:
-                    adj2[i] |= one << np.uint64(j)
-        dist2 = apd_numba(adj2)
-        d2 = 0
-        for i in range(n):
-            for j in range(n):
-                if dist2[i, j] < 0:
-                    d2 = -1
-                elif d2 >= 0 and dist2[i, j] > d2:
-                    d2 = dist2[i, j]
-        return d, d2
-
-else:  # pragma: no cover
-    apd_numba = None
-    pair_numba = None
-
-
-_requested = os.environ.get("DISTLAB_BACKEND", "auto").strip().lower() or "auto"
-if _requested not in {"auto", "numba", "numpy"}:
-    raise RuntimeError(
-        f"DISTLAB_BACKEND={_requested!r}: expected 'auto', 'numba' or 'numpy'"
-    )
-if _requested == "numba" and njit is None:
-    raise RuntimeError("DISTLAB_BACKEND=numba but numba is not importable")
-
-_use_numba = njit is not None and _requested in {"auto", "numba"}
-
-if _use_numba:
-    distances = apd_numba
-    diameter_pair = pair_numba
-else:
-    distances = apd_numpy
-    diameter_pair = pair_numpy
+# ``njit`` and ``active_backend`` are read by the benchmark's machine
+# metadata; there is one BFS and no compiled backend.
+njit = None
 
 
 def active_backend() -> str:
-    return "numba" if _use_numba else "numpy"
+    return "python"
+
+
+@cache  # one entry per order n <= MAX_VERTICES
+def _consts(n: int) -> tuple[int, int, int]:
+    """(COL, the packed identity, all n * n bits) for order n."""
+    col = sum(1 << (s * n) for s in range(n))
+    ident = sum(1 << (s * n + s) for s in range(n))
+    return col, ident, (1 << (n * n)) - 1
+
+
+def pack(rows: Sequence[int]) -> int:
+    """The n rows as one packed n * n-bit int."""
+    n = len(rows)
+    out = 0
+    for s in range(n - 1, -1, -1):
+        out = (out << n) | rows[s]
+    return out
+
+
+def unpack(level: int, n: int) -> list[int]:
+    """The n row slices of a packed n * n-bit int."""
+    mask = (1 << n) - 1
+    out = []
+    for _ in range(n):
+        out.append(level & mask)
+        level >>= n
+    return out
+
+
+def levels(rows: Sequence[int], first: int | None = None) -> tuple[list[int], bool]:
+    """BFS levels from every source, packed, and whether they cover all pairs.
+
+    Level 0 is the identity and level 1 the adjacency (``first``, when
+    given, must be ``pack(rows)``); the list ends at the last non-empty
+    level, so a connected graph's diameter is its length minus one.
+    """
+    n = len(rows)
+    col, ident, full = _consts(n)
+    frontier = pack(rows) if first is None else first
+    out = [ident]
+    visited = ident | frontier
+    while frontier:
+        out.append(frontier)
+        nxt = 0
+        for v in range(n):
+            sel = (frontier >> v) & col
+            if sel:
+                nxt |= sel * rows[v]
+        frontier = nxt & ~visited
+        visited |= frontier
+    return out, visited == full
+
+
+def distances(rows: Sequence[int]) -> list[list[int]]:
+    """All-pairs distance matrix as a list of rows, ``UNREACHABLE`` across components."""
+    n = len(rows)
+    out = [[UNREACHABLE] * n for _ in range(n)]
+    for k, level in enumerate(levels(rows)[0]):
+        for row, bits in zip(out, unpack(level, n)):
+            while bits:
+                low = bits & -bits
+                row[low.bit_length() - 1] = k
+                bits ^= low
+    return out
+
+
+def ring_rows(rows: Sequence[int], k: int) -> list[int]:
+    """Rows of the graph joining the pairs at distance exactly ``k >= 1``."""
+    lv = levels(rows)[0]
+    return unpack(lv[k], len(rows)) if k < len(lv) else [0] * len(rows)
+
+
+def diameter(rows: Sequence[int]) -> int:
+    """Largest distance, -1 when the graph is disconnected."""
+    lv, connected = levels(rows)
+    return len(lv) - 1 if connected else UNREACHABLE
+
+
+def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
+    """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2."""
+    n = len(rows)
+    lv, connected = levels(rows)
+    d = len(lv) - 1 if connected else UNREACHABLE
+    if len(lv) > 2:
+        lv2, connected2 = levels(unpack(lv[2], n), lv[2])
+    else:
+        lv2, connected2 = levels([0] * n, 0)
+    return d, (len(lv2) - 1 if connected2 else UNREACHABLE)

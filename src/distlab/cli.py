@@ -77,6 +77,8 @@ def _input_graphs(path: str) -> Iterable[Graph]:
 
 
 def cmd_transform(args) -> int:
+    if args.k < 1:  # before any input is read, so an empty stream is refused too
+        raise ValueError(f"k must be a positive integer, got {args.k!r}")
     out_lines = []
     for g in _input_graphs(args.input):
         out_lines.append(graph6.emit(k_distance(g, args.k)))

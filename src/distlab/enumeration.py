@@ -18,8 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
@@ -179,9 +177,8 @@ class SurveyTable:
 
 
 def _pair_of_rows(rows: Sequence[int]) -> tuple[int, int | float]:
-    adj = np.asarray(rows, dtype=np.uint64)
-    d, d2 = _kernels.diameter_pair(adj)
-    return int(d), (math.inf if d2 < 0 else int(d2))
+    d, d2 = _kernels.diameter_pair(rows)
+    return d, (math.inf if d2 < 0 else d2)
 
 
 def _survey_subtree(args) -> dict[tuple[int, int | float], int]:

@@ -1,20 +1,19 @@
 """Bitset graphs and the exact k-distance operator.
 
 A :class:`Graph` is an undirected simple graph on ``1..64`` vertices,
-stored as one ``uint64`` adjacency bitset per vertex.  All distance work
-is exact integer BFS; "infinite" shows up as ``math.inf`` in diameters
-and as :data:`UNREACHABLE` entries in distance matrices.
+stored as a tuple of plain-int adjacency bitsets, one per vertex.  All
+distance work is exact integer BFS (:mod:`distlab._kernels`); "infinite"
+shows up as ``math.inf`` in diameters and as :data:`UNREACHABLE` entries
+in distance matrices, which are lists of rows.
 """
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import _kernels
 
-MAX_VERTICES = 64
+MAX_VERTICES = _kernels.MAX_VERTICES
 UNREACHABLE = _kernels.UNREACHABLE
 
 
@@ -40,11 +39,11 @@ def bitset_to_vertices(bits: int) -> list[int]:
 
 
 class Graph:
-    """Immutable undirected simple graph backed by uint64 adjacency rows."""
+    """Immutable undirected simple graph; ``adj`` is a tuple of int bitset rows."""
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, rows: Sequence[int] | np.ndarray, _validate: bool = True):
+    def __init__(self, n: int, rows: Sequence[int], _validate: bool = True):
         if _validate:
             if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
                 raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
@@ -61,31 +60,30 @@ class Graph:
                 for j in bitset_to_vertices(r):
                     if not (irows[j] >> i) & 1:
                         raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        arr = np.asarray(rows, dtype=np.uint64)
-        arr.setflags(write=False)
+            rows = irows
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", arr)
+        object.__setattr__(self, "adj", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def rows(self) -> list[int]:
-        """Adjacency rows as plain Python ints."""
-        return [int(r) for r in self.adj]
+        """Adjacency rows as a list."""
+        return list(self.adj)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((int(self.adj[i]) >> j) & 1)
+        return bool((self.adj[i] >> j) & 1)
 
     def neighbors(self, i: int) -> list[int]:
-        return bitset_to_vertices(int(self.adj[i]))
+        return bitset_to_vertices(self.adj[i])
 
     def degree(self, i: int) -> int:
-        return int(self.adj[i]).bit_count()
+        return self.adj[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i in range(self.n):
-            r = int(self.adj[i]) >> (i + 1)
+            r = self.adj[i] >> (i + 1)
             j = i + 1
             while r:
                 if r & 1:
@@ -95,17 +93,13 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(int(r).bit_count() for r in self.adj) // 2
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and bool((self.adj == other.adj).all())
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj.tobytes()))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -153,34 +147,38 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows, _validate=False)
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Exact BFS distance matrix, ``UNREACHABLE`` (-1) across components.
+def all_pairs_distances(g: Graph) -> list[list[int]]:
+    """Exact BFS distance matrix as a list of rows, ``UNREACHABLE`` (-1)
+    across components.
 
-    Result is an int16 array with zero diagonal; entry (i, j) is 1 exactly
-    when {i, j} is an edge.
+    The diagonal is zero; entry (i, j) is 1 exactly when {i, j} is an edge.
     """
     return _kernels.distances(g.adj)
 
 
+def _inf(d: int) -> int | float:
+    return math.inf if d == UNREACHABLE else d
+
+
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; ``math.inf`` when disconnected."""
-    return matrix_diameter(all_pairs_distances(g))
+    return _inf(_kernels.diameter(g.adj))
 
 
-def matrix_diameter(dist: np.ndarray) -> int | float:
+def matrix_diameter(dist: Sequence[Sequence[int]]) -> int | float:
     """Largest entry of a distance matrix; ``math.inf`` if any is ``UNREACHABLE``."""
-    if (dist == UNREACHABLE).any():
+    if any(UNREACHABLE in row for row in dist):
         return math.inf
-    return int(dist.max())
+    return max(max(row) for row in dist)
 
 
 def diameter_pair(g: Graph) -> tuple[int | float, int | float]:
     """(diam g, diam of the 2-distance graph) in one fused kernel call."""
     d, d2 = _kernels.diameter_pair(g.adj)
-    return (math.inf if d < 0 else int(d), math.inf if d2 < 0 else int(d2))
+    return _inf(d), _inf(d2)
 
 
-def k_distance(g: Graph, k: int, dist: np.ndarray | None = None) -> Graph:
+def k_distance(g: Graph, k: int, dist: Sequence[Sequence[int]] | None = None) -> Graph:
     """Graph on the same vertices joining pairs at distance exactly ``k``.
 
     ``k = 1`` reproduces ``g``; ``k >= 1`` required.  ``dist``, when
@@ -189,10 +187,9 @@ def k_distance(g: Graph, k: int, dist: np.ndarray | None = None) -> Graph:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if dist is None:
-        dist = all_pairs_distances(g)
-    idx = np.arange(g.n, dtype=np.uint64)
-    bits = np.where(dist == k, np.uint64(1) << idx[None, :], np.uint64(0))
-    rows = np.bitwise_or.reduce(bits, axis=1)
+        rows = _kernels.ring_rows(g.adj, k)
+    else:
+        rows = [sum(1 << j for j, x in enumerate(row) if x == k) for row in dist]
     return Graph(g.n, rows, _validate=False)
 
 
@@ -205,7 +202,7 @@ def common_neighborhood(g: Graph, s: Iterable[int]) -> int:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-        out &= int(g.adj[v])
+        out &= g.adj[v]
     return out
 
 

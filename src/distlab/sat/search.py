@@ -182,7 +182,7 @@ def verify_witness(
         return False, d, d2, Reason(
             "not_geodesic",
             f"pinned path is not a geodesic: d2(0, {params.p2_len}) = "
-            f"{int(dist2[0][params.p2_len])}",
+            f"{dist2[0][params.p2_len]}",
         )
     if params.min_d2 >= 1:
         if math.isinf(d2):

@@ -61,6 +61,18 @@ def test_transform_files(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_transform_rejects_nonpositive_k_on_empty_input(monkeypatch, capsys, tmp_path, k):
+    _feed(monkeypatch, "")
+    assert main(["transform", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k must be a positive integer" in captured.err
+    dst = tmp_path / "out.g6"
+    assert main(["transform", "--k", k, "--input", os.devnull, "--out", str(dst)]) == 2
+    assert not dst.exists()
+
+
 def test_diam_lines(monkeypatch, capsys):
     two_parts = from_edge_list(4, [(0, 1), (2, 3)])
     _feed(monkeypatch, emit(cycle_graph(6)) + "\n" + emit(two_parts) + "\n")

@@ -93,7 +93,7 @@ def test_distances_match_reference_bfs():
             g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
             got = all_pairs_distances(g)
             want = reference_distances(g)
-            assert got.tolist() == want
+            assert got == want
 
 
 def test_diameter_values():

@@ -1,117 +1,144 @@
+"""The all-sources BFS of ``distlab._kernels`` against a deque-BFS oracle."""
 import os
 import random
 import subprocess
 import sys
 
-import numpy as np
+import networkx as nx
 import pytest
 
 import distlab
 from distlab import _kernels
-from distlab.graphs import Graph, diameter, k_distance
+from distlab.graph6 import emit
+from distlab.graphs import all_pairs_distances, cycle_graph, diameter, from_edge_list, k_distance
 
-from util import random_graph, reference_distances
-
-HAVE_NUMBA = _kernels.apd_numba is not None
+from util import random_connected_graph, random_graph, reference_distances
 
 
-def _cases():
+def _want(g):
+    """(distance matrix, diam G, diam G2) by deque BFS, -1 for infinity."""
+    dist = reference_distances(g)
+    g2 = from_edge_list(
+        g.n, [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if dist[i][j] == 2]
+    )
+    return dist, _diam(dist), _diam(reference_distances(g2))
+
+
+def _diam(dist):
+    if any(-1 in row for row in dist):
+        return -1
+    return max(max(row) for row in dist)
+
+
+def _check(g):
+    dist, d, d2 = _want(g)
+    assert all_pairs_distances(g) == dist
+    assert _kernels.diameter_pair(g.adj) == (d, d2)
+    assert _kernels.diameter(g.adj) == d
+    for k in range(1, max(d, 1) + 2):
+        want = [sum(1 << j for j, x in enumerate(row) if x == k) for row in dist]
+        assert _kernels.ring_rows(g.adj, k) == want
+
+
+def _atlas(connected: bool):
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h) == connected:
+            yield from_edge_list(n, h.edges())
+
+
+def test_every_connected_graph_up_to_seven_vertices():
+    graphs = list(_atlas(connected=True))
+    assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853  # OEIS A001349
+    for g in graphs:
+        _check(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64])
+def test_random_graphs_at_packed_block_boundaries(n):
+    rng = random.Random(1000 + n)
+    for p in (0.0, 0.03, 0.1, 0.3, 0.7, 1.0):
+        for _ in range(3):
+            _check(random_graph(rng, n, p))
+    for _ in range(3):
+        _check(random_connected_graph(rng, n, 2.0 / n))
+
+
+def test_disconnected_graphs_have_both_diameters_infinite():
+    graphs = list(_atlas(connected=False))
+    rng = random.Random(5)
+    for n in (3, 17, 32, 64):
+        a = rng.randrange(1, n)
+        left = random_connected_graph(rng, a, 0.3)
+        right = random_connected_graph(rng, n - a, 0.3)
+        edges = left.edges() + [(a + i, a + j) for i, j in right.edges()]
+        graphs.append(from_edge_list(n, edges))
+    for g in graphs:
+        _check(g)
+        assert _kernels.diameter_pair(g.adj) == (-1, -1)
+
+
+def test_distances_match_reference_bfs():
     rng = random.Random(17)
-    out = []
     for n in (1, 2, 3, 7, 12, 20, 33):
         for p in (0.0, 0.15, 0.5, 0.9):
-            out.append(random_graph(rng, n, p))
-    return out
-
-
-CASES = _cases()
-
-
-def test_numpy_backend_matches_reference_bfs():
-    for g in CASES:
-        got = _kernels.apd_numpy(g.adj)
-        assert got.tolist() == reference_distances(g)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable")
-def test_backends_agree_on_distances():
-    for g in CASES:
-        a = _kernels.apd_numpy(g.adj)
-        b = _kernels.apd_numba(g.adj)
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable")
-def test_backends_agree_on_diameter_pair():
-    for g in CASES:
-        assert _kernels.pair_numpy(g.adj) == tuple(_kernels.pair_numba(g.adj))
+            g = random_graph(rng, n, p)
+            assert _kernels.distances(g.adj) == reference_distances(g)
 
 
 def test_pair_kernel_matches_plain_diameters():
-    for g in CASES:
-        d, d2 = _kernels.pair_numpy(g.adj)
-        want_d = diameter(g)
-        want_d2 = diameter(k_distance(g, 2))
-        assert (d == -1) == (want_d == float("inf"))
-        assert (d2 == -1) == (want_d2 == float("inf"))
-        if d != -1:
-            assert d == want_d
-        if d2 != -1:
-            assert d2 == want_d2
+    rng = random.Random(17)
+    for n in (1, 2, 3, 7, 12, 20, 33):
+        for p in (0.0, 0.15, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            d, d2 = _kernels.diameter_pair(g.adj)
+            want_d = diameter(g)
+            want_d2 = diameter(k_distance(g, 2))
+            assert (d == -1) == (want_d == float("inf"))
+            assert (d2 == -1) == (want_d2 == float("inf"))
+            if d != -1:
+                assert d == want_d
+            if d2 != -1:
+                assert d2 == want_d2
 
 
 def test_pack_rows_round_trip():
     rng = random.Random(23)
-    for n in (1, 5, 17, 40):
-        mask = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.4:
-                    mask[i, j] = mask[j, i] = True
-        rows = _kernels._pack_rows_numpy(mask)
-        for i in range(n):
-            for j in range(n):
-                assert bool((int(rows[i]) >> j) & 1) == bool(mask[i, j])
+    for n in (1, 5, 17, 40, 64):
+        rows = list(random_graph(rng, n, 0.4).adj)
+        packed = _kernels.pack(rows)
+        assert packed.bit_length() <= n * n
+        assert _kernels.unpack(packed, n) == rows
+        for s in range(n):
+            assert (packed >> (s * n)) & ((1 << n) - 1) == rows[s]
 
 
-def test_active_backend_dispatch():
-    name = _kernels.active_backend()
-    assert name in ("numba", "numpy")
-    if name == "numba":
-        assert _kernels.distances is _kernels.apd_numba
-    else:
-        assert _kernels.distances is _kernels.apd_numpy
-
-
-def _import_with_backend(value: str) -> subprocess.CompletedProcess:
-    """Import ``distlab._kernels`` in a fresh interpreter with ``DISTLAB_BACKEND``.
-
-    The child inherits this environment, with the directory holding the
-    already-imported ``distlab`` package first on ``PYTHONPATH``, so it loads
-    the same source tree whether or not the package is installed.
-    """
+def _child_env() -> dict:
+    """This environment, with the directory holding the imported ``distlab``
+    package first on ``PYTHONPATH``, so a child interpreter loads the same
+    source tree whether or not the package is installed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(distlab.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_library_runs_without_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import distlab\n"
+        "from distlab.cli import main\n"
+        "print(distlab.survey(6).total())\n"
+        "sys.exit(main(['transform', '--k', '2']))\n"
     )
-    env["DISTLAB_BACKEND"] = value
-    code = "import distlab._kernels as k; print(k.active_backend())"
-    return subprocess.run(
+    line = emit(cycle_graph(6))
+    proc = subprocess.run(
         [sys.executable, "-c", code],
+        input=line + "\n",
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
-
-
-def test_backend_env_selection():
-    proc = _import_with_backend("numpy")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_backend_env_rejects_unknown_value():
-    proc = _import_with_backend("cython")
-    assert proc.returncode != 0
-    assert "RuntimeError: DISTLAB_BACKEND='cython'" in proc.stderr, proc.stderr
+    assert proc.stdout.splitlines() == ["112", emit(k_distance(cycle_graph(6), 2))]

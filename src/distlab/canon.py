@@ -123,21 +123,8 @@ class _Search:
         ]
         if not gens:
             return False
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in gens:
-            for u in range(self.n):
-                ru, rg = find(u), find(g[u])
-                if ru != rg:
-                    parent[ru] = rg
-        rv = find(v)
-        return any(find(t) == rv for t in tried)
+        orbit = orbits_from_generators(gens, self.n)
+        return any(orbit[t] == orbit[v] for t in tried)
 
 
 def canonical_labeling_rows(
@@ -169,20 +156,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def orbits_from_generators(gens: Sequence[Sequence[int]], n: int) -> list[int]:
     """orbit[v] = least vertex reachable from v under the generated group."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # each orbit is labeled by its least vertex; a merge relabels the larger
+    orbit = list(range(n))
     for g in gens:
         for u in range(n):
-            ru, rg = find(u), find(g[u])
-            if ru != rg:
-                parent[max(ru, rg)] = min(ru, rg)
-    return [find(v) for v in range(n)]
+            a, b = orbit[u], orbit[g[u]]
+            if a != b:
+                lo, hi = (a, b) if a < b else (b, a)
+                orbit = [lo if x == hi else x for x in orbit]
+    return orbit
 
 
 def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:

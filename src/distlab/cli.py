@@ -23,7 +23,7 @@ from .enumeration import ENUM_CAP, ENUM_CAP_FORCED, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
-from .sat.encode import FormulaSizeError, build_formula
+from .sat.encode import build_formula
 from .sat.external import SolverError
 from .sat.search import (
     BudgetExhausted,
@@ -130,11 +130,9 @@ def cmd_sat_search(args) -> int:
         min_d2=args.min_d2,
         forbid_diam_le_2=not args.allow_diam_le_2,
         require_sharp=not args.allow_non_sharp,
-        shortcut_max_len=args.shortcut_max_len,
         budget_seconds=args.budget_seconds,
         max_candidates=args.max_candidates,
         solver=solver or None,
-        max_clauses=args.max_clauses,
     )
     if args.emit_cnf:
         vm, formula = build_formula(params, cap_levels(params)[0])
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p2-len", type=int, required=True, dest="p2_len")
     p.add_argument("--min-d2", type=int, required=True, dest="min_d2")
-    p.add_argument("--shortcut-max-len", type=int, default=3, dest="shortcut_max_len")
     p.add_argument("--allow-diam-le-2", action="store_true",
                    help="drop the diameter > 2 requirement")
     p.add_argument("--allow-non-sharp", action="store_true",
@@ -276,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(and drop the diameter-cap staircase)")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--max-candidates", type=int, default=None)
-    p.add_argument("--max-clauses", type=int, default=500_000)
     p.add_argument("--solver", default=None,
                    help="external DIMACS solver command (default: $DISTLAB_SOLVER, "
                         "else the built-in DPLL)")
     p.add_argument("--emit-cnf", default=None,
                    help="write the DIMACS formula of the first solve call here, "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
-                        "lines; unless --allow-non-sharp this is the lowest "
+                        "lines; kind q<s> (v) says v lies within s of vertex 0 "
+                        "in G2; unless --allow-non-sharp this is the lowest "
                         "diameter-cap level, whose reach variables have kinds "
                         "r<s> (i j within distance s) and m<s> (i k j, "
                         "joined through k)")
@@ -305,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (graph6.Graph6Error, SolverError, FormulaSizeError, ValueError) as exc:
+    except (graph6.Graph6Error, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

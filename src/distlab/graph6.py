@@ -78,20 +78,25 @@ def parse(text: str, line: int | None = None) -> Graph:
         raise Graph6Error(
             f"expected {need} data bytes for n={n}, got {len(body)}", line
         )
-    rows = [0] * n
-    bits = []
+    acc = 0
     for byte in body:
-        group = byte - 63
-        bits.extend((group >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        acc = acc << 6 | byte - 63
+    pad = 6 * len(body) - nbits
+    if acc & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", line)
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+    acc >>= pad
+    # column j (pairs (0, j) .. (j-1, j)) is the next j bits from the top,
+    # so the last column sits lowest; bit b of a column is the pair (j-1-b, j)
+    rows = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = acc & ((1 << j) - 1)
+        acc >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
     return Graph(n, rows, _validate=False)
 
 

@@ -2,7 +2,6 @@
 from .cnf import CnfFormula, VarMap, emit_dimacs, parse_dimacs
 from .dpll import DpllSolver
 from .encode import (
-    FormulaSizeError,
     build_formula,
     decode_model,
     encode_b_definition,
@@ -11,7 +10,7 @@ from .encode import (
     encode_free_vertex_ordering,
     encode_g2_min_degree,
     encode_p2_fixing,
-    encode_shortcut_forbidding,
+    encode_p2_geodesic,
 )
 from .external import SolverError, run_external
 from .search import (
@@ -32,7 +31,6 @@ __all__ = [
     "emit_dimacs",
     "parse_dimacs",
     "DpllSolver",
-    "FormulaSizeError",
     "build_formula",
     "decode_model",
     "encode_b_definition",
@@ -41,7 +39,7 @@ __all__ = [
     "encode_free_vertex_ordering",
     "encode_g2_min_degree",
     "encode_p2_fixing",
-    "encode_shortcut_forbidding",
+    "encode_p2_geodesic",
     "SolverError",
     "run_external",
     "BudgetExhausted",

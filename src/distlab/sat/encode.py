@@ -1,37 +1,24 @@
 """CNF fragments tying candidate adjacency to its 2-distance graph.
 
-The fragments are full biconditionals, so every model decodes to a graph
-whose b-variables agree exactly with distance-2 adjacency provided the
-b-definition fragment is present.  ``build_formula`` combines them for
-the extremal search: a fixed geodesic of the 2-distance graph, shortcut
-exclusion up to a bounded detour length, optional exclusion of diameter
-at most 2, a minimum-degree floor on the 2-distance graph (implied by
+The b-definition is a full biconditional, so every model decodes to a
+graph whose b-variables agree exactly with distance-2 adjacency; the
+reachability fragments are one-sided, sound and complete (see each).
+``build_formula`` combines the fragments for the extremal search: a
+pinned path of the 2-distance graph, made an exact geodesic by
+reachability from its first vertex, optional exclusion of diameter at
+most 2, a minimum-degree floor on the 2-distance graph (implied by
 asking its diameter to be finite), lex ordering on free vertices, and,
 when asked, a cap on the diameter by layered reachability.
 """
 from __future__ import annotations
 
-from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..graphs import Graph, from_edge_list
 from .cnf import CnfFormula, VarMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import SearchParams
-
-
-class FormulaSizeError(RuntimeError):
-    """Shortcut exclusion would exceed the clause budget."""
-
-    def __init__(self, total: int, cap: int, per_len: dict[int, int]):
-        self.total = total
-        self.cap = cap
-        self.per_len = per_len
-        detail = ", ".join(f"len {k}: {v}" for k, v in sorted(per_len.items()))
-        super().__init__(
-            f"shortcut exclusion needs {total} clauses (cap {cap}); {detail}"
-        )
 
 
 def _others(n: int, i: int, k: int) -> list[int]:
@@ -77,49 +64,34 @@ def encode_p2_fixing(vm: VarMap, p2_len: int) -> CnfFormula:
     return out
 
 
-def encode_shortcut_forbidding(
-    vm: VarMap, p2_len: int, max_len: int = 3, max_clauses: int = 500_000
-) -> CnfFormula:
-    """Forbid b-paths between fixed-path vertices shorter than their gap.
+def encode_p2_geodesic(vm: VarMap, p2_len: int) -> CnfFormula:
+    """The pinned path 0..p2_len is a geodesic of the 2-distance graph.
 
-    For path vertices x < y with gap y - x and each detour length
-    1 <= L < gap (capped at ``max_len``), every b-path of length L from x
-    to y through distinct free vertices is excluded by one all-negative
-    clause.  Raises :class:`FormulaSizeError` beyond ``max_clauses``.
+    q_s(v) is one-sided: forced true when v lies within s of vertex 0 in
+    G2, by b(0,v) -> q_1(v), q_s(v) -> q_{s+1}(v) and q_s(u) and b(u,v) ->
+    q_{s+1}(v) for u, v != 0; the unit not q_{p-1}(p) for p = ``p2_len``
+    closes it.  Sound because a G2 path from 0 to p shorter than p forces
+    q_{p-1}(p); complete because setting each q_s to the exact "within s
+    of 0" satisfies every clause.  (p-1)(n-1) fresh variables, tagged
+    ``q<s>`` (v) in the sidecar, and (p-2)(n-1)^2 + n clauses; empty for
+    p < 2.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    n = vm.n
-    free = list(range(p2_len + 1, n))
-    per_len: dict[int, int] = {}
-    total = 0
-    for x in range(p2_len + 1):
-        for y in range(x + 2, p2_len + 1):
-            gap = y - x
-            for length in range(1, min(max_len, gap - 1) + 1):
-                # one clause per arrangement of length-1 distinct free vertices
-                count = 1
-                for r in range(length - 1):
-                    count *= len(free) - r
-                count = max(count, 0)
-                per_len[length] = per_len.get(length, 0) + count
-                total += count
-    if total > max_clauses:
-        raise FormulaSizeError(total, max_clauses, per_len)
+    if p2_len < 2:
+        return CnfFormula(vm.var_count)
+    rest = range(1, vm.n)
+    q = {v: vm.tagged("q1", v) for v in rest}
+    clauses = [[-vm.b(0, v), q[v]] for v in rest]
+    for s in range(2, p2_len):
+        nxt = {v: vm.tagged(f"q{s}", v) for v in rest}
+        for v in rest:
+            clauses.append([-q[v], nxt[v]])
+            for u in rest:
+                if u != v:
+                    clauses.append([-q[u], -vm.b(u, v), nxt[v]])
+        q = nxt
+    clauses.append([-q[p2_len]])
     out = CnfFormula(vm.var_count)
-    for x in range(p2_len + 1):
-        for y in range(x + 2, p2_len + 1):
-            gap = y - x
-            for length in range(1, min(max_len, gap - 1) + 1):
-                if length == 1:
-                    out.add([-vm.b(x, y)])
-                    continue
-                for mids in permutations(free, length - 1):
-                    lits = [-vm.b(x, mids[0])]
-                    for u, v in zip(mids, mids[1:]):
-                        lits.append(-vm.b(u, v))
-                    lits.append(-vm.b(mids[-1], y))
-                    out.add(lits)
+    out.extend(clauses)
     return out
 
 
@@ -268,11 +240,7 @@ def build_formula(
     vm = VarMap(params.n)
     fragments = [encode_b_definition(vm)]
     fragments.append(encode_p2_fixing(vm, params.p2_len))
-    fragments.append(
-        encode_shortcut_forbidding(
-            vm, params.p2_len, params.shortcut_max_len, params.max_clauses
-        )
-    )
+    fragments.append(encode_p2_geodesic(vm, params.p2_len))
     if params.forbid_diam_le_2:
         fragments.append(encode_diam2_exclusion(vm))
     if params.min_d2 >= 1:
@@ -286,41 +254,34 @@ def build_formula(
     return vm, out
 
 
+def _true_pairs(vm: VarMap, model, var_of, unset: str) -> list[tuple[int, int]]:
+    """Pairs whose variable ``var_of(i, j)`` is true in ``model``, a mapping
+    var -> bool or signed DIMACS literals; ``unset`` formats the error."""
+    if isinstance(model, Mapping):
+        values = model
+    else:
+        values = {abs(lit): lit > 0 for lit in model if lit != 0}
+    out = []
+    for i, j in vm.pairs():
+        var = var_of(i, j)
+        if var not in values:
+            raise ValueError(unset.format(var=var, i=i, j=j))
+        if values[var]:
+            out.append((i, j))
+    return out
+
+
 def decode_model(vm: VarMap, model: Mapping[int, bool] | Sequence[int]) -> Graph:
     """Graph from the a-variables of a model.
 
     ``model`` is either a mapping var -> bool or an iterable of signed
     DIMACS literals.  Every a-variable must be assigned.
     """
-    if isinstance(model, Mapping):
-        values = dict(model)
-    else:
-        values = {}
-        for lit in model:
-            if lit == 0:
-                continue
-            values[abs(lit)] = lit > 0
-    edges = []
-    for i, j in vm.pairs():
-        var = vm.a(i, j)
-        if var not in values:
-            raise ValueError(f"model leaves adjacency variable {var} (a {i} {j}) unset")
-        if values[var]:
-            edges.append((i, j))
-    return from_edge_list(vm.n, edges)
+    unset = "model leaves adjacency variable {var} (a {i} {j}) unset"
+    return from_edge_list(vm.n, _true_pairs(vm, model, vm.a, unset))
 
 
 def model_b_edges(vm: VarMap, model: Mapping[int, bool] | Sequence[int]) -> set[tuple[int, int]]:
     """Pairs whose b-variable is true in the model (for cross-checks)."""
-    if isinstance(model, Mapping):
-        values = dict(model)
-    else:
-        values = {abs(lit): lit > 0 for lit in model if lit != 0}
-    out = set()
-    for i, j in vm.pairs():
-        var = vm.b(i, j)
-        if var not in values:
-            raise ValueError(f"model leaves variable {var} (b {i} {j}) unset")
-        if values[var]:
-            out.add((i, j))
-    return out
+    unset = "model leaves variable {var} (b {i} {j}) unset"
+    return set(_true_pairs(vm, model, vm.b, unset))

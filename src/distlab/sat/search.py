@@ -40,8 +40,8 @@ class SearchParams:
     complete without assuming the theorem: a sharp witness has a finite
     d = diam G and d + 2 <= diam G2 <= n - 1, so it satisfies the last
     level, and graphs rejected at a lower level stay blocked.
-    ``shortcut_max_len`` caps the detour length excluded at encode time;
-    longer shortcuts are caught by verification.  ``solver`` is an
+    The formula makes the pinned path a geodesic of the 2-distance graph
+    exactly, so no candidate is rejected for a shortcut.  ``solver`` is an
     external DIMACS solver command; ``None`` uses the built-in DPLL.
     """
 
@@ -50,11 +50,9 @@ class SearchParams:
     min_d2: int
     forbid_diam_le_2: bool = True
     require_sharp: bool = True
-    shortcut_max_len: int = 3
     budget_seconds: float | None = None
     max_candidates: int | None = None
     solver: str | None = None
-    max_clauses: int = 500_000
 
 
 PHASES = ("encode", "solve", "decode", "verify")

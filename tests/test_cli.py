@@ -203,6 +203,19 @@ def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
     assert not any(k.startswith(("r5", "r6")) for k in kinds)
 
 
+def test_sat_search_sidecar_lists_the_geodesic_reach_variables(tmp_path, capsys):
+    cnf_path = tmp_path / "search.cnf"
+    rc = main([
+        "sat-search", "--n", "9", "--p2-len", "6", "--min-d2", "6",
+        "--emit-cnf", str(cnf_path), "--emit-only",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    lines = (tmp_path / "search.cnf.vars").read_text().splitlines()
+    reach = [line.split()[1:] for line in lines if line.split()[1].startswith("q")]
+    assert reach == [[f"q{s}", str(v)] for s in range(1, 6) for v in range(1, 9)]
+
+
 def test_sat_search_external_solver(capsys):
     rc = main([
         "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",

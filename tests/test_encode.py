@@ -6,7 +6,6 @@ from distlab.graphs import from_edge_list, path_graph
 from distlab.sat.cnf import CnfFormula, VarMap
 from distlab.sat.dpll import SAT, UNSAT, DpllSolver
 from distlab.sat.encode import (
-    FormulaSizeError,
     build_formula,
     decode_model,
     encode_b_definition,
@@ -15,10 +14,10 @@ from distlab.sat.encode import (
     encode_free_vertex_ordering,
     encode_g2_min_degree,
     encode_p2_fixing,
-    encode_shortcut_forbidding,
+    encode_p2_geodesic,
     model_b_edges,
 )
-from distlab.sat.search import SearchParams
+from distlab.sat.search import SearchParams, verify_witness
 
 import brute
 from util import reference_diameter, reference_distances, reference_k_distance_edges
@@ -112,31 +111,83 @@ def test_p2_fixing_models_pin_distance_two_path():
     assert got == want
 
 
-def test_shortcut_clause_set_small():
-    vm = VarMap(6)
-    f = encode_shortcut_forbidding(vm, 3)
-    got = {tuple(sorted(c)) for c in f.clauses}
-    want = {
-        (-vm.b(0, 2),),
-        (-vm.b(0, 3),),
-        (-vm.b(1, 3),),
-        tuple(sorted([-vm.b(0, 4), -vm.b(4, 3)])),
-        tuple(sorted([-vm.b(0, 5), -vm.b(5, 3)])),
-    }
-    assert got == want
+def _a_models_pinned(vm, formula, free=5):
+    """Masks of the graphs whose pinned a-variables leave ``formula`` SAT.
+
+    All but the last ``free`` a-variables are pinned by unit clauses, and
+    the models over those few are enumerated by blocking clauses: the same
+    per-graph verdicts as one solver per graph, in far fewer solver builds.
+    """
+    fixed = vm.a_vars()[:-free]
+    out = set()
+    for cube in range(1 << len(fixed)):
+        units = [[v if cube >> bit & 1 else -v] for bit, v in enumerate(fixed)]
+        part = _enumerate_a_models(vm, CnfFormula(formula.var_count, formula.clauses + units))
+        assert not out & part
+        out |= part
+    return out
 
 
-def test_shortcut_size_guard():
-    vm = VarMap(12)
-    with pytest.raises(FormulaSizeError) as exc:
-        encode_shortcut_forbidding(vm, 8, max_len=3, max_clauses=10)
-    err = exc.value
-    assert err.cap == 10
-    assert err.total > 10
-    assert set(err.per_len) == {1, 2, 3}
-    assert err.total == sum(err.per_len.values())
-    with pytest.raises(ValueError):
-        encode_shortcut_forbidding(vm, 3, max_len=0)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_p2_geodesic_is_exact(n):
+    """SAT iff BFS puts each pinned pair at distance 2 and d2(0, p) = p."""
+    dists = [reference_distances(_mask_graph(n, m)) for m in range(1 << (n * (n - 1) // 2))]
+    for p2_len in range(2, n):
+        vm = VarMap(n)
+        frags = [
+            encode_b_definition(vm),
+            encode_p2_fixing(vm, p2_len),
+            encode_p2_geodesic(vm, p2_len),
+        ]
+        formula = CnfFormula(vm.var_count, [c for f in frags for c in f.clauses])
+        want = set()
+        for mask, dist in enumerate(dists):
+            if any(dist[i][i + 1] != 2 for i in range(p2_len)):
+                continue
+            pairs2 = [(i, j) for i, j in vm.pairs() if dist[i][j] == 2]
+            if reference_distances(from_edge_list(n, pairs2))[0][p2_len] == p2_len:
+                want.add(mask)
+        assert _a_models_pinned(vm, formula) == want, (n, p2_len)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_p2_geodesic_size_and_tags(n):
+    for p2_len in range(n):
+        vm = VarMap(n)
+        base = vm.var_count
+        frag = encode_p2_geodesic(vm, p2_len)
+        if p2_len < 2:
+            assert frag.clauses == [] and vm.var_count == base
+            continue
+        assert frag.clause_count == (p2_len - 2) * (n - 1) ** 2 + n
+        assert vm.var_count - base == (p2_len - 1) * (n - 1)
+        fresh = [vm.describe(v) for v in range(base + 1, vm.var_count + 1)]
+        assert fresh == [(f"q{s}", v) for s in range(1, p2_len) for v in range(1, n)]
+        assert vm.describe(-frag.clauses[-1][0]) == (f"q{p2_len - 1}", p2_len)
+
+
+# C_11 labeled so that its 2-distance graph, also an 11-cycle, runs
+# 0, 1, ..., 7 and back to 0 through 10, 9, 8: the pinned path of length 7
+# has a 4-step detour, and no shortcut between path vertices is shorter,
+# so clauses against detours of at most 3 steps all hold; the free
+# vertices are in lex order, so the ordering fragment admits the graph
+PLANTED_C11 = from_edge_list(11, [
+    (0, 5), (0, 6), (1, 6), (1, 7), (2, 7), (2, 10),
+    (3, 9), (3, 10), (4, 8), (4, 9), (5, 8),
+])
+
+
+def test_planted_four_step_detour_is_unsat():
+    params = SearchParams(n=11, p2_len=7, min_d2=1)
+    dist2 = reference_distances(
+        from_edge_list(11, reference_k_distance_edges(PLANTED_C11, 2))
+    )
+    assert [dist2[0][i] for i in range(8)] == [0, 1, 2, 3, 4, 5, 5, 4]
+    assert _lex_ok(11, 7, PLANTED_C11)
+    assert verify_witness(PLANTED_C11, params)[3].kind == "not_geodesic"
+    vm, formula = build_formula(params)
+    _, status, _ = _solve_with_graph(formula, vm, PLANTED_C11)
+    assert status == UNSAT
 
 
 def test_diam2_exclusion_is_exact():
@@ -282,7 +333,7 @@ def _semantic_build_ok(g, n, p2_len):
     pairs2 = reference_k_distance_edges(g, 2)
     if any(dist[i][i + 1] != 2 for i in range(p2_len)):
         return False
-    if (0, 2) in pairs2:  # the only shortcut clause at p2_len = 2
+    if (0, 2) in pairs2:  # the geodesic fragment at p2_len = 2: d2(0, 2) = 2
         return False
     within2 = all(
         0 <= dist[i][j] <= 2 for i in range(n) for j in range(i + 1, n)
@@ -326,12 +377,6 @@ def test_build_formula_appends_the_cap_last():
     assert capped.clauses[: plain.clause_count] == plain.clauses
     assert capped.clause_count == plain.clause_count + cap.clause_count
     assert cap_vm.sidecar().startswith(vm.sidecar())
-
-
-def test_build_formula_size_guard_propagates():
-    params = SearchParams(n=13, p2_len=8, min_d2=8, max_clauses=50)
-    with pytest.raises(FormulaSizeError):
-        build_formula(params)
 
 
 def test_decode_model_paths_and_errors():

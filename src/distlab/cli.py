@@ -131,7 +131,6 @@ def cmd_sat_search(args) -> int:
         forbid_diam_le_2=not args.allow_diam_le_2,
         require_sharp=not args.allow_non_sharp,
         budget_seconds=args.budget_seconds,
-        max_candidates=args.max_candidates,
         solver=solver or None,
     )
     if args.emit_cnf:
@@ -149,7 +148,6 @@ def cmd_sat_search(args) -> int:
         "min_d2": params.min_d2,
         "solver": solver or "builtin",
         "solve_calls": outcome.solve_calls,
-        "candidates_rejected": outcome.candidates_rejected,
         "elapsed_seconds": f"{outcome.elapsed:.2f}",
         "cap_levels": ",".join(
             "none" if d is None else str(d) for d in outcome.stats.cap_levels
@@ -157,8 +155,6 @@ def cmd_sat_search(args) -> int:
     }
     for phase, seconds in outcome.stats.phase_seconds.items():
         meta[f"{phase}_seconds"] = f"{seconds:.3f}"
-    for kind, count in sorted(outcome.stats.rejections.items()):
-        meta[f"rejected.{kind}"] = count
     for key, value in outcome.stats.solver.items():
         meta[f"dpll.{key}"] = value
     if isinstance(outcome, Witness):
@@ -272,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept witnesses even when diam G2 < diam G + 2 "
                         "(and drop the diameter-cap staircase)")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-candidates", type=int, default=None)
     p.add_argument("--solver", default=None,
                    help="external DIMACS solver command (default: $DISTLAB_SOLVER, "
                         "else the built-in DPLL)")
@@ -280,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the DIMACS formula of the first solve call here, "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
                         "lines; kind q<s> (v) says v lies within s of vertex 0 "
-                        "in G2; unless --allow-non-sharp this is the lowest "
+                        "in G2, c<s> (v) that v lies within s of the pinned "
+                        "path in G2 and cm<s> (u v) that it does through u; "
+                        "unless --allow-non-sharp this is the lowest "
                         "diameter-cap level, whose reach variables have kinds "
                         "r<s> (i j within distance s) and m<s> (i k j, "
                         "joined through k)")

@@ -1,4 +1,4 @@
-"""SAT encoding, solving and counterexample-guided search."""
+"""SAT encoding and solving; ``search`` is left in its module, :mod:`.search`."""
 from .cnf import CnfFormula, VarMap, emit_dimacs, parse_dimacs
 from .dpll import DpllSolver
 from .encode import (
@@ -8,7 +8,7 @@ from .encode import (
     encode_diam2_exclusion,
     encode_diameter_cap,
     encode_free_vertex_ordering,
-    encode_g2_min_degree,
+    encode_g2_connected,
     encode_p2_fixing,
     encode_p2_geodesic,
 )
@@ -21,7 +21,6 @@ from .search import (
     Unsat,
     Witness,
     cap_levels,
-    search,
     verify_witness,
 )
 
@@ -37,7 +36,7 @@ __all__ = [
     "encode_diam2_exclusion",
     "encode_diameter_cap",
     "encode_free_vertex_ordering",
-    "encode_g2_min_degree",
+    "encode_g2_connected",
     "encode_p2_fixing",
     "encode_p2_geodesic",
     "SolverError",
@@ -49,6 +48,5 @@ __all__ = [
     "Unsat",
     "Witness",
     "cap_levels",
-    "search",
     "verify_witness",
 ]

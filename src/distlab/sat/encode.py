@@ -3,12 +3,13 @@
 The b-definition is a full biconditional, so every model decodes to a
 graph whose b-variables agree exactly with distance-2 adjacency; the
 reachability fragments are one-sided, sound and complete (see each).
-``build_formula`` combines the fragments for the extremal search: a
-pinned path of the 2-distance graph, made an exact geodesic by
-reachability from its first vertex, optional exclusion of diameter at
-most 2, a minimum-degree floor on the 2-distance graph (implied by
-asking its diameter to be finite), lex ordering on free vertices, and,
-when asked, a cap on the diameter by layered reachability.
+``build_formula`` combines the fragments for the extremal search, each
+exact, so every model of the formula is a graph that passes the search's
+BFS verification: a pinned path of the 2-distance graph, made an exact
+geodesic by reachability from its first vertex, optional exclusion of
+diameter at most 2, connectivity of the 2-distance graph by reachability
+to the pinned path, lex ordering on free vertices, and, when asked, a cap
+on the diameter by layered reachability.
 """
 from __future__ import annotations
 
@@ -128,11 +129,36 @@ def encode_diam2_exclusion(vm: VarMap) -> CnfFormula:
     return out
 
 
-def encode_g2_min_degree(vm: VarMap) -> CnfFormula:
-    """Every vertex needs some b-edge; implied by a finite G2 diameter."""
+def encode_g2_connected(vm: VarMap, path_len: int) -> CnfFormula:
+    """The 2-distance graph is connected, given the pinned path 0..path_len.
+
+    The path's b-units join its vertices, so it remains for every free vertex
+    v > L = ``path_len`` to reach the path.  c_s(v) is one-sided, true only if
+    v lies within s of the path in G2: c_1(v) -> OR_{i <= L} b(i,v), and
+    c_s(v) -> c_{s-1}(v) or OR_u m(u,v) with m -> c_{s-1}(u), m -> b(u,v) for
+    the other free u.  A shortest path to v runs through free vertices, so
+    the units c_F(v), F = n - L - 1, close it; the exact "within s" values
+    satisfy every clause.  F^2 + F(F-1)^2 variables, tagged ``c<s>`` (v) and
+    ``cm<s>`` (u v), and F(2 + (F-1)(2F-1)) clauses.
+    """
+    free = range(path_len + 1, vm.n)
+    c = {v: vm.tagged("c1", v) for v in free}
+    clauses = [[-c[v]] + [vm.b(i, v) for i in range(path_len + 1)] for v in free]
+    for s in range(2, len(free) + 1):
+        nxt = {v: vm.tagged(f"c{s}", v) for v in free}
+        for v in free:
+            big = [-nxt[v], c[v]]
+            for u in free:
+                if u != v:
+                    m = vm.tagged(f"cm{s}", u, v)
+                    big.append(m)
+                    clauses.append([-m, c[u]])
+                    clauses.append([-m, vm.b(u, v)])
+            clauses.append(big)
+        c = nxt
+    clauses.extend([c[v]] for v in free)
     out = CnfFormula(vm.var_count)
-    for v in range(vm.n):
-        out.add([vm.b(v, u) for u in range(vm.n) if u != v])
+    out.extend(clauses)
     return out
 
 
@@ -229,23 +255,41 @@ def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
     return out
 
 
+def geodesic_length(params: "SearchParams", max_d: int | None = None) -> int:
+    """Length L = max(p2_len, min_d2, max_d + 2) of the G2 geodesic 0..L that
+    :func:`build_formula` pins (no ``max_d`` term without a cap).
+
+    No graph is lost: relabeling puts a length-L G2 geodesic of any graph
+    with diam G2 >= L on 0..L, and 0..p2_len is part of it.  A ``p2_len``
+    outside 0..n-1 is a ``ValueError``.
+    """
+    if not 0 <= params.p2_len < params.n:
+        raise ValueError(f"path with {params.p2_len} edges does not fit in n={params.n}")
+    if max_d is None:
+        return max(params.p2_len, params.min_d2)
+    return max(params.p2_len, params.min_d2, max_d + 2)
+
+
 def build_formula(
     params: "SearchParams", max_d: int | None = None
 ) -> tuple[VarMap, CnfFormula]:
-    """Assemble the full search formula; fragments in a fixed order.
-
-    ``max_d`` appends :func:`encode_diameter_cap` last, so the variables
-    of the other fragments are numbered the same with or without it.
+    """The search formula at cap ``max_d``, whose every model passes
+    ``verify_witness``: with the geodesic of length L = :func:`geodesic_length`
+    and G2 connected (when sharp or ``min_d2 >= 1``), diam G2 >= L, which is
+    at least min_d2 and, under the cap, diam G + 2.
     """
     vm = VarMap(params.n)
-    fragments = [encode_b_definition(vm)]
-    fragments.append(encode_p2_fixing(vm, params.p2_len))
-    fragments.append(encode_p2_geodesic(vm, params.p2_len))
+    path_len = geodesic_length(params, max_d)
+    fragments = [
+        encode_b_definition(vm),
+        encode_p2_fixing(vm, path_len),
+        encode_p2_geodesic(vm, path_len),
+    ]
     if params.forbid_diam_le_2:
         fragments.append(encode_diam2_exclusion(vm))
-    if params.min_d2 >= 1:
-        fragments.append(encode_g2_min_degree(vm))
-    fragments.append(encode_free_vertex_ordering(vm, params.p2_len))
+    if params.require_sharp or params.min_d2 >= 1:
+        fragments.append(encode_g2_connected(vm, path_len))
+    fragments.append(encode_free_vertex_ordering(vm, path_len))
     if max_d is not None:
         fragments.append(encode_diameter_cap(vm, max_d))
     out = CnfFormula(vm.var_count)

@@ -1,14 +1,10 @@
-"""Counterexample-guided search for extremal 2-distance witnesses.
+"""Extremal 2-distance witness search: one exact formula per cap level.
 
-``search`` builds the CNF, then alternates solving and exact
-verification.  Every candidate model is first cross-checked: its
-b-variables must agree with true distance-2 adjacency of the decoded
-graph (any mismatch is an encoder bug and raises, never a silent skip).
-Candidates that fail the stronger oracle conditions are excluded by a
-blocking clause over the full adjacency assignment, so no candidate is
-seen twice and surviving answers are verified, not trusted.  When the
-sharp gap is required, the formula also caps diam G, and the cap is
-raised one level at a time (see :func:`cap_levels`).
+Every model of the formula is a witness, so an unsatisfiable level is a
+statement about graphs.  A model is still re-verified by exact BFS: a
+b-variable that disagrees with the decoded graph's distance-2 adjacency,
+or a graph that fails :func:`verify_witness`, is an encoder bug and raises
+:class:`EncodingMismatch`.
 """
 from __future__ import annotations
 
@@ -18,9 +14,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..graphs import Graph, all_pairs_distances, k_distance, matrix_diameter
-from .cnf import CnfFormula
 from .dpll import SAT, UNSAT, DpllSolver
-from .encode import build_formula, decode_model, model_b_edges
+from .encode import build_formula, decode_model, geodesic_length, model_b_edges
 from .external import run_external
 
 
@@ -28,21 +23,19 @@ from .external import run_external
 class SearchParams:
     """Knobs for the witness search.
 
-    ``n`` vertices; vertices ``0..p2_len`` are pinned as a path of the
+    ``n`` vertices; vertices ``0..p2_len`` are pinned as a geodesic of the
     2-distance graph with ``p2_len`` edges; ``min_d2`` asks for a finite
     2-distance diameter at least that large (0 disables the demand).
-    ``require_sharp`` keeps refining until the witness meets the ceiling
-    of the diameter bound, diam G2 >= diam G + 2; turn it off to accept
-    any graph passing the other checks.  With it on, the formula also
-    demands diam G <= D for a cap D that starts at
-    max(min_d2 - 2, 3 if ``forbid_diam_le_2`` else 1) and rises by one
-    each time a level is unsatisfiable, up to n - 3.  The staircase is
-    complete without assuming the theorem: a sharp witness has a finite
-    d = diam G and d + 2 <= diam G2 <= n - 1, so it satisfies the last
-    level, and graphs rejected at a lower level stay blocked.
-    The formula makes the pinned path a geodesic of the 2-distance graph
-    exactly, so no candidate is rejected for a shortcut.  ``solver`` is an
-    external DIMACS solver command; ``None`` uses the built-in DPLL.
+    ``require_sharp`` asks for the ceiling of the diameter bound,
+    diam G2 >= diam G + 2; turn it off to accept any graph passing the
+    other checks.  With it on, the formula also demands diam G <= D for a
+    cap D that starts at max(min_d2 - 2, 3 if ``forbid_diam_le_2`` else 1)
+    and rises by one each time a level is unsatisfiable, up to n - 3, and
+    pins a geodesic of length max(p2_len, min_d2, D + 2).  The staircase
+    is complete without assuming the theorem: a sharp witness with
+    d = diam G satisfies level d, or the lowest level if d is below it.
+    ``solver`` is an external DIMACS solver command; ``None`` uses the
+    built-in DPLL.
     """
 
     n: int
@@ -51,7 +44,6 @@ class SearchParams:
     forbid_diam_le_2: bool = True
     require_sharp: bool = True
     budget_seconds: float | None = None
-    max_candidates: int | None = None
     solver: str | None = None
 
 
@@ -63,8 +55,8 @@ class SearchStats:
     """What a search did on the way to its outcome.
 
     ``cap_levels`` lists the diameter caps D solved under, in order
-    (``[None]`` when no cap applies); ``rejections`` counts rejected
-    candidates by the kind of check they failed; ``phase_seconds``
+    (``[None]`` when no cap applies), including levels skipped because
+    their geodesic does not fit in n vertices; ``phase_seconds``
     splits the time into encode (formula and solver set-up), solve,
     decode and verify;
     ``solver_runs`` holds the ``stats`` of the built-in solver of each
@@ -72,7 +64,6 @@ class SearchStats:
     """
 
     cap_levels: list[int | None] = field(default_factory=list)
-    rejections: dict[str, int] = field(default_factory=dict)
     phase_seconds: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(PHASES, 0.0)
     )
@@ -93,6 +84,10 @@ class SearchStats:
             for key, value in run.items():
                 total[key] = total.get(key, 0) + value
         return total
+
+
+# ``candidates_rejected`` is always 0, since every model is a witness; the
+# field stays because the benchmark's tracer reads it.
 
 
 @dataclass
@@ -139,22 +134,13 @@ def cap_levels(params: SearchParams) -> list[int | None]:
     return list(range(lo, max(lo, params.n - 3) + 1))
 
 
-class Reason(str):
-    """A verdict's text; ``kind`` names the failed check without its numbers."""
-
-    def __new__(cls, kind: str, text: str):
-        self = super().__new__(cls, text)
-        self.kind = kind
-        return self
-
-
 class EncodingMismatch(RuntimeError):
-    """A model's b-variables disagree with oracle distance-2 adjacency."""
+    """A model's b-variables or graph disagree with the BFS oracle."""
 
 
 def verify_witness(
     g: Graph, params: SearchParams, *, dist=None
-) -> tuple[bool, int | float, int | float, Reason]:
+) -> tuple[bool, int | float, int | float, str]:
     """Exact BFS verdict on a candidate: (ok, d, d2, reason).
 
     Checks, independently of the encoding: diameter above 2 when
@@ -170,33 +156,24 @@ def verify_witness(
     dist2 = all_pairs_distances(k_distance(g, 2, dist))
     d2 = matrix_diameter(dist2)
     if params.forbid_diam_le_2 and not (math.isinf(d) or d > 2):
-        return False, d, d2, Reason("diameter_le_2", f"diameter {d} is not above 2")
+        return False, d, d2, f"diameter {d} is not above 2"
     for i in range(params.p2_len):
         if dist[i][i + 1] != 2:
-            return False, d, d2, Reason(
-                "pinned_pair", f"pinned pair ({i}, {i + 1}) not at distance 2"
-            )
+            return False, d, d2, f"pinned pair ({i}, {i + 1}) not at distance 2"
     if params.p2_len >= 1 and dist2[0][params.p2_len] != params.p2_len:
-        return False, d, d2, Reason(
-            "not_geodesic",
+        return False, d, d2, (
             f"pinned path is not a geodesic: d2(0, {params.p2_len}) = "
-            f"{dist2[0][params.p2_len]}",
+            f"{dist2[0][params.p2_len]}"
         )
     if params.min_d2 >= 1:
         if math.isinf(d2):
-            return False, d, d2, Reason(
-                "g2_disconnected", "2-distance graph is disconnected"
-            )
+            return False, d, d2, "2-distance graph is disconnected"
         if d2 < params.min_d2:
-            return False, d, d2, Reason(
-                "d2_below_min", f"2-distance diameter {d2} below {params.min_d2}"
-            )
+            return False, d, d2, f"2-distance diameter {d2} below {params.min_d2}"
     if params.require_sharp:
         if math.isinf(d) or math.isinf(d2) or d2 < d + 2:
-            return False, d, d2, Reason(
-                "not_sharp", f"({d}, {d2}) misses the sharp gap diam G2 >= diam G + 2"
-            )
-    return True, d, d2, Reason("ok", "ok")
+            return False, d, d2, f"({d}, {d2}) misses the sharp gap diam G2 >= diam G + 2"
+    return True, d, d2, "ok"
 
 
 def _handed_over(clauses: list[list[int]]):
@@ -208,75 +185,57 @@ def _handed_over(clauses: list[list[int]]):
 
 
 def search(params: SearchParams) -> SearchOutcome:
-    """Run the encode / solve / verify / block loop to an outcome.
+    """Solve each level of :func:`cap_levels` once, lowest first.
 
-    Under ``require_sharp`` each level of :func:`cap_levels` gets its own
-    formula and solver; blocking clauses carry over, and ``Unsat`` means
-    the last level was unsatisfiable.  Budgets count across levels.
+    Each level gets its own formula and solver, and the first model is the
+    witness; ``Unsat`` means every level was unsatisfiable.  A level whose
+    geodesic does not fit in n vertices is not solved.  Budgets count
+    across levels; a NaN budget is a ``ValueError``.
     """
+    if params.budget_seconds is not None and math.isnan(params.budget_seconds):
+        raise ValueError("budget_seconds must be a number, got nan")
     start = time.monotonic()
     stats = SearchStats()
-    blocked: list[list[int]] = []
-    rejected = 0
     calls = 0
     for max_d in cap_levels(params):
         stats.cap_levels.append(max_d)
+        if geodesic_length(params, max_d) >= params.n:
+            continue
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)
             solver = None
             if not params.solver:
                 solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))
                 stats.solver_runs.append(solver.stats)
-                for block in blocked:
-                    solver.add_clause(block)
-        while True:
-            remaining: float | None = None
-            if params.budget_seconds is not None:
-                remaining = params.budget_seconds - (time.monotonic() - start)
-                if remaining <= 0:
-                    return BudgetExhausted(
-                        rejected, calls, time.monotonic() - start, "time budget", stats
-                    )
-            calls += 1
-            with stats.phase("solve"):
-                if solver is not None:
-                    status, model = solver.solve(time_budget=remaining)
-                else:
-                    ext = CnfFormula(formula.var_count, formula.clauses + blocked)
-                    status, model = run_external(params.solver, ext, remaining)
-            if status == UNSAT:
-                break
-            if status != SAT:
-                return BudgetExhausted(
-                    rejected, calls, time.monotonic() - start, "solver budget", stats
-                )
-            with stats.phase("decode"):
-                g = decode_model(vm, model)
-                claimed = model_b_edges(vm, model)
-            with stats.phase("verify"):
-                dist = all_pairs_distances(g)
-                actual = {(i, j) for i, j in vm.pairs() if dist[i][j] == 2}
-                if claimed != actual:
-                    raise EncodingMismatch(
-                        f"b-variables disagree with distance-2 adjacency: "
-                        f"claimed-only {sorted(claimed - actual)}, "
-                        f"missing {sorted(actual - claimed)}"
-                    )
-                ok, d, d2, reason = verify_witness(g, params, dist=dist)
-            if ok:
-                return Witness(
-                    g, d, d2, rejected, calls, time.monotonic() - start, stats
-                )
-            rejected += 1
-            stats.rejections[reason.kind] = stats.rejections.get(reason.kind, 0) + 1
-            if params.max_candidates is not None and rejected >= params.max_candidates:
-                return BudgetExhausted(
-                    rejected, calls, time.monotonic() - start, "candidate budget", stats
-                )
-            block = [
-                -vm.a(i, j) if model[vm.a(i, j)] else vm.a(i, j) for i, j in vm.pairs()
-            ]
-            blocked.append(block)
+        remaining: float | None = None
+        if params.budget_seconds is not None:
+            remaining = params.budget_seconds - (time.monotonic() - start)
+            if remaining <= 0:
+                return BudgetExhausted(0, calls, time.monotonic() - start, "time budget", stats)
+        calls += 1
+        with stats.phase("solve"):
             if solver is not None:
-                solver.add_clause(block)
-    return Unsat(rejected, calls, time.monotonic() - start, stats)
+                status, model = solver.solve(time_budget=remaining)
+            else:
+                status, model = run_external(params.solver, formula, remaining)
+        if status == UNSAT:
+            continue
+        if status != SAT:
+            return BudgetExhausted(0, calls, time.monotonic() - start, "solver budget", stats)
+        with stats.phase("decode"):
+            g = decode_model(vm, model)
+            claimed = model_b_edges(vm, model)
+        with stats.phase("verify"):
+            dist = all_pairs_distances(g)
+            actual = {(i, j) for i, j in vm.pairs() if dist[i][j] == 2}
+            if claimed != actual:
+                raise EncodingMismatch(
+                    f"b-variables disagree with distance-2 adjacency: "
+                    f"claimed-only {sorted(claimed - actual)}, "
+                    f"missing {sorted(actual - claimed)}"
+                )
+            ok, d, d2, reason = verify_witness(g, params, dist=dist)
+        if not ok:
+            raise EncodingMismatch(f"model at cap level {max_d} fails verification: {reason}")
+        return Witness(g, d, d2, 0, calls, time.monotonic() - start, stats)
+    return Unsat(0, calls, time.monotonic() - start, stats)

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one pass/fail line each.
+"""Acceptance gate: eleven numbered criteria, one pass/fail line each.
 
 Run with ``pytest -v`` (test names carry the criterion numbers) or
 ``pytest -s`` to see the printed criterion lines as they complete.
@@ -27,8 +27,21 @@ from distlab.graphs import (
 )
 from distlab.sat.cnf import CnfFormula, VarMap, emit_dimacs, parse_dimacs
 from distlab.sat.dpll import SAT, UNSAT, DpllSolver
-from distlab.sat.encode import decode_model, encode_b_definition, model_b_edges
-from distlab.sat.search import SearchParams, Unsat, Witness, search, verify_witness
+from distlab.sat.encode import (
+    build_formula,
+    decode_model,
+    encode_b_definition,
+    geodesic_length,
+    model_b_edges,
+)
+from distlab.sat.search import (
+    SearchParams,
+    Unsat,
+    Witness,
+    cap_levels,
+    search,
+    verify_witness,
+)
 
 import brute
 from util import random_graph, reference_k_distance_edges
@@ -269,4 +282,33 @@ def test_criterion_10_format_round_trips():
         g6_ok == 1000 and dimacs_ok == 1000,
         f"graph6 {g6_ok}/1000 and DIMACS {dimacs_ok}/1000 round trips "
         f"byte-exact ({elapsed:.1f}s)",
+    )
+
+
+def test_criterion_11_sharp_levels_match_the_census(surveys):
+    """Cap level D is SAT iff the census has a graph with 3 <= d <= D and a
+    finite d2 >= D + 2; a level skipped by counting has no such graph."""
+    start = time.monotonic()
+    verdicts = {}
+    for n in range(5, 10):
+        for max_d in cap_levels(SearchParams(n, 0, 0)):
+            want = any(
+                3 <= d <= max_d and not math.isinf(d2) and d2 >= max_d + 2
+                for d, d2 in surveys[n].cells
+            )
+            params = SearchParams(n, 0, 0)
+            if geodesic_length(params, max_d) >= n:
+                got = False
+            else:
+                _, formula = build_formula(params, max_d)
+                got = DpllSolver(formula.var_count, formula.clauses).solve()[0] == SAT
+            verdicts[(n, max_d)] = (got, want)
+    elapsed = time.monotonic() - start
+    agree = all(got == want for got, want in verdicts.values())
+    sat = sorted(key for key, (got, _) in verdicts.items() if got)
+    _line(
+        11,
+        agree and len(verdicts) == 11,
+        f"{len(verdicts)} sharp cap levels for n in 5..9 agree with the census; "
+        f"SAT at (n, D) = {sat} ({elapsed:.1f}s)",
     )

@@ -143,12 +143,26 @@ def test_sat_search_reports_levels_phases_rejections_and_solver(capsys):
     assert meta["cap_levels"] == "3"
     for phase in ("encode", "solve", "decode", "verify"):
         assert float(meta[f"{phase}_seconds"]) >= 0
-    rejected = {k: int(v) for k, v in meta.items() if k.startswith("rejected.")}
-    assert rejected == {"rejected.not_sharp": int(meta["candidates_rejected"])}
-    assert int(meta["candidates_rejected"]) > 0
     for key in ("decisions", "conflicts", "propagations"):
         assert int(meta[f"dpll.{key}"]) >= 0
     assert int(meta["dpll.decisions"]) > 0
+
+
+def test_sat_search_solves_the_level_once(capsys):
+    rc = main(["sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert _meta(err)["solve_calls"] == "1"
+    assert "rejected" not in err
+
+
+def test_sat_search_nan_budget_is_a_usage_error(capsys):
+    rc = main([
+        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
+        "--budget-seconds", "nan",
+    ])
+    assert rc == 2
+    assert "nan" in capsys.readouterr().err
 
 
 def test_sat_search_unsat(capsys):
@@ -174,7 +188,7 @@ def test_sat_search_budget(capsys):
 def test_sat_search_emit_only(tmp_path, capsys):
     cnf_path = tmp_path / "search.cnf"
     rc = main([
-        "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "2",
+        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
         "--emit-cnf", str(cnf_path), "--emit-only",
     ])
     captured = capsys.readouterr()
@@ -185,6 +199,18 @@ def test_sat_search_emit_only(tmp_path, capsys):
     sidecar = (tmp_path / "search.cnf.vars").read_text().splitlines()
     assert len(sidecar) == formula.var_count
     assert sidecar[0] == "1 a 0 1"
+
+
+def test_sat_search_emit_cnf_refuses_a_geodesic_that_does_not_fit(tmp_path, capsys):
+    # n = 5 at cap 3 would pin a G2 geodesic of length 5
+    cnf_path = tmp_path / "search.cnf"
+    rc = main([
+        "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "2",
+        "--emit-cnf", str(cnf_path), "--emit-only",
+    ])
+    assert rc == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert not cnf_path.exists()
 
 
 def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
@@ -247,7 +273,7 @@ def test_sat_search_env_solver(monkeypatch, capsys):
 
 def test_sat_search_bad_solver(capsys):
     rc = main([
-        "sat-search", "--n", "5", "--p2-len", "1", "--min-d2", "2",
+        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
         "--solver", "/no/such/solver",
     ])
     assert rc == 2

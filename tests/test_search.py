@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import types
 
 import pytest
 
@@ -12,6 +13,7 @@ from distlab.sat.dpll import DpllSolver
 from distlab.sat.external import SolverError
 from distlab.sat.search import (
     BudgetExhausted,
+    EncodingMismatch,
     SearchParams,
     Unsat,
     Witness,
@@ -50,19 +52,11 @@ def test_unsat_matches_brute_exhaustion():
     params = SearchParams(n=4, p2_len=3, min_d2=5)
     out = search(params)
     assert isinstance(out, Unsat)
-    assert out.solve_calls >= 1
+    # the only level, D = 3, pins a geodesic of length 5 in 4 vertices
+    assert out.solve_calls == 0 and out.stats.cap_levels == [3]
     for mask in range(1 << 6):
         g = from_edge_list(4, brute.mask_edges(4, mask))
         assert not verify_witness(g, params)[0]
-
-
-def test_candidate_budget():
-    params = SearchParams(n=6, p2_len=2, min_d2=3, max_candidates=2)
-    out = search(params)
-    assert isinstance(out, BudgetExhausted)
-    assert out.reason == "candidate budget"
-    assert out.candidates_rejected == 2
-    assert out.solve_calls == 2
 
 
 def test_time_budget_zero():
@@ -71,6 +65,11 @@ def test_time_budget_zero():
     assert isinstance(out, BudgetExhausted)
     assert out.reason == "time budget"
     assert out.solve_calls == 0
+
+
+def test_nan_budget_is_refused():
+    with pytest.raises(ValueError, match="nan"):
+        search(SearchParams(n=6, p2_len=2, min_d2=3, budget_seconds=math.nan))
 
 
 def test_external_solver_matches_builtin():
@@ -86,7 +85,7 @@ def test_external_solver_matches_builtin():
 
 
 def test_external_solver_errors_propagate():
-    params = SearchParams(n=5, p2_len=1, min_d2=2, solver="/no/such/solver")
+    params = SearchParams(n=6, p2_len=2, min_d2=3, solver="/no/such/solver")
     with pytest.raises(SolverError):
         search(params)
 
@@ -174,6 +173,10 @@ def test_staircase_escalates_past_unsat_level():
     assert verify_witness(out.graph, params)[0]
     assert out.stats.cap_levels == [3, 4]
     assert out.solve_calls == 2 and out.candidates_rejected == 0
+    # level 1 admits only K6, whose 2-distance graph has no edge
+    low = search(SearchParams(n=6, p2_len=0, min_d2=0, forbid_diam_le_2=False))
+    assert isinstance(low, Witness) and low.d == 2 and low.d2 >= 4
+    assert low.stats.cap_levels == [1, 2] and low.solve_calls == 2
 
 
 @pytest.mark.parametrize("target", [(9, 6, 6), (13, 8, 8)])
@@ -181,7 +184,24 @@ def test_family_order_targets_take_one_solve_call(target):
     out = search(SearchParams(*target))
     assert isinstance(out, Witness)
     assert out.solve_calls == 1
-    assert out.stats.rejections == {}
+    assert out.candidates_rejected == 0
+
+
+def test_a_model_that_fails_verification_raises(monkeypatch):
+    import distlab.sat.search as search_mod
+
+    monkeypatch.setattr(
+        search_mod, "verify_witness", lambda g, params, dist=None: (False, 0, 0, "planted")
+    )
+    with pytest.raises(EncodingMismatch, match="planted"):
+        search(SearchParams(n=6, p2_len=2, min_d2=3))
+
+
+def test_search_module_import_binds_the_module():
+    import distlab.sat.search as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.search is search
 
 
 @pytest.fixture(scope="module")
@@ -215,21 +235,6 @@ def test_search_matches_brute_force_on_six_vertices(six_vertex_graphs, p2_len, m
         assert out.stats.cap_levels == cap_levels(params)
 
 
-def test_candidate_budget_counts_across_levels():
-    params = SearchParams(n=6, p2_len=0, min_d2=0, forbid_diam_le_2=False)
-    full = search(params)
-    assert full.stats.cap_levels == [1, 2]
-    assert full.stats.rejections["not_sharp"] >= 3
-    out = search(
-        SearchParams(n=6, p2_len=0, min_d2=0, forbid_diam_le_2=False, max_candidates=3)
-    )
-    assert isinstance(out, BudgetExhausted) and out.reason == "candidate budget"
-    assert out.stats.cap_levels == [1, 2]
-    assert out.candidates_rejected == 3
-    # level 1 admits only K6: one rejection, then one unsat call
-    assert out.solve_calls == 4
-
-
 def test_time_budget_counts_across_levels(monkeypatch):
     real_solve = DpllSolver.solve
     budgets = []
@@ -250,8 +255,9 @@ def test_time_budget_counts_across_levels(monkeypatch):
 def test_rejection_histogram_and_phases():
     out = search(SearchParams(n=6, p2_len=2, min_d2=3))
     assert isinstance(out, Witness)
-    assert out.stats.rejections == {"not_sharp": out.candidates_rejected}
-    assert out.candidates_rejected > 0
+    # every model is a witness: nothing is rejected, so nothing is tallied
+    assert not hasattr(out.stats, "rejections")
+    assert out.candidates_rejected == 0 and out.solve_calls == 1
     assert set(out.stats.phase_seconds) == {"encode", "solve", "decode", "verify"}
     assert all(v > 0 for v in out.stats.phase_seconds.values())
     assert set(out.stats.solver) == {"decisions", "conflicts", "propagations"}
@@ -260,15 +266,15 @@ def test_rejection_histogram_and_phases():
 
 def test_rejection_kinds_name_the_failed_check():
     cases = [
-        (complete_graph(5), SearchParams(n=5, p2_len=0, min_d2=0), "diameter_le_2"),
+        (complete_graph(5), SearchParams(n=5, p2_len=0, min_d2=0), "not above 2"),
         (path_graph(4), SearchParams(n=4, p2_len=0, min_d2=1, require_sharp=False),
-         "g2_disconnected"),
+         "disconnected"),
         (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=7, require_sharp=False),
-         "d2_below_min"),
+         "below 7"),
         (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=6), "ok"),
     ]
-    for g, params, kind in cases:
-        assert verify_witness(g, params)[3].kind == kind
+    for g, params, text in cases:
+        assert text in verify_witness(g, params)[3]
 
 
 def test_one_candidate_costs_two_bfs_runs(monkeypatch):

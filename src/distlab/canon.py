@@ -127,12 +127,10 @@ class _Search:
         return any(orbit[t] == orbit[v] for t in tried)
 
 
-def canonical_labeling_rows(
-    rows: Sequence[int], n: int, init_cells: list[list[int]] | None = None
-) -> CanonResult:
+def canonical_labeling_rows(rows: Sequence[int], n: int) -> CanonResult:
     """Canonical order, code and automorphism generators for bitset rows."""
     search = _Search(list(rows), n)
-    search.run(init_cells if init_cells is not None else [list(range(n))])
+    search.run([list(range(n))])
     assert search.best_order is not None
     return CanonResult(search.best_code, search.best_order, search.generators)
 

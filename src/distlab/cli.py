@@ -274,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-cnf", default=None,
                    help="write the DIMACS formula of the first solve call here, "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
-                        "lines; kind q<s> (v) says v lies within s of vertex 0 "
+                        "lines; besides a (i j) and b (i j), kind t (i j k) "
+                        "says j joins the non-adjacent i and k, cn (i j k) "
+                        "that j is a common neighbour of i and k, w (i k) "
+                        "that they lie within distance 2, eq (u v w) that "
+                        "the rows of free vertices u and v agree up to "
+                        "column w, q<s> (v) that v lies within s of vertex 0 "
                         "in G2, c<s> (v) that v lies within s of the pinned "
                         "path in G2 and cm<s> (u v) that it does through u; "
                         "unless --allow-non-sharp this is the lowest "

@@ -1,5 +1,7 @@
 """CNF containers, the adjacency/2-distance variable map, and DIMACS io.
 
+``CnfFormula`` is the one place a clause is checked: whatever reaches a
+solver, from the encoder or from a DIMACS file, went through its ``add``.
 Variables are 1-based.  ``VarMap`` lays out a-variables (adjacency of
 candidate graphs) first, then b-variables (2-distance adjacency), then
 auxiliary definitions, all contiguous, and can serialize itself as a
@@ -7,30 +9,42 @@ sidecar mapping for debugging external solver runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass
 class CnfFormula:
-    """Clause list with a declared variable count; validates on add."""
+    """Clause list with a declared variable count; every clause is checked.
 
-    var_count: int
-    clauses: list[list[int]] = field(default_factory=list)
+    ``var_count`` must not be negative.  A clause must be non-empty, of
+    non-zero int literals within ``var_count``, and not a tautology; a
+    ``ValueError`` says which rule fails.  Repeated literals are dropped,
+    keeping first occurrences.  A list is stored as given, not copied,
+    unless it repeats a literal.
+    """
+
+    def __init__(self, var_count: int, clauses: Iterable[Iterable[int]] = ()):
+        if var_count < 0:
+            raise ValueError(f"negative var count {var_count}")
+        self.var_count = var_count
+        self.clauses: list[list[int]] = []
+        self.extend(clauses)
 
     def add(self, clause: Iterable[int]) -> None:
-        lits = list(clause)
+        lits = clause if type(clause) is list else list(clause)
         if not lits:
             raise ValueError("empty clause")
-        seen = set()
+        top = self.var_count
         for lit in lits:
             if not isinstance(lit, int) or lit == 0:
                 raise ValueError(f"bad literal {lit!r}")
-            if abs(lit) > self.var_count:
-                raise ValueError(f"literal {lit} exceeds var count {self.var_count}")
+            if not -top <= lit <= top:
+                raise ValueError(f"literal {lit} exceeds var count {top}")
+        seen = set(lits)
+        for lit in seen:
             if -lit in seen:
                 raise ValueError(f"tautological clause {lits}")
-            seen.add(lit)
+        if len(seen) != len(lits):
+            lits = list(dict.fromkeys(lits))
         self.clauses.append(lits)
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -92,9 +106,9 @@ class VarMap:
     """Contiguous 1-based layout: a-vars, then b-vars, then auxiliaries.
 
     a(i, j) is adjacency of the candidate graph, b(i, j) adjacency of its
-    2-distance graph; both normalize to i < j.  Auxiliaries record the
-    vertices they serve, for the sidecar dump: ``aux`` variables are listed
-    under the kind ``aux``, ``tagged`` ones under their own kind.
+    2-distance graph; both normalize to i < j.  Auxiliaries come from
+    ``tagged``, which records their kind and the vertices they serve for
+    ``describe`` and the sidecar dump.
     """
 
     def __init__(self, n: int):
@@ -112,7 +126,7 @@ class VarMap:
             self._b[p] = nxt
             nxt += 1
         self._next = nxt
-        self._aux: list[tuple[int, str, tuple[int, ...]]] = []
+        self._aux: list[tuple[str, tuple[int, ...]]] = []
 
     @staticmethod
     def _norm(i: int, j: int) -> tuple[int, int]:
@@ -126,19 +140,11 @@ class VarMap:
     def b(self, i: int, j: int) -> int:
         return self._b[self._norm(i, j)]
 
-    def aux(self, kind: str, i: int, j: int) -> int:
-        """A fresh definition variable for pair (i, j); ``kind`` names its
-        role at the call site, the sidecar lists it as ``aux``."""
-        return self._new("aux", (i, j))
-
     def tagged(self, kind: str, *verts: int) -> int:
         """A fresh variable listed under ``kind`` with ``verts`` in the sidecar."""
-        return self._new(kind, verts)
-
-    def _new(self, kind: str, verts: tuple[int, ...]) -> int:
         var = self._next
         self._next += 1
-        self._aux.append((var, kind, verts))
+        self._aux.append((kind, verts))
         return var
 
     @property
@@ -163,9 +169,9 @@ class VarMap:
         if na < var <= 2 * na:
             i, j = self._pairs[var - na - 1]
             return ("b", i, j)
-        for v, kind, verts in self._aux:
-            if v == var:
-                return (kind, *verts)
+        if 2 * na < var < self._next:
+            kind, verts = self._aux[var - 2 * na - 1]
+            return (kind, *verts)
         raise KeyError(f"unknown variable {var}")
 
     def sidecar(self) -> str:
@@ -176,6 +182,6 @@ class VarMap:
             lines.append(f"{idx} a {i} {j}")
         for idx, (i, j) in enumerate(self._pairs, start=na + 1):
             lines.append(f"{idx} b {i} {j}")
-        for v, kind, verts in self._aux:
+        for v, (kind, verts) in enumerate(self._aux, start=2 * na + 1):
             lines.append(" ".join([str(v), kind, *map(str, verts)]))
         return "\n".join(lines) + "\n"

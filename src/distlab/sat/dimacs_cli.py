@@ -4,10 +4,13 @@ Usage: ``python -m distlab.sat.dimacs_cli FILE`` (or ``-`` for stdin).
 Prints ``s SATISFIABLE`` with ``v`` lines, ``s UNSATISFIABLE``, or
 ``s UNKNOWN`` when ``--budget-seconds`` runs out.  This makes the
 built-in solver usable anywhere an external DIMACS solver is expected.
+Unreadable or malformed input and a NaN budget exit 2 with an ``error:``
+line.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cnf import parse_dimacs
@@ -19,6 +22,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("file", help="DIMACS CNF path, or - for stdin")
     parser.add_argument("--budget-seconds", type=float, default=None)
     args = parser.parse_args(argv)
+    if args.budget_seconds is not None and math.isnan(args.budget_seconds):
+        print("error: --budget-seconds must be a number, got nan", file=sys.stderr)
+        return 2
     try:
         text = sys.stdin.read() if args.file == "-" else open(args.file).read()
         formula = parse_dimacs(text)

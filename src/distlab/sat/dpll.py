@@ -1,11 +1,14 @@
 """Chronological-backtracking DPLL with two watched literals.
 
-Deterministic by construction: branching follows a fixed variable order
-(ascending index unless overridden) with the negative phase tried first.
-Clauses can be appended between ``solve`` calls, which makes the solver
-directly usable for model enumeration and refinement loops.  Budgets are
-optional, by wall-clock seconds or by conflict count; exceeding either
-yields the status ``unknown``.
+Deterministic by construction: branching takes the unassigned variables
+in ascending index, with the negative phase tried first.  Clauses can be
+appended between ``solve`` calls, which makes the solver directly usable
+for model enumeration and refinement loops.  One optional budget, in
+wall-clock seconds, yields the status ``unknown`` when it runs out.
+
+The solver takes clauses as a :class:`~distlab.sat.cnf.CnfFormula` has
+checked them: non-empty, literals non-zero and within the variable count,
+no literal repeated and no tautology.  It checks nothing itself.
 
 Literals are encoded internally as ``var << 1 | sign`` with sign 1 for
 negative, the usual watched-literal trick for cheap negation by xor.
@@ -24,35 +27,19 @@ _TRUE = 1
 _FALSE = 2
 
 
-def _enc(lit: int) -> int:
-    return (abs(lit) << 1) | (lit < 0)
-
-
 class DpllSolver:
     def __init__(self, var_count: int, clauses: Iterable[Sequence[int]] = ()):
         self.var_count = var_count
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * var_count + 2)]
         self.units: list[int] = []
-        self.has_empty = False
         self.stats = {"decisions": 0, "conflicts": 0, "propagations": 0}
         for c in clauses:
             self.add_clause(c)
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        enc = []
-        seen = set()
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.var_count:
-                raise ValueError(f"bad literal {lit} for var count {self.var_count}")
-            if -lit in seen:
-                return  # tautology, always satisfied
-            if lit not in seen:
-                seen.add(lit)
-                enc.append(_enc(lit))
-        if not enc:
-            self.has_empty = True
-            return
+        """Watch one checked clause (see the module docstring)."""
+        enc = [lit << 1 if lit > 0 else -lit << 1 | 1 for lit in lits]
         if len(enc) == 1:
             self.units.append(enc[0])
             return
@@ -61,22 +48,13 @@ class DpllSolver:
         self.watches[enc[0]].append(ci)
         self.watches[enc[1]].append(ci)
 
-    def solve(
-        self,
-        branch_order: Sequence[int] | None = None,
-        time_budget: float | None = None,
-        conflict_budget: int | None = None,
-    ) -> tuple[str, dict[int, bool] | None]:
+    def solve(self, time_budget: float | None = None) -> tuple[str, dict[int, bool] | None]:
         """Returns (status, model); model maps every variable to a bool."""
-        if self.has_empty:
-            return UNSAT, None
         nv = self.var_count
         assign = bytearray(nv + 1)
         trail: list[int] = []
         qhead = 0
-        order = list(branch_order) if branch_order is not None else list(range(1, nv + 1))
         deadline = time.monotonic() + time_budget if time_budget is not None else None
-        conflicts = 0
         watches = self.watches
         clauses = self.clauses
         stats = self.stats
@@ -141,16 +119,13 @@ class DpllSolver:
             if not enqueue(u):
                 return UNSAT, None
 
-        # decision stack entries: [enc_lit, flipped, trail_mark, order_pos]
+        # decision stack entries: [enc_lit, flipped, trail_mark, var]
         decisions: list[list[int]] = []
-        oi = 0
+        var = 1
         while True:
             ok = propagate()
             if not ok:
-                conflicts += 1
                 stats["conflicts"] += 1
-                if conflict_budget is not None and conflicts > conflict_budget:
-                    return UNKNOWN, None
                 if deadline is not None and time.monotonic() > deadline:
                     return UNKNOWN, None
                 while decisions and decisions[-1][1]:
@@ -168,16 +143,15 @@ class DpllSolver:
                 qhead = mark
                 dec[0] ^= 1
                 dec[1] = 1
-                oi = dec[3]
+                var = dec[3]
                 enqueue(dec[0])
                 continue
-            while oi < len(order) and assign[order[oi]] != _UNASSIGNED:
-                oi += 1
-            if oi == len(order):
+            while var <= nv and assign[var] != _UNASSIGNED:
+                var += 1
+            if var > nv:
                 model = {v: assign[v] == _TRUE for v in range(1, nv + 1)}
                 return SAT, model
-            var = order[oi]
             stats["decisions"] += 1
             enc_lit = (var << 1) | 1  # negative phase first
-            decisions.append([enc_lit, 0, len(trail), oi])
+            decisions.append([enc_lit, 0, len(trail), var])
             enqueue(enc_lit)

@@ -9,11 +9,14 @@ BFS verification: a pinned path of the 2-distance graph, made an exact
 geodesic by reachability from its first vertex, optional exclusion of
 diameter at most 2, connectivity of the 2-distance graph by reachability
 to the pinned path, lex ordering on free vertices, and, when asked, a cap
-on the diameter by layered reachability.
+on the diameter by layered reachability.  Each fragment returns a plain
+clause list; ``build_formula`` checks every clause once, as it adds it to
+the one ``CnfFormula`` it returns.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Mapping
 
 from ..graphs import Graph, from_edge_list
 from .cnf import CnfFormula, VarMap
@@ -26,11 +29,12 @@ def _others(n: int, i: int, k: int) -> list[int]:
     return [j for j in range(n) if j != i and j != k]
 
 
-def encode_b_definition(vm: VarMap) -> CnfFormula:
+def encode_b_definition(vm: VarMap) -> list[list[int]]:
     """b(i,k) holds iff some j is adjacent to both while i,k are not adjacent.
 
     One Tseitin conjunct t per middle vertex j, biconditional in both
-    directions, then b as the disjunction of its conjuncts.
+    directions, tagged ``t`` (i j k) in the sidecar, then b as the
+    disjunction of its conjuncts.
     """
     clauses: list[list[int]] = []
     n = vm.n
@@ -38,7 +42,7 @@ def encode_b_definition(vm: VarMap) -> CnfFormula:
         a_ik = vm.a(i, k)
         ts = []
         for j in _others(n, i, k):
-            t = vm.aux("t", i, k)
+            t = vm.tagged("t", i, j, k)
             a_ij = vm.a(i, j)
             a_jk = vm.a(j, k)
             clauses.append([-t, a_ij])
@@ -50,22 +54,17 @@ def encode_b_definition(vm: VarMap) -> CnfFormula:
         clauses.append([-b] + ts)
         for t in ts:
             clauses.append([b, -t])
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
-def encode_p2_fixing(vm: VarMap, p2_len: int) -> CnfFormula:
+def encode_p2_fixing(vm: VarMap, p2_len: int) -> list[list[int]]:
     """Pin vertices 0..p2_len as a path of b-edges (unit clauses)."""
     if p2_len < 0 or p2_len + 1 > vm.n:
         raise ValueError(f"path with {p2_len} edges does not fit in n={vm.n}")
-    out = CnfFormula(vm.var_count)
-    for i in range(p2_len):
-        out.add([vm.b(i, i + 1)])
-    return out
+    return [[vm.b(i, i + 1)] for i in range(p2_len)]
 
 
-def encode_p2_geodesic(vm: VarMap, p2_len: int) -> CnfFormula:
+def encode_p2_geodesic(vm: VarMap, p2_len: int) -> list[list[int]]:
     """The pinned path 0..p2_len is a geodesic of the 2-distance graph.
 
     q_s(v) is one-sided: forced true when v lies within s of vertex 0 in
@@ -78,7 +77,7 @@ def encode_p2_geodesic(vm: VarMap, p2_len: int) -> CnfFormula:
     p < 2.
     """
     if p2_len < 2:
-        return CnfFormula(vm.var_count)
+        return []
     rest = range(1, vm.n)
     q = {v: vm.tagged("q1", v) for v in rest}
     clauses = [[-vm.b(0, v), q[v]] for v in rest]
@@ -91,17 +90,16 @@ def encode_p2_geodesic(vm: VarMap, p2_len: int) -> CnfFormula:
                     clauses.append([-q[u], -vm.b(u, v), nxt[v]])
         q = nxt
     clauses.append([-q[p2_len]])
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
-def encode_diam2_exclusion(vm: VarMap) -> CnfFormula:
+def encode_diam2_exclusion(vm: VarMap) -> list[list[int]]:
     """Exclude graphs of diameter at most 2.
 
     Self-contained within-2 indicators: c(i,j,k) marks a common neighbor
     j, r(i,k) marks distance at most 2, and one big clause demands some
     pair beyond 2.  Disconnected or diameter->=3 graphs stay admissible.
+    The sidecar tags c as ``cn`` (i j k) and r as ``w`` (i k).
     """
     clauses: list[list[int]] = []
     n = vm.n
@@ -110,26 +108,24 @@ def encode_diam2_exclusion(vm: VarMap) -> CnfFormula:
         a_ik = vm.a(i, k)
         cs = []
         for j in _others(n, i, k):
-            c = vm.aux("c", i, k)
+            c = vm.tagged("cn", i, j, k)
             a_ij = vm.a(i, j)
             a_jk = vm.a(j, k)
             clauses.append([-c, a_ij])
             clauses.append([-c, a_jk])
             clauses.append([c, -a_ij, -a_jk])
             cs.append(c)
-        r = vm.aux("r", i, k)
+        r = vm.tagged("w", i, k)
         clauses.append([-r, a_ik] + cs)
         clauses.append([r, -a_ik])
         for c in cs:
             clauses.append([r, -c])
         rs.append(r)
     clauses.append([-r for r in rs])
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
-def encode_g2_connected(vm: VarMap, path_len: int) -> CnfFormula:
+def encode_g2_connected(vm: VarMap, path_len: int) -> list[list[int]]:
     """The 2-distance graph is connected, given the pinned path 0..path_len.
 
     The path's b-units join its vertices, so it remains for every free vertex
@@ -157,12 +153,10 @@ def encode_g2_connected(vm: VarMap, path_len: int) -> CnfFormula:
             clauses.append(big)
         c = nxt
     clauses.extend([c[v]] for v in free)
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
-def encode_diameter_cap(vm: VarMap, max_d: int) -> CnfFormula:
+def encode_diameter_cap(vm: VarMap, max_d: int) -> list[list[int]]:
     """Every pair of the candidate graph lies within distance ``max_d``.
 
     r_s(i,j) is one-sided: true only if dist(i,j) <= s.  r_1 is the
@@ -209,17 +203,16 @@ def encode_diameter_cap(vm: VarMap, max_d: int) -> CnfFormula:
         if rest >> bit & 1:
             top = compose(top, 1 << bit)
     clauses.extend([r] for r in reach[max_d].values())
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
-def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
+def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> list[list[int]]:
     """Lex-leader ordering on adjacent free-vertex pairs.
 
     For free vertices u < u+1 the adjacency row of u (outside the pair)
     must be lexicographically <= the row of u+1, with prefix-equality
-    auxiliaries defined biconditionally.  Sound: the lex-least member of
+    auxiliaries defined biconditionally, tagged ``eq`` (u v w) when the
+    rows agree on every column up to w.  Sound: the lex-least member of
     each class under free-vertex permutations survives.
     """
     clauses: list[list[int]] = []
@@ -235,7 +228,7 @@ def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
         clauses.append([-xs[0], ys[0]])
         prev_eq = None
         for t in range(1, len(cols)):
-            e = vm.aux("e", u, v)
+            e = vm.tagged("eq", u, v, cols[t - 1])
             x_prev, y_prev = xs[t - 1], ys[t - 1]
             if prev_eq is None:
                 clauses.append([-e, -x_prev, y_prev])
@@ -250,9 +243,7 @@ def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> CnfFormula:
                 clauses.append([e, -prev_eq, x_prev, y_prev])
             clauses.append([-e, -xs[t], ys[t]])
             prev_eq = e
-    out = CnfFormula(vm.var_count)
-    out.extend(clauses)
-    return out
+    return clauses
 
 
 def geodesic_length(params: "SearchParams", max_d: int | None = None) -> int:
@@ -292,40 +283,31 @@ def build_formula(
     fragments.append(encode_free_vertex_ordering(vm, path_len))
     if max_d is not None:
         fragments.append(encode_diameter_cap(vm, max_d))
-    out = CnfFormula(vm.var_count)
-    for frag in fragments:
-        out.clauses.extend(frag.clauses)
-    return vm, out
+    return vm, CnfFormula(vm.var_count, chain.from_iterable(fragments))
 
 
 def _true_pairs(vm: VarMap, model, var_of, unset: str) -> list[tuple[int, int]]:
     """Pairs whose variable ``var_of(i, j)`` is true in ``model``, a mapping
-    var -> bool or signed DIMACS literals; ``unset`` formats the error."""
-    if isinstance(model, Mapping):
-        values = model
-    else:
-        values = {abs(lit): lit > 0 for lit in model if lit != 0}
+    var -> bool; ``unset`` formats the error."""
     out = []
     for i, j in vm.pairs():
         var = var_of(i, j)
-        if var not in values:
+        if var not in model:
             raise ValueError(unset.format(var=var, i=i, j=j))
-        if values[var]:
+        if model[var]:
             out.append((i, j))
     return out
 
 
-def decode_model(vm: VarMap, model: Mapping[int, bool] | Sequence[int]) -> Graph:
-    """Graph from the a-variables of a model.
-
-    ``model`` is either a mapping var -> bool or an iterable of signed
-    DIMACS literals.  Every a-variable must be assigned.
+def decode_model(vm: VarMap, model: Mapping[int, bool]) -> Graph:
+    """Graph from the a-variables of a model, a mapping var -> bool as both
+    solvers return it.  Every a-variable must be assigned.
     """
     unset = "model leaves adjacency variable {var} (a {i} {j}) unset"
     return from_edge_list(vm.n, _true_pairs(vm, model, vm.a, unset))
 
 
-def model_b_edges(vm: VarMap, model: Mapping[int, bool] | Sequence[int]) -> set[tuple[int, int]]:
+def model_b_edges(vm: VarMap, model: Mapping[int, bool]) -> set[tuple[int, int]]:
     """Pairs whose b-variable is true in the model (for cross-checks)."""
     unset = "model leaves variable {var} (b {i} {j}) unset"
     return set(_true_pairs(vm, model, vm.b, unset))

@@ -5,7 +5,8 @@ must print an ``s SATISFIABLE`` / ``s UNSATISFIABLE`` status line plus
 ``v`` literal lines for models, the standard competition output.  Exit
 codes are ignored on purpose: the common solvers exit 10/20.  A missing
 binary or output with no status line raises :class:`SolverError`, kept
-distinct from an unsatisfiable answer.
+distinct from an unsatisfiable answer.  A time budget at or above
+``threading.TIMEOUT_MAX`` (``inf`` included) means no timeout.
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ import os
 import shlex
 import subprocess
 import tempfile
+import threading
 
 from .cnf import CnfFormula, emit_dimacs
-
-SAT = "sat"
-UNSAT = "unsat"
-UNKNOWN = "unknown"
+from .dpll import SAT, UNKNOWN, UNSAT
 
 
 class SolverError(RuntimeError):
@@ -37,6 +36,8 @@ def run_external(
     argv = shlex.split(solver_cmd) if isinstance(solver_cmd, str) else list(solver_cmd)
     if not argv:
         raise SolverError("empty solver command")
+    if time_budget is not None and time_budget >= threading.TIMEOUT_MAX:
+        time_budget = None
     fd, path = tempfile.mkstemp(suffix=".cnf", prefix="distlab-")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -35,7 +35,8 @@ class SearchParams:
     is complete without assuming the theorem: a sharp witness with
     d = diam G satisfies level d, or the lowest level if d is below it.
     ``solver`` is an external DIMACS solver command; ``None`` uses the
-    built-in DPLL.
+    built-in DPLL.  A negative ``min_d2`` or a NaN budget is a
+    ``ValueError``.
     """
 
     n: int
@@ -45,6 +46,12 @@ class SearchParams:
     require_sharp: bool = True
     budget_seconds: float | None = None
     solver: str | None = None
+
+    def __post_init__(self):
+        if self.min_d2 < 0:
+            raise ValueError(f"min_d2 must be at least 0, got {self.min_d2}")
+        if self.budget_seconds is not None and math.isnan(self.budget_seconds):
+            raise ValueError("budget_seconds must be a number, got nan")
 
 
 PHASES = ("encode", "solve", "decode", "verify")
@@ -190,10 +197,8 @@ def search(params: SearchParams) -> SearchOutcome:
     Each level gets its own formula and solver, and the first model is the
     witness; ``Unsat`` means every level was unsatisfiable.  A level whose
     geodesic does not fit in n vertices is not solved.  Budgets count
-    across levels; a NaN budget is a ``ValueError``.
+    across levels.
     """
-    if params.budget_seconds is not None and math.isnan(params.budget_seconds):
-        raise ValueError("budget_seconds must be a number, got nan")
     start = time.monotonic()
     stats = SearchStats()
     calls = 0

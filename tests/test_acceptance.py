@@ -204,7 +204,7 @@ def test_criterion_09_encoder_property_suite():
     for n in (2, 3, 4):
         vm = VarMap(n)
         frag = encode_b_definition(vm)
-        solver = DpllSolver(vm.var_count, frag.clauses)
+        solver = DpllSolver(vm.var_count, frag)
         a_vars = vm.a_vars()
         seen = set()
         while True:
@@ -234,7 +234,7 @@ def test_criterion_09_encoder_property_suite():
         frag = encode_b_definition(vm)
         for _ in range(100):
             g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
-            solver = DpllSolver(vm.var_count, frag.clauses)
+            solver = DpllSolver(vm.var_count, frag)
             for i, j in vm.pairs():
                 var = vm.a(i, j)
                 solver.add_clause([var] if g.has_edge(i, j) else [-var])

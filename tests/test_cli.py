@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -12,7 +13,9 @@ from distlab.graph6 import emit, parse
 from distlab.graphs import cycle_graph, from_edge_list, k_distance, path_graph
 from distlab.sat.cnf import parse_dimacs
 from distlab.sat.encode import build_formula
-from distlab.sat.search import SearchParams, cap_levels, verify_witness
+from distlab.sat.search import SearchParams, cap_levels, search, verify_witness
+
+from util import child_env
 
 CLI_SOLVER = f"{sys.executable} -m distlab.sat.dimacs_cli"
 
@@ -225,7 +228,8 @@ def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
     _, want = build_formula(params, cap_levels(params)[0])
     assert parse_dimacs(cnf_path.read_text()).clauses == want.clauses
     kinds = {line.split()[1] for line in (tmp_path / "search.cnf.vars").read_text().splitlines()}
-    assert {"a", "b", "aux", "r2", "m2", "r4", "m4"} <= kinds
+    assert {"a", "b", "t", "cn", "w", "eq", "r2", "m2", "r4", "m4"} <= kinds
+    assert "aux" not in kinds
     assert not any(k.startswith(("r5", "r6")) for k in kinds)
 
 
@@ -326,3 +330,31 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SAT_SEARCH_6 + ["--solver", CLI_SOLVER, "--budget-seconds", "inf"], 0),
+    (SAT_SEARCH_6 + ["--solver", CLI_SOLVER, "--budget-seconds", "1e300"], 0),
+    (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2),
+    (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2),
+    (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2),
+    (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2),
+], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "survey-n-0"])
+def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
+    """A huge budget is no budget; a bad value is an ``error:`` line and exit
+    2, never a traceback."""
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    argv = [str(cnf) if arg == "{cnf}" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout == emit(search(SearchParams(6, 2, 3)).graph) + "\n"
+    else:
+        assert proc.stdout == "" and "error:" in proc.stderr

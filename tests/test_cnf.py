@@ -22,6 +22,23 @@ def test_add_validates_clauses():
         f.add([1, -1])
 
 
+def test_constructor_validates_clauses():
+    with pytest.raises(ValueError):
+        CnfFormula(2, [[3]])
+    with pytest.raises(ValueError):
+        CnfFormula(2, [[1], [2, -2]])
+    with pytest.raises(ValueError):
+        CnfFormula(2, [[]])
+    with pytest.raises(ValueError):
+        CnfFormula(-1)
+
+
+def test_add_drops_repeated_literals_keeping_first_occurrences():
+    f = CnfFormula(3, [[2, 1, 2, 3, 1]])
+    f.add(iter([-3, -3]))
+    assert f.clauses == [[2, 1, 3], [-3]]
+
+
 def test_extend():
     f = CnfFormula(2)
     f.extend([[1], [1, 2], [-2]])
@@ -58,6 +75,8 @@ def test_parse_rejects_malformed_input():
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 x 0\n")
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf -2 0\n")
 
 
 def test_random_round_trips():
@@ -95,14 +114,16 @@ def test_varmap_layout():
 
 def test_varmap_aux_and_describe():
     vm = VarMap(3)
-    t = vm.aux("tri", 0, 2)
+    t = vm.tagged("tri", 0, 2)
     assert t == 7
     assert vm.var_count == 7
     assert vm.describe(1) == ("a", 0, 1)
     assert vm.describe(4) == ("b", 0, 1)
-    assert vm.describe(7) == ("aux", 0, 2)
+    assert vm.describe(7) == ("tri", 0, 2)
     with pytest.raises(KeyError):
         vm.describe(8)
+    with pytest.raises(KeyError):
+        vm.describe(0)
 
 
 def test_varmap_rejects_bad_n_and_diagonal():
@@ -116,20 +137,20 @@ def test_varmap_rejects_bad_n_and_diagonal():
 
 def test_sidecar_lines():
     vm = VarMap(3)
-    vm.aux("t", 1, 2)
+    vm.tagged("t", 1, 0, 2)
     lines = vm.sidecar().splitlines()
     assert lines[0] == "1 a 0 1"
     assert lines[3] == "4 b 0 1"
-    assert lines[-1] == "7 aux 1 2"
+    assert lines[-1] == "7 t 1 0 2"
     assert len(lines) == vm.var_count
 
 
 def test_tagged_variables_keep_their_kind():
     vm = VarMap(3)
-    vm.aux("t", 1, 2)
+    vm.tagged("w", 1, 2)
     r = vm.tagged("r2", 0, 2)
     m = vm.tagged("m2", 0, 1, 2)
     assert (r, m) == (8, 9)
-    assert vm.describe(7) == ("aux", 1, 2)
+    assert vm.describe(7) == ("w", 1, 2)
     assert vm.describe(m) == ("m2", 0, 1, 2)
     assert vm.sidecar().splitlines()[-2:] == ["8 r2 0 2", "9 m2 0 1 2"]

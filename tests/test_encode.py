@@ -36,6 +36,11 @@ def _fix_adjacency(vm, g):
     return units
 
 
+def _formula(vm, *fragments):
+    """The fragments' clauses as one checked formula over all of ``vm``."""
+    return CnfFormula(vm.var_count, [c for frag in fragments for c in frag])
+
+
 def _solve_with_graph(formula, vm, g):
     solver = DpllSolver(formula.var_count, formula.clauses)
     for u in _fix_adjacency(vm, g):
@@ -64,7 +69,7 @@ def _enumerate_a_models(vm, formula):
 
 def test_b_definition_forced_on_fixed_path():
     vm = VarMap(4)
-    formula = encode_b_definition(vm)
+    formula = _formula(vm, encode_b_definition(vm))
     solver, status, model = _solve_with_graph(formula, vm, path_graph(4))
     assert status == SAT
     assert solver.stats["decisions"] == 0
@@ -74,7 +79,7 @@ def test_b_definition_forced_on_fixed_path():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_b_definition_exhaustive(n):
     vm = VarMap(n)
-    formula = encode_b_definition(vm)
+    formula = _formula(vm, encode_b_definition(vm))
     for mask in range(1 << (n * (n - 1) // 2)):
         g = _mask_graph(n, mask)
         solver, status, model = _solve_with_graph(formula, vm, g)
@@ -86,10 +91,9 @@ def test_b_definition_exhaustive(n):
 
 def test_p2_fixing_clauses_and_validation():
     vm = VarMap(5)
-    f = encode_p2_fixing(vm, 2)
-    assert f.clauses == [[vm.b(0, 1)], [vm.b(1, 2)]]
-    assert encode_p2_fixing(vm, 0).clauses == []
-    assert encode_p2_fixing(vm, 4).clause_count == 4
+    assert encode_p2_fixing(vm, 2) == [[vm.b(0, 1)], [vm.b(1, 2)]]
+    assert encode_p2_fixing(vm, 0) == []
+    assert len(encode_p2_fixing(vm, 4)) == 4
     with pytest.raises(ValueError):
         encode_p2_fixing(vm, 5)
     with pytest.raises(ValueError):
@@ -98,10 +102,7 @@ def test_p2_fixing_clauses_and_validation():
 
 def test_p2_fixing_models_pin_distance_two_path():
     vm = VarMap(5)
-    parts = [encode_b_definition(vm), encode_p2_fixing(vm, 2)]
-    formula = CnfFormula(vm.var_count)
-    for part in parts:
-        formula.clauses.extend(part.clauses)
+    formula = _formula(vm, encode_b_definition(vm), encode_p2_fixing(vm, 2))
     got = _enumerate_a_models(vm, formula)
     want = set()
     for mask in range(1 << 10):
@@ -139,7 +140,7 @@ def test_p2_geodesic_is_exact(n):
             encode_p2_fixing(vm, p2_len),
             encode_p2_geodesic(vm, p2_len),
         ]
-        formula = CnfFormula(vm.var_count, [c for f in frags for c in f.clauses])
+        formula = _formula(vm, *frags)
         want = set()
         for mask, dist in enumerate(dists):
             if any(dist[i][i + 1] != 2 for i in range(p2_len)):
@@ -157,13 +158,13 @@ def test_p2_geodesic_size_and_tags(n):
         base = vm.var_count
         frag = encode_p2_geodesic(vm, p2_len)
         if p2_len < 2:
-            assert frag.clauses == [] and vm.var_count == base
+            assert frag == [] and vm.var_count == base
             continue
-        assert frag.clause_count == (p2_len - 2) * (n - 1) ** 2 + n
+        assert len(frag) == (p2_len - 2) * (n - 1) ** 2 + n
         assert vm.var_count - base == (p2_len - 1) * (n - 1)
         fresh = [vm.describe(v) for v in range(base + 1, vm.var_count + 1)]
         assert fresh == [(f"q{s}", v) for s in range(1, p2_len) for v in range(1, n)]
-        assert vm.describe(-frag.clauses[-1][0]) == (f"q{p2_len - 1}", p2_len)
+        assert vm.describe(-frag[-1][0]) == (f"q{p2_len - 1}", p2_len)
 
 
 # C_11 labeled so that its 2-distance graph, also an 11-cycle, runs
@@ -193,7 +194,7 @@ def test_planted_four_step_detour_is_unsat():
 def test_diam2_exclusion_is_exact():
     for n in (2, 3, 4):
         vm = VarMap(n)
-        formula = encode_diam2_exclusion(vm)
+        formula = _formula(vm, encode_diam2_exclusion(vm))
         for mask in range(1 << (n * (n - 1) // 2)):
             g = _mask_graph(n, mask)
             dist = reference_distances(g)
@@ -206,7 +207,7 @@ def test_diam2_exclusion_is_exact():
 
 def test_diam2_exclusion_exact_on_five_vertices():
     vm = VarMap(5)
-    formula = encode_diam2_exclusion(vm)
+    formula = _formula(vm, encode_diam2_exclusion(vm))
     admitted = _enumerate_a_models(vm, formula)
     want = set()
     for mask in range(1 << 10):
@@ -225,7 +226,7 @@ def test_diameter_cap_is_exact(n):
     """With the a-variables pinned, the cap is SAT iff the BFS diameter <= D."""
     for max_d in range(1, n):
         vm = VarMap(n)
-        formula = encode_diameter_cap(vm, max_d)
+        formula = _formula(vm, encode_diameter_cap(vm, max_d))
         for mask in range(1 << (n * (n - 1) // 2)):
             g = _mask_graph(n, mask)
             d = reference_diameter(g)
@@ -239,11 +240,10 @@ def test_diameter_cap_size_closed_form(n):
     for max_d in range(1, n):
         vm = VarMap(n)
         base = vm.var_count
-        formula = encode_diameter_cap(vm, max_d)
+        clauses = encode_diameter_cap(vm, max_d)
         compositions = max_d.bit_length() - 1 + bin(max_d).count("1") - 1
-        assert formula.clause_count == pairs * (compositions * (2 * n - 3) + 1)
+        assert len(clauses) == pairs * (compositions * (2 * n - 3) + 1)
         assert vm.var_count - base == pairs * compositions * (n - 1)
-        assert formula.var_count == vm.var_count
     with pytest.raises(ValueError):
         encode_diameter_cap(VarMap(4), 0)
 
@@ -274,7 +274,7 @@ def test_g2_connected_is_exact(n):
             encode_p2_fixing(vm, path_len),
             encode_g2_connected(vm, path_len),
         ]
-        formula = CnfFormula(vm.var_count, [c for f in frags for c in f.clauses])
+        formula = _formula(vm, *frags)
         for mask in range(1 << (n * (n - 1) // 2)):
             g = _mask_graph(n, mask)
             dist = reference_distances(g)
@@ -290,7 +290,7 @@ def test_g2_connected_size_and_tags(n):
         base = vm.var_count
         frag = encode_g2_connected(vm, path_len)
         f = n - path_len - 1
-        assert frag.clause_count == f * (2 + (f - 1) * (2 * f - 1))
+        assert len(frag) == f * (2 + (f - 1) * (2 * f - 1))
         assert vm.var_count - base == f * f + f * (f - 1) ** 2
         kinds = {vm.describe(v)[0] for v in range(base + 1, vm.var_count + 1)}
         assert kinds == {f"c{s}" for s in range(1, f + 1)} | {f"cm{s}" for s in range(2, f + 1)}
@@ -313,9 +313,7 @@ def _lex_ok(n, p2_len, g):
 def test_free_vertex_ordering_matches_reference_predicate(p2_len):
     n = 5
     vm = VarMap(n)
-    frag = encode_free_vertex_ordering(vm, p2_len)
-    formula = CnfFormula(vm.var_count)
-    formula.clauses.extend(frag.clauses)
+    formula = _formula(vm, encode_free_vertex_ordering(vm, p2_len))
     got = _enumerate_a_models(vm, formula)
     want = {
         mask for mask in range(1 << 10) if _lex_ok(n, p2_len, _mask_graph(n, mask))
@@ -387,20 +385,30 @@ def test_build_formula_respects_flags():
     loose = SearchParams(n=5, p2_len=1, min_d2=0, forbid_diam_le_2=False)
     vm, formula = build_formula(loose)
     kinds = {vm.describe(v + 1)[0] for v in range(formula.var_count)}
-    assert "aux" in kinds
+    assert {"t", "eq"} <= kinds and not {"cn", "w"} & kinds
     strict = SearchParams(n=5, p2_len=1, min_d2=2)
     _, strict_formula = build_formula(strict)
     assert strict_formula.clause_count > formula.clause_count
 
 
+def test_every_auxiliary_variable_names_its_kind():
+    vm, formula = build_formula(SearchParams(n=13, p2_len=8, min_d2=8), 6)
+    lines = [line.split() for line in vm.sidecar().splitlines()]
+    assert len(lines) == formula.var_count
+    assert [int(line[0]) for line in lines] == list(range(1, formula.var_count + 1))
+    assert [vm.describe(int(v)) for v, *_ in lines] == [
+        (kind, *map(int, verts)) for _, kind, *verts in lines
+    ]
+    kinds = {kind for _, kind, *_ in lines}
+    assert "aux" not in kinds
+    assert {"t", "cn", "w", "eq", "q1", "c1", "r2", "m2"} <= kinds
+
+
 def test_decode_model_paths_and_errors():
     vm = VarMap(3)
-    lits = [vm.a(0, 1), -vm.a(0, 2), vm.a(1, 2)]
-    g = decode_model(vm, lits)
-    assert g.edges() == [(0, 1), (1, 2)]
     mapping = {vm.a(0, 1): True, vm.a(0, 2): False, vm.a(1, 2): True}
-    assert decode_model(vm, mapping) == g
+    assert decode_model(vm, mapping).edges() == [(0, 1), (1, 2)]
     with pytest.raises(ValueError):
-        decode_model(vm, [vm.a(0, 1)])
+        decode_model(vm, {vm.a(0, 1): True})
     with pytest.raises(ValueError):
-        model_b_edges(vm, lits)
+        model_b_edges(vm, mapping)

@@ -1,5 +1,4 @@
 """The all-sources BFS of ``distlab._kernels`` against a deque-BFS oracle."""
-import os
 import random
 import subprocess
 import sys
@@ -7,12 +6,11 @@ import sys
 import networkx as nx
 import pytest
 
-import distlab
 from distlab import _kernels
 from distlab.graph6 import emit
 from distlab.graphs import all_pairs_distances, cycle_graph, diameter, from_edge_list, k_distance
 
-from util import random_connected_graph, random_graph, reference_distances
+from util import child_env, random_connected_graph, random_graph, reference_distances
 
 
 def _want(g):
@@ -113,16 +111,6 @@ def test_pack_rows_round_trip():
             assert (packed >> (s * n)) & ((1 << n) - 1) == rows[s]
 
 
-def _child_env() -> dict:
-    """This environment, with the directory holding the imported ``distlab``
-    package first on ``PYTHONPATH``, so a child interpreter loads the same
-    source tree whether or not the package is installed."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(distlab.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def test_library_runs_without_numpy():
     code = (
         "import sys\n"
@@ -138,7 +126,7 @@ def test_library_runs_without_numpy():
         input=line + "\n",
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["112", emit(k_distance(cycle_graph(6), 2))]

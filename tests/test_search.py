@@ -9,6 +9,7 @@ import distlab._kernels
 from distlab.bounds import family_graph
 from distlab.canon import are_isomorphic
 from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
+from distlab.sat.cnf import CnfFormula
 from distlab.sat.dpll import DpllSolver
 from distlab.sat.external import SolverError
 from distlab.sat.search import (
@@ -26,6 +27,38 @@ import brute
 from util import reference_distances
 
 CLI_SOLVER = f"{sys.executable} -m distlab.sat.dimacs_cli"
+
+
+def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
+    """Every clause the solver watches went through exactly one
+    ``CnfFormula.add``, and the formula kept every clause it checked."""
+    search_mod = sys.modules["distlab.sat.search"]
+    adds = []
+    formulas = []
+    solvers = []
+    real_add, real_build = CnfFormula.add, search_mod.build_formula
+
+    def counting_add(self, clause):
+        adds.append(1)
+        real_add(self, clause)
+
+    def recording_build(*args):
+        vm, formula = real_build(*args)
+        formulas.append(formula)
+        return vm, formula
+
+    class RecordingSolver(DpllSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(CnfFormula, "add", counting_add)
+    monkeypatch.setattr(search_mod, "build_formula", recording_build)
+    monkeypatch.setattr(search_mod, "DpllSolver", RecordingSolver)
+    assert isinstance(search(SearchParams(n=9, p2_len=6, min_d2=6)), Witness)
+    assert len(formulas) == len(solvers) == 1
+    (formula,), (solver,) = formulas, solvers
+    assert len(adds) == formula.clause_count == len(solver.clauses) + len(solver.units)
 
 
 def test_small_search_returns_verified_witness():

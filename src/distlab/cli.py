@@ -19,7 +19,7 @@ import tempfile
 from typing import Iterable, TextIO
 
 from . import bounds, graph6
-from .enumeration import ENUM_CAP, ENUM_CAP_FORCED, survey
+from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
@@ -95,7 +95,7 @@ def cmd_diam(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    table = survey(args.n, force=args.force, jobs=args.threads)
+    table = survey(args.n, jobs=args.threads)
     _write_atomic(args.out, table.to_csv())
     if args.heatmap:
         _write_atomic(args.heatmap, heatmap_svg(table))
@@ -240,12 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
-                   help=f"vertex count (cap {ENUM_CAP}, {ENUM_CAP_FORCED} with --force)")
+                   help=f"vertex count, at most {ENUM_CAP} (n = {ENUM_CAP} takes hours)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for subtree fan-out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")
@@ -275,17 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the DIMACS formula of the first solve call here, "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
                         "lines; besides a (i j) and b (i j), kind t (i j k) "
-                        "says j joins the non-adjacent i and k, cn (i j k) "
-                        "that j is a common neighbour of i and k, w (i k) "
-                        "that they lie within distance 2, eq (u v w) that "
+                        "says j joins the non-adjacent i and k, far (i k) "
+                        "that i and k lie beyond distance 2, eq (u v w) that "
                         "the rows of free vertices u and v agree up to "
                         "column w, q<s> (v) that v lies within s of vertex 0 "
                         "in G2, c<s> (v) that v lies within s of the pinned "
                         "path in G2 and cm<s> (u v) that it does through u; "
                         "unless --allow-non-sharp this is the lowest "
                         "diameter-cap level, whose reach variables have kinds "
-                        "r<s> (i j within distance s) and m<s> (i k j, "
-                        "joined through k)")
+                        "r<s> (i j within distance s, s >= 3; distance 2 is "
+                        "a or b) and m<s> (i k j, joined through k)")
     p.add_argument("--emit-only", action="store_true",
                    help="with --emit-cnf: stop after writing the formula")
     p.set_defaults(func=cmd_sat_search)

@@ -22,19 +22,17 @@ from . import _kernels
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-ENUM_CAP = 11
-ENUM_CAP_FORCED = 12
+# At the census's measured 1,985 graphs/s (n <= 8, one core), n = 10
+# (11,716,571 classes) takes at least 1.6 h, n = 11 at least 5.9 days and
+# n = 12 at least 2.6 years.
+ENUM_CAP = 10
 
 
-def _check_cap(n: int, force: bool) -> None:
+def _check_cap(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-    if n > ENUM_CAP_FORCED:
-        raise ValueError(f"enumeration above n={ENUM_CAP_FORCED} is refused")
-    if n > ENUM_CAP and not force:
-        raise ValueError(
-            f"enumeration at n={n} needs force=True (free cap is n={ENUM_CAP})"
-        )
+    if n > ENUM_CAP:
+        raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
 
 
 def _connected_without(rows: Sequence[int], n: int, v: int) -> bool:
@@ -115,12 +113,12 @@ def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[int, ...]]:
         yield from _walk(child, child_gens, n)
 
 
-def enumerate_connected(n: int, force: bool = False) -> Iterator[Graph]:
+def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Deterministic order; free up to n=11, n=12 behind ``force``.
+    Deterministic order; n up to ``ENUM_CAP``.
     """
-    _check_cap(n, force)
+    _check_cap(n)
     for rows in _walk((0,), [], n):
         yield Graph(n, rows, _validate=False)
 
@@ -190,13 +188,13 @@ def _survey_subtree(args) -> dict[tuple[int, int | float], int]:
     return cells
 
 
-def survey(n: int, force: bool = False, jobs: int = 1) -> SurveyTable:
+def survey(n: int, jobs: int = 1) -> SurveyTable:
     """Joint (diam G, diam G2) census over connected graphs on n vertices.
 
     ``jobs > 1`` fans subtrees out to worker processes; the merged table
     is identical to the single-process one.
     """
-    _check_cap(n, force)
+    _check_cap(n)
     table = SurveyTable(n)
     split = n - 2
     if jobs <= 1 or split < 2:

@@ -9,23 +9,12 @@ in distance matrices, which are lists of rows.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 
 MAX_VERTICES = _kernels.MAX_VERTICES
 UNREACHABLE = _kernels.UNREACHABLE
-
-
-class WindowNotInduced(ValueError):
-    """A length-2 window of a walk closes a triangle or backtracks.
-
-    ``index`` is the 0-based position where the offending window starts.
-    """
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"walk window at index {index} is not induced")
 
 
 def bitset_to_vertices(bits: int) -> list[int]:
@@ -193,67 +182,6 @@ def k_distance(g: Graph, k: int, dist: Sequence[Sequence[int]] | None = None) ->
     return Graph(g.n, rows, _validate=False)
 
 
-def common_neighborhood(g: Graph, s: Iterable[int]) -> int:
-    """Bitset of vertices adjacent to every vertex of ``s``; ``s`` nonempty."""
-    verts = list(s)
-    if not verts:
-        raise ValueError("common neighborhood of an empty set is undefined")
-    out = (1 << g.n) - 1
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        out &= g.adj[v]
-    return out
-
-
-def halved_walk(g: Graph, walk: Sequence[int]) -> list[int]:
-    """Every other vertex of a walk, checked to step through the 2-distance graph.
-
-    Each window (w[t], w[t+1], w[t+2]) with even t must be induced: endpoints
-    distinct and non-adjacent, else :class:`WindowNotInduced` with that ``t``.
-    The returned vertices are verified to be consecutive edges of
-    ``k_distance(g, 2)``.  Walks shorter than one window are rejected.
-    """
-    if len(walk) < 3:
-        raise ValueError("walk must have at least 3 vertices")
-    for v in walk:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    for t in range(1, len(walk)):
-        if not g.has_edge(walk[t - 1], walk[t]):
-            raise ValueError(f"({walk[t-1]}, {walk[t]}) at index {t-1} is not an edge")
-    for t in range(0, len(walk) - 2, 2):
-        u, w = walk[t], walk[t + 2]
-        if u == w or g.has_edge(u, w):
-            raise WindowNotInduced(t)
-    out = list(walk[0::2])
-    g2 = k_distance(g, 2)
-    for s in range(len(out) - 1):
-        if not g2.has_edge(out[s], out[s + 1]):  # unreachable given the window checks
-            raise WindowNotInduced(2 * s)
-    return out
-
-
-def is_path_complement(g: Graph, order: Sequence[int]) -> bool:
-    """True iff the listed vertices induce exactly the complement of a path.
-
-    In the listed order, consecutive vertices must be non-adjacent and all
-    other pairs adjacent.  Vertices must be distinct and in range.
-    """
-    verts = list(order)
-    if len(set(verts)) != len(verts):
-        raise ValueError("order contains repeated vertices")
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    for p in range(len(verts)):
-        for q in range(p + 1, len(verts)):
-            want = (q - p) >= 2
-            if g.has_edge(verts[p], verts[q]) != want:
-                return False
-    return True
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex partition into components, each sorted, ordered by least vertex."""
     rows = g.rows()
@@ -280,10 +208,3 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def iter_vertices(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low

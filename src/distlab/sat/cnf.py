@@ -64,10 +64,18 @@ def emit_dimacs(formula: CnfFormula) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Strict-enough DIMACS reader; clauses may span lines, comments skipped."""
+    """Strict-enough DIMACS reader; clauses may span lines, comments skipped.
+
+    Any clause a solver accepts is read, and the formula keeps the file's
+    models: a tautology holds under every assignment and is dropped, and
+    an empty clause holds under none and becomes the contradictory units
+    1 and -1 (raising a zero variable count to 1).  The declared clause
+    count is checked against the clauses read, dropped ones included.
+    """
     var_count = None
     declared = None
     formula = None
+    read = 0
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -86,19 +94,24 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise ValueError(f"line {lineno}: clause before problem line")
         for tok in s.split():
             lit = int(tok)
-            if lit == 0:
-                formula.add(pending)
-                pending = []
-            else:
+            if lit != 0:
                 pending.append(lit)
+                continue
+            read += 1
+            if not pending:
+                formula.var_count = max(formula.var_count, 1)
+                formula.extend([[1], [-1]])
+            elif set(pending).isdisjoint(-x for x in pending):
+                formula.add(pending)
+            elif max(map(abs, pending)) > formula.var_count:
+                raise ValueError(f"clause {pending} exceeds var count {formula.var_count}")
+            pending = []
     if formula is None:
         raise ValueError("missing problem line")
     if pending:
         raise ValueError("unterminated clause at end of input")
-    if len(formula.clauses) != declared:
-        raise ValueError(
-            f"declared {declared} clauses, found {len(formula.clauses)}"
-        )
+    if read != declared:
+        raise ValueError(f"declared {declared} clauses, found {read}")
     return formula
 
 

@@ -1,15 +1,17 @@
 """CNF fragments tying candidate adjacency to its 2-distance graph.
 
 The b-definition is a full biconditional, so every model decodes to a
-graph whose b-variables agree exactly with distance-2 adjacency; the
-reachability fragments are one-sided, sound and complete (see each).
+graph whose b-variables agree exactly with distance-2 adjacency; it is
+the one statement of "within distance 2", which the diameter cap reads
+as a or b.  The other fragments use one-sided variables, true only if
+their bound holds, sound and complete (see each).
 ``build_formula`` combines the fragments for the extremal search, each
 exact, so every model of the formula is a graph that passes the search's
 BFS verification: a pinned path of the 2-distance graph, made an exact
 geodesic by reachability from its first vertex, optional exclusion of
-diameter at most 2, connectivity of the 2-distance graph by reachability
-to the pinned path, lex ordering on free vertices, and, when asked, a cap
-on the diameter by layered reachability.  Each fragment returns a plain
+diameter at most 2 stated on a, connectivity of the 2-distance graph by
+reachability to the pinned path, lex ordering on free vertices, and, when
+asked, a cap on the diameter by layered reachability.  Each fragment returns a plain
 clause list; ``build_formula`` checks every clause once, as it adds it to
 the one ``CnfFormula`` it returns.
 """
@@ -94,34 +96,26 @@ def encode_p2_geodesic(vm: VarMap, p2_len: int) -> list[list[int]]:
 
 
 def encode_diam2_exclusion(vm: VarMap) -> list[list[int]]:
-    """Exclude graphs of diameter at most 2.
+    """Exclude graphs of diameter at most 2, stated directly on a.
 
-    Self-contained within-2 indicators: c(i,j,k) marks a common neighbor
-    j, r(i,k) marks distance at most 2, and one big clause demands some
-    pair beyond 2.  Disconnected or diameter->=3 graphs stay admissible.
-    The sidecar tags c as ``cn`` (i j k) and r as ``w`` (i k).
+    far(i,k) is one-sided, true only if dist(i,k) > 2: far -> not a(i,k),
+    and far -> not (a(i,j) and a(j,k)) for every middle j.  The clause
+    OR far closes it.  Exact, because setting far to "beyond 2" satisfies
+    every clause, so disconnected or diameter->=3 graphs stay admissible.
+    It reads a, not b: b(i,k) is settled only after a(i,k), so far -> not
+    b(i,k) propagates later and doubled the conflicts of (11,7,7).
+    P = C(n,2) fresh variables, tagged ``far`` (i k) in the sidecar, and
+    P(n-1) + 1 clauses.
     """
     clauses: list[list[int]] = []
-    n = vm.n
-    rs = []
+    fars = []
     for i, k in vm.pairs():
-        a_ik = vm.a(i, k)
-        cs = []
-        for j in _others(n, i, k):
-            c = vm.tagged("cn", i, j, k)
-            a_ij = vm.a(i, j)
-            a_jk = vm.a(j, k)
-            clauses.append([-c, a_ij])
-            clauses.append([-c, a_jk])
-            clauses.append([c, -a_ij, -a_jk])
-            cs.append(c)
-        r = vm.tagged("w", i, k)
-        clauses.append([-r, a_ik] + cs)
-        clauses.append([r, -a_ik])
-        for c in cs:
-            clauses.append([r, -c])
-        rs.append(r)
-    clauses.append([-r for r in rs])
+        far = vm.tagged("far", i, k)
+        clauses.append([-far, -vm.a(i, k)])
+        for j in _others(vm.n, i, k):
+            clauses.append([-far, -vm.a(i, j), -vm.a(j, k)])
+        fars.append(far)
+    clauses.append(fars)
     return clauses
 
 
@@ -159,50 +153,56 @@ def encode_g2_connected(vm: VarMap, path_len: int) -> list[list[int]]:
 def encode_diameter_cap(vm: VarMap, max_d: int) -> list[list[int]]:
     """Every pair of the candidate graph lies within distance ``max_d``.
 
-    r_s(i,j) is one-sided: true only if dist(i,j) <= s.  r_1 is the
-    adjacency a; each composition builds r_{s+t} from r_s and r_t through
-    a middle vertex k, r_{s+t}(i,j) -> r_max(s,t)(i,j) or OR_k m(i,k,j),
-    with m -> r_s(i,k) and m -> r_t(k,j).  Levels double up to the largest
-    power of two within ``max_d`` (r_2, r_4, ...), then add the remaining
-    binary digits (r_6 = r_4 o r_2), and the units r_max_d(i,j) close it.
-    Sound because every r_s implies its bound; complete because setting
-    each r_s to the exact "distance <= s" satisfies every clause.
+    Reads the b-variables, so it needs :func:`encode_b_definition` in the
+    same formula.  A reach level r_s(i,j) is a literal list whose
+    disjunction holds only if dist(i,j) <= s: r_1 is [a] and r_2 is [a, b],
+    since b implies distance 2.  Each composition builds r_{s+t} from r_s
+    and r_t through a middle vertex k as one fresh variable r,
+    r -> r_max(s,t)(i,j) or OR_k m(i,k,j), with m -> r_s(i,k) and
+    m -> r_t(k,j).  Levels double from r_2 up to the largest power of two
+    within ``max_d`` (r_4, r_8, ...), then add the remaining binary digits
+    (r_6 = r_4 o r_2), and the clauses r_max_d(i,j) close it.  Sound
+    because every level implies its bound; complete because setting each
+    variable to the exact "distance <= s" satisfies every clause.
 
-    With P = C(n,2) pairs and c = floor(log2 max_d) + popcount(max_d) - 1
-    compositions, the fragment has P * (c * (2n - 3) + 1) clauses and
-    P * c * (n - 1) fresh variables, tagged ``r<s>`` (pair i j) and
-    ``m<s>`` (i k j) in the sidecar.
+    With P = C(n,2) pairs and c = max(0, floor(log2 max_d) +
+    popcount(max_d) - 2) compositions, the fragment has
+    P * (c * (2n - 3) + 1) clauses and P * c * (n - 1) fresh variables,
+    tagged ``r<s>`` (pair i j) and ``m<s>`` (i k j) in the sidecar.
     """
     if max_d < 1:
         raise ValueError(f"diameter cap must be at least 1, got {max_d}")
     clauses: list[list[int]] = []
     n = vm.n
-    reach = {1: {p: vm.a(*p) for p in vm.pairs()}}
+    reach = {
+        1: {p: [vm.a(*p)] for p in vm.pairs()},
+        2: {p: [vm.a(*p), vm.b(*p)] for p in vm.pairs()},
+    }
 
     def compose(s: int, t: int) -> int:
         rs, rt, rmax = reach[s], reach[t], reach[max(s, t)]
         level = {}
         for i, j in vm.pairs():
             r = vm.tagged(f"r{s + t}", i, j)
-            level[(i, j)] = r
-            big = [-r, rmax[(i, j)]]
+            level[(i, j)] = [r]
+            big = [-r, *rmax[(i, j)]]
             for k in _others(n, i, j):
                 m = vm.tagged(f"m{s + t}", i, k, j)
                 big.append(m)
-                clauses.append([-m, rs[(i, k) if i < k else (k, i)]])
-                clauses.append([-m, rt[(k, j) if k < j else (j, k)]])
+                clauses.append([-m, *rs[(i, k) if i < k else (k, i)]])
+                clauses.append([-m, *rt[(k, j) if k < j else (j, k)]])
             clauses.append(big)
         reach[s + t] = level
         return s + t
 
-    top = 1
+    top = min(max_d, 2)
     while 2 * top <= max_d:
         top = compose(top, top)
     rest = max_d - top
     for bit in reversed(range(rest.bit_length())):
         if rest >> bit & 1:
             top = compose(top, 1 << bit)
-    clauses.extend([r] for r in reach[max_d].values())
+    clauses.extend(reach[max_d].values())
     return clauses
 
 

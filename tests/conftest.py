@@ -1,4 +1,14 @@
 import os
 import sys
 
+import distlab
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Child interpreters (the DIMACS solver behind --solver, the CLI exit-code
+# checks, the numpy-free import) load the same source tree as this one,
+# whether or not the package is installed.
+_src = os.path.dirname(os.path.dirname(os.path.abspath(distlab.__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_src, os.environ.get("PYTHONPATH")) if p
+)

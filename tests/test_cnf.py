@@ -64,6 +64,19 @@ def test_parse_accepts_comments_and_split_clauses():
     assert f.clauses == [[1, -2], [2, 3]]
 
 
+def test_parse_keeps_the_models_of_tautologies_and_empty_clauses():
+    f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
+    assert (f.var_count, f.clauses) == (2, [[2]])
+    f = parse_dimacs("p cnf 1 1\n0\n")
+    assert (f.var_count, f.clauses) == (1, [[1], [-1]])
+    f = parse_dimacs("p cnf 0 1\n0\n")
+    assert (f.var_count, f.clauses) == (1, [[1], [-1]])
+    with pytest.raises(ValueError, match="declared 3 clauses, found 2"):
+        parse_dimacs("p cnf 2 3\n1 -1 0\n0\n")
+    with pytest.raises(ValueError, match="exceeds var count"):
+        parse_dimacs("p cnf 2 1\n1 -1 3 0\n")
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
@@ -147,10 +160,10 @@ def test_sidecar_lines():
 
 def test_tagged_variables_keep_their_kind():
     vm = VarMap(3)
-    vm.tagged("w", 1, 2)
-    r = vm.tagged("r2", 0, 2)
-    m = vm.tagged("m2", 0, 1, 2)
+    vm.tagged("far", 1, 2)
+    r = vm.tagged("r4", 0, 2)
+    m = vm.tagged("m4", 0, 1, 2)
     assert (r, m) == (8, 9)
-    assert vm.describe(7) == ("w", 1, 2)
-    assert vm.describe(m) == ("m2", 0, 1, 2)
-    assert vm.sidecar().splitlines()[-2:] == ["8 r2 0 2", "9 m2 0 1 2"]
+    assert vm.describe(7) == ("far", 1, 2)
+    assert vm.describe(m) == ("m4", 0, 1, 2)
+    assert vm.sidecar().splitlines()[-2:] == ["8 r4 0 2", "9 m4 0 1 2"]

@@ -221,12 +221,26 @@ def test_diam2_exclusion_exact_on_five_vertices():
     assert admitted == want
 
 
+@pytest.mark.parametrize("n", [2, 5, 9, 13])
+def test_diam2_exclusion_size_closed_form(n):
+    pairs = n * (n - 1) // 2
+    vm = VarMap(n)
+    base = vm.var_count
+    clauses = encode_diam2_exclusion(vm)
+    assert len(clauses) == pairs * (n - 1) + 1
+    assert vm.var_count - base == pairs
+    fresh = [vm.describe(v) for v in range(base + 1, vm.var_count + 1)]
+    assert fresh == [("far", i, k) for i, k in vm.pairs()]
+    assert clauses[-1] == list(range(base + 1, vm.var_count + 1))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_diameter_cap_is_exact(n):
-    """With the a-variables pinned, the cap is SAT iff the BFS diameter <= D."""
+    """With the a-variables pinned, the b-definition and the cap are SAT iff
+    the BFS diameter <= D."""
     for max_d in range(1, n):
         vm = VarMap(n)
-        formula = _formula(vm, encode_diameter_cap(vm, max_d))
+        formula = _formula(vm, encode_b_definition(vm), encode_diameter_cap(vm, max_d))
         for mask in range(1 << (n * (n - 1) // 2)):
             g = _mask_graph(n, mask)
             d = reference_diameter(g)
@@ -241,7 +255,7 @@ def test_diameter_cap_size_closed_form(n):
         vm = VarMap(n)
         base = vm.var_count
         clauses = encode_diameter_cap(vm, max_d)
-        compositions = max_d.bit_length() - 1 + bin(max_d).count("1") - 1
+        compositions = max(0, max_d.bit_length() - 1 + bin(max_d).count("1") - 2)
         assert len(clauses) == pairs * (compositions * (2 * n - 3) + 1)
         assert vm.var_count - base == pairs * compositions * (n - 1)
     with pytest.raises(ValueError):
@@ -252,9 +266,12 @@ def test_diameter_cap_tags_its_variables():
     vm = VarMap(4)
     encode_diameter_cap(vm, 3)
     kinds = [vm.describe(v)[0] for v in range(2 * 6 + 1, vm.var_count + 1)]
-    assert set(kinds) == {"r2", "m2", "r3", "m3"}
-    assert vm.describe(13) == ("r2", 0, 1)
-    assert vm.describe(14) == ("m2", 0, 2, 1)
+    assert set(kinds) == {"r3", "m3"}
+    assert vm.describe(13) == ("r3", 0, 1)
+    assert vm.describe(14) == ("m3", 0, 2, 1)
+    vm = VarMap(4)
+    assert encode_diameter_cap(vm, 2) == [[vm.a(i, j), vm.b(i, j)] for i, j in vm.pairs()]
+    assert vm.var_count == 2 * 6
 
 
 def _g2_connected(n, g):
@@ -385,14 +402,16 @@ def test_build_formula_respects_flags():
     loose = SearchParams(n=5, p2_len=1, min_d2=0, forbid_diam_le_2=False)
     vm, formula = build_formula(loose)
     kinds = {vm.describe(v + 1)[0] for v in range(formula.var_count)}
-    assert {"t", "eq"} <= kinds and not {"cn", "w"} & kinds
+    assert {"t", "eq"} <= kinds and "far" not in kinds
     strict = SearchParams(n=5, p2_len=1, min_d2=2)
-    _, strict_formula = build_formula(strict)
+    strict_vm, strict_formula = build_formula(strict)
+    assert "far" in {strict_vm.describe(v + 1)[0] for v in range(strict_formula.var_count)}
     assert strict_formula.clause_count > formula.clause_count
 
 
 def test_every_auxiliary_variable_names_its_kind():
     vm, formula = build_formula(SearchParams(n=13, p2_len=8, min_d2=8), 6)
+    assert (formula.clause_count, formula.var_count) == (10128, 3130)
     lines = [line.split() for line in vm.sidecar().splitlines()]
     assert len(lines) == formula.var_count
     assert [int(line[0]) for line in lines] == list(range(1, formula.var_count + 1))
@@ -401,7 +420,8 @@ def test_every_auxiliary_variable_names_its_kind():
     ]
     kinds = {kind for _, kind, *_ in lines}
     assert "aux" not in kinds
-    assert {"t", "cn", "w", "eq", "q1", "c1", "r2", "m2"} <= kinds
+    assert {"t", "far", "eq", "q1", "c1", "r4", "m4", "r6", "m6"} <= kinds
+    assert not {"cn", "w", "r2", "m2"} & kinds
 
 
 def test_decode_model_paths_and_errors():

@@ -7,7 +7,6 @@ import pytest
 from distlab.canon import canonical_form
 from distlab.enumeration import (
     ENUM_CAP,
-    ENUM_CAP_FORCED,
     SurveyTable,
     enumerate_connected,
     survey,
@@ -59,7 +58,7 @@ def test_classes_match_brute_force_oracle():
 
 def test_random_relabelings_land_in_the_enumerated_set():
     for n in (7, 8):
-        forms = {canonical_form(g) for g in enumerate_connected(n, force=False)}
+        forms = {canonical_form(g) for g in enumerate_connected(n)}
         rng = random.Random(61)
         members = [g for g in itertools.islice(enumerate_connected(n), 40)]
         for g in members:
@@ -69,17 +68,11 @@ def test_random_relabelings_land_in_the_enumerated_set():
 
 
 def test_caps():
+    assert next(enumerate_connected(ENUM_CAP)).n == ENUM_CAP
     with pytest.raises(ValueError):
-        next(enumerate_connected(ENUM_CAP_FORCED))
+        next(enumerate_connected(ENUM_CAP + 1))
     with pytest.raises(ValueError):
-        next(enumerate_connected(ENUM_CAP_FORCED + 1, force=True))
-    gen = enumerate_connected(ENUM_CAP_FORCED, force=True)
-    first = next(gen)
-    assert first.n == ENUM_CAP_FORCED
-    with pytest.raises(ValueError):
-        survey(ENUM_CAP_FORCED)
-    with pytest.raises(ValueError):
-        survey(ENUM_CAP_FORCED + 1, force=True)
+        survey(ENUM_CAP + 1)
 
 
 def _brute_cells(n):

@@ -112,6 +112,18 @@ def test_dimacs_cli_unsat_and_stdin():
     assert "s UNSATISFIABLE" in proc.stdout
 
 
+def test_dimacs_cli_solves_a_tautology():
+    proc = _run_cli(["-"], stdin_text="p cnf 2 2\n1 -1 0\n2 0\n")
+    assert proc.returncode == 10
+    assert proc.stdout.splitlines()[0] == "s SATISFIABLE"
+
+
+def test_dimacs_cli_refutes_an_empty_clause():
+    proc = _run_cli(["-"], stdin_text="p cnf 1 1\n0\n")
+    assert proc.returncode == 20
+    assert proc.stdout.splitlines() == ["s UNSATISFIABLE"]
+
+
 def test_dimacs_cli_bad_input(tmp_path):
     path = tmp_path / "junk.cnf"
     path.write_text("not dimacs\n")

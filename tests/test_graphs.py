@@ -5,10 +5,8 @@ import pytest
 
 from distlab.graphs import (
     Graph,
-    WindowNotInduced,
     all_pairs_distances,
     bitset_to_vertices,
-    common_neighborhood,
     complement,
     complete_graph,
     connected_components,
@@ -17,10 +15,7 @@ from distlab.graphs import (
     diameter_pair,
     empty_graph,
     from_edge_list,
-    halved_walk,
     is_connected,
-    is_path_complement,
-    iter_vertices,
     k_distance,
     path_graph,
 )
@@ -136,73 +131,6 @@ def test_even_cycle_halves_into_two_cycles():
     assert comps == [[0, 2, 4, 6], [1, 3, 5, 7]]
 
 
-def test_common_neighborhood():
-    g = cycle_graph(5)
-    assert bitset_to_vertices(common_neighborhood(g, [0])) == [1, 4]
-    assert bitset_to_vertices(common_neighborhood(g, [1, 4])) == [0]
-    assert common_neighborhood(g, [0, 2, 3]) == 0
-    with pytest.raises(ValueError):
-        common_neighborhood(g, [])
-    with pytest.raises(ValueError):
-        common_neighborhood(g, [5])
-
-
-def test_halved_walk_on_path():
-    g = path_graph(8)
-    assert halved_walk(g, list(range(8))) == [0, 2, 4, 6]
-    assert halved_walk(g, [0, 1, 2]) == [0, 2]
-
-
-def test_halved_walk_on_even_cycle():
-    g = cycle_graph(6)
-    assert halved_walk(g, [0, 1, 2, 3]) == [0, 2]
-    assert halved_walk(g, [0, 1, 2, 3, 4]) == [0, 2, 4]
-
-
-def test_halved_walk_output_steps_through_distance_two_graph():
-    g = cycle_graph(9)
-    walk = [0, 1, 2, 3, 4, 5, 6]
-    out = halved_walk(g, walk)
-    g2 = k_distance(g, 2)
-    assert all(g2.has_edge(a, b) for a, b in zip(out, out[1:]))
-
-
-def test_halved_walk_rejects_backtracking_window():
-    g = path_graph(4)
-    with pytest.raises(WindowNotInduced) as exc:
-        halved_walk(g, [0, 1, 0])
-    assert exc.value.index == 0
-    with pytest.raises(WindowNotInduced) as exc:
-        halved_walk(g, [0, 1, 2, 3, 2])
-    assert exc.value.index == 2
-
-
-def test_halved_walk_rejects_chorded_window():
-    g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(WindowNotInduced):
-        halved_walk(g, [0, 1, 2])
-
-
-def test_halved_walk_rejects_malformed_walks():
-    g = path_graph(5)
-    with pytest.raises(ValueError):
-        halved_walk(g, [0, 1])
-    with pytest.raises(ValueError):
-        halved_walk(g, [0, 2, 4])
-    with pytest.raises(ValueError):
-        halved_walk(g, [0, 1, 9])
-
-
-def test_path_complement_detection():
-    g = complement(path_graph(5))
-    assert is_path_complement(g, [0, 1, 2, 3, 4])
-    assert is_path_complement(g, [4, 3, 2, 1, 0])
-    assert not is_path_complement(g, [0, 2, 1, 3, 4])
-    assert not is_path_complement(path_graph(5), [0, 1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        is_path_complement(g, [0, 0, 1])
-
-
 def test_components_ordering_and_connectivity():
     g = from_edge_list(7, [(3, 5), (0, 6), (1, 2)])
     assert connected_components(g) == [[0, 6], [1, 2], [3, 5], [4]]
@@ -217,5 +145,4 @@ def test_bitset_round_trip():
     for v in verts:
         bits |= 1 << v
     assert bitset_to_vertices(bits) == verts
-    assert list(iter_vertices(bits)) == verts
     assert bitset_to_vertices(0) == []

@@ -10,7 +10,7 @@ from distlab import _kernels
 from distlab.graph6 import emit
 from distlab.graphs import all_pairs_distances, cycle_graph, diameter, from_edge_list, k_distance
 
-from util import child_env, random_connected_graph, random_graph, reference_distances
+from util import random_connected_graph, random_graph, reference_distances
 
 
 def _want(g):
@@ -126,7 +126,6 @@ def test_library_runs_without_numpy():
         input=line + "\n",
         capture_output=True,
         text=True,
-        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["112", emit(k_distance(cycle_graph(6), 2))]

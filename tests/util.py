@@ -5,22 +5,10 @@ and itertools so it cannot share a bug with the package internals.
 """
 
 import itertools
-import os
 import random
 from collections import deque
 
-import distlab
 from distlab.graphs import Graph, from_edge_list
-
-
-def child_env() -> dict:
-    """This environment, with the directory holding the imported ``distlab``
-    package first on ``PYTHONPATH``, so a child interpreter loads the same
-    source tree whether or not the package is installed."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(distlab.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def reference_distances(g: Graph) -> list[list[int]]:

@@ -85,6 +85,25 @@ def levels(rows: Sequence[int], first: int | None = None) -> tuple[list[int], bo
     return out, visited == full
 
 
+def reach(rows: Sequence[int], start: int, within: int) -> int:
+    """The vertices of ``within`` reachable from the set ``start`` inside it.
+
+    ``start`` must lie in ``within``; both are bitsets.
+    """
+    seen = start
+    while True:
+        new = seen
+        m = seen
+        while m:
+            low = m & -m
+            new |= rows[low.bit_length() - 1]
+            m ^= low
+        new &= within
+        if new == seen:
+            return seen
+        seen = new
+
+
 def distances(rows: Sequence[int]) -> list[list[int]]:
     """All-pairs distance matrix as a list of rows, ``UNREACHABLE`` across components."""
     n = len(rows)

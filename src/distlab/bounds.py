@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, diameter, diameter_pair, from_edge_list, k_distance
+from .graphs import Graph, diameter_pair, from_edge_list
 
 HOLDS = "Holds"
 HOLDS_VACUOUSLY = "HoldsVacuously"
@@ -65,10 +65,9 @@ def lower_bound_witness_check(g: Graph) -> bool:
 
     Requires both diameters finite and diam G >= 3.
     """
-    d = diameter(g)
+    d, d2 = diameter_pair(g)
     if math.isinf(d) or d < 3:
         raise ValueError("lower-bound check needs a connected graph with diameter >= 3")
-    d2 = diameter(k_distance(g, 2))
     if math.isinf(d2):
         raise ValueError("lower-bound check needs a connected 2-distance graph")
     return d2 == -(-d // 2)

@@ -207,6 +207,8 @@ def _parse_edge_lists(fh: TextIO) -> Iterable[Graph]:
         if len(head) != 2:
             raise ValueError(f"line {pos + 1}: expected 'n m' header")
         n, m = int(head[0]), int(head[1])
+        if m < 0:
+            raise ValueError(f"line {pos + 1}: negative edge count {m}")
         pos += 1
         edges = []
         for _ in range(m):
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for subtree fan-out")
+                   help="processes that count the census's subtrees, at least 1")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")

@@ -8,14 +8,19 @@ isomorphism class is produced exactly once, memory stays flat, and the
 stream order is deterministic.
 
 The survey pairs each enumerated graph with (diam G, diam G2) where G2
-joins vertices at distance exactly 2.  Counts land in a
-:class:`SurveyTable`; infinite G2 diameters are kept under ``inf``.
+joins vertices at distance exactly 2.  It lists the nodes of the
+augmentation tree at order max(1, n - 2), counts the pairs of each
+one's subtree on its own, and sums the subtree counts, in this process
+or in worker processes.  Counts land in a :class:`SurveyTable`;
+infinite G2 diameters are kept under ``inf``.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 from . import _kernels
@@ -33,26 +38,6 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     if n > ENUM_CAP:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
-
-
-def _connected_without(rows: Sequence[int], n: int, v: int) -> bool:
-    """Does the graph stay connected after deleting vertex v?"""
-    mask = ((1 << n) - 1) & ~(1 << v)
-    if mask == 0:
-        return True
-    start = mask & -mask
-    reach = start
-    while True:
-        new = reach
-        m = reach
-        while m:
-            low = m & -m
-            new |= rows[low.bit_length() - 1]
-            m ^= low
-        new &= mask
-        if new == reach:
-            return reach == mask
-        reach = new
 
 
 def _apply_perm_to_set(perm: Sequence[int], bits: int) -> int:
@@ -90,6 +75,7 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
     """Accepted one-vertex extensions with their automorphism generators."""
     m = len(rows)
+    full = (1 << (m + 1)) - 1
     for s in _attachment_reps(m, gens):
         child = [r | (((s >> i) & 1) << m) for i, r in enumerate(rows)]
         child.append(s)
@@ -98,16 +84,18 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
         vstar = -1
         for p in range(m, -1, -1):
             v = res.order[p]
-            if _connected_without(child, m + 1, v):
+            rest = full & ~(1 << v)  # v is no cut vertex when rest stays connected
+            if _kernels.reach(child, rest & -rest, rest) == rest:
                 vstar = v
                 break
         if orbit[vstar] == orbit[m]:
             yield tuple(child), res.generators
 
 
-def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[int, ...]]:
+def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[tuple[int, ...], Sequence]]:
+    """The order-n nodes below (rows, gens), with their automorphism generators."""
     if len(rows) == n:
-        yield rows
+        yield rows, gens
         return
     for child, child_gens in _children(rows, gens):
         yield from _walk(child, child_gens, n)
@@ -119,7 +107,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     Deterministic order; n up to ``ENUM_CAP``.
     """
     _check_cap(n)
-    for rows in _walk((0,), [], n):
+    for rows, _ in _walk((0,), [], n):
         yield Graph(n, rows, _validate=False)
 
 
@@ -174,45 +162,33 @@ class SurveyTable:
         return table
 
 
-def _pair_of_rows(rows: Sequence[int]) -> tuple[int, int | float]:
-    d, d2 = _kernels.diameter_pair(rows)
-    return d, (math.inf if d2 < 0 else d2)
-
-
-def _survey_subtree(args) -> dict[tuple[int, int | float], int]:
-    rows, gens, n = args
+def _survey_subtree(n: int, root) -> dict[tuple[int, int | float], int]:
+    """(diam G, diam G2) counts over the order-n graphs below one ``(rows, gens)`` root."""
     cells: dict[tuple[int, int | float], int] = {}
-    for final in _walk(rows, gens, n):
-        d, d2 = _pair_of_rows(final)
-        cells[(d, d2)] = cells.get((d, d2), 0) + 1
+    for rows, _ in _walk(*root, n):
+        d, d2 = _kernels.diameter_pair(rows)
+        key = (d, math.inf if d2 < 0 else d2)
+        cells[key] = cells.get(key, 0) + 1
     return cells
 
 
 def survey(n: int, jobs: int = 1) -> SurveyTable:
     """Joint (diam G, diam G2) census over connected graphs on n vertices.
 
-    ``jobs > 1`` fans subtrees out to worker processes; the merged table
-    is identical to the single-process one.
+    The census is a sum over the subtrees below the augmentation tree's
+    nodes at order max(1, n - 2).  ``jobs`` processes count them: the
+    subtrees are counted here when it is 1, and fanned out to worker
+    processes otherwise; the table is the same either way.
     """
     _check_cap(n)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"job count must be a positive integer, got {jobs!r}")
     table = SurveyTable(n)
-    split = n - 2
-    if jobs <= 1 or split < 2:
-        for rows in _walk((0,), [], n):
-            d, d2 = _pair_of_rows(rows)
-            table.add(d, d2)
-        return table
-    parents = []
-    stack = [((0,), [])]
-    while stack:
-        rows, gens = stack.pop()
-        if len(rows) == split:
-            parents.append((rows, gens, n))
-            continue
-        for child, child_gens in _children(rows, gens):
-            stack.append((child, child_gens))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cells in pool.map(_survey_subtree, parents, chunksize=8):
-            for (d, d2), count in cells.items():
-                table.add(d, d2, count)
+    roots = _walk((0,), [], max(1, n - 2))
+    count = partial(_survey_subtree, n)
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=8)
+        for cells in parts:
+            for (d, d2), c in cells.items():
+                table.add(d, d2, c)
     return table

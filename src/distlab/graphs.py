@@ -184,25 +184,14 @@ def k_distance(g: Graph, k: int, dist: Sequence[Sequence[int]] | None = None) ->
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex partition into components, each sorted, ordered by least vertex."""
-    rows = g.rows()
+    full = (1 << g.n) - 1
     seen = 0
     comps = []
     for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        reach = 1 << s
-        while True:
-            new = reach
-            m = reach
-            while m:
-                low = m & -m
-                new |= rows[low.bit_length() - 1]
-                m ^= low
-            if new == reach:
-                break
-            reach = new
-        seen |= reach
-        comps.append(bitset_to_vertices(reach))
+        if not (seen >> s) & 1:
+            comp = _kernels.reach(g.adj, 1 << s, full)
+            seen |= comp
+            comps.append(bitset_to_vertices(comp))
     return comps
 
 

@@ -66,13 +66,14 @@ def emit_dimacs(formula: CnfFormula) -> str:
 def parse_dimacs(text: str) -> CnfFormula:
     """Strict-enough DIMACS reader; clauses may span lines, comments skipped.
 
-    Any clause a solver accepts is read, and the formula keeps the file's
-    models: a tautology holds under every assignment and is dropped, and
-    an empty clause holds under none and becomes the contradictory units
-    1 and -1 (raising a zero variable count to 1).  The declared clause
-    count is checked against the clauses read, dropped ones included.
+    A SATLIB ``%`` line ends the clause list, and an error on a line
+    names the line.  Any clause a solver accepts is read, and the formula
+    keeps the file's models: a tautology holds under every assignment and
+    is dropped, and an empty clause holds under none and becomes the
+    contradictory units 1 and -1 (raising a zero variable count to 1).
+    The declared clause count is checked against the clauses read,
+    dropped ones included.
     """
-    var_count = None
     declared = None
     formula = None
     read = 0
@@ -81,31 +82,35 @@ def parse_dimacs(text: str) -> CnfFormula:
         s = raw.strip()
         if not s or s.startswith("c"):
             continue
-        if s.startswith("p"):
-            if var_count is not None:
-                raise ValueError(f"line {lineno}: duplicate problem line")
-            parts = s.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed problem line {s!r}")
-            var_count, declared = int(parts[2]), int(parts[3])
-            formula = CnfFormula(var_count)
-            continue
-        if formula is None:
-            raise ValueError(f"line {lineno}: clause before problem line")
-        for tok in s.split():
-            lit = int(tok)
-            if lit != 0:
-                pending.append(lit)
+        if s.startswith("%"):  # SATLIB trailer: the clause list ends here
+            break
+        try:
+            if s.startswith("p"):
+                if formula is not None:
+                    raise ValueError("duplicate problem line")
+                parts = s.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ValueError(f"malformed problem line {s!r}")
+                formula, declared = CnfFormula(int(parts[2])), int(parts[3])
                 continue
-            read += 1
-            if not pending:
-                formula.var_count = max(formula.var_count, 1)
-                formula.extend([[1], [-1]])
-            elif set(pending).isdisjoint(-x for x in pending):
-                formula.add(pending)
-            elif max(map(abs, pending)) > formula.var_count:
-                raise ValueError(f"clause {pending} exceeds var count {formula.var_count}")
-            pending = []
+            if formula is None:
+                raise ValueError("clause before problem line")
+            for tok in s.split():
+                lit = int(tok)
+                if lit != 0:
+                    pending.append(lit)
+                    continue
+                read += 1
+                if not pending:
+                    formula.var_count = max(formula.var_count, 1)
+                    formula.extend([[1], [-1]])
+                elif set(pending).isdisjoint(-x for x in pending):
+                    formula.add(pending)
+                elif max(map(abs, pending)) > formula.var_count:
+                    raise ValueError(f"clause {pending} exceeds var count {formula.var_count}")
+                pending = []
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if formula is None:
         raise ValueError("missing problem line")
     if pending:

@@ -312,6 +312,11 @@ def test_convert_rejects_malformed_edge_blocks(monkeypatch, capsys):
     capsys.readouterr()
     _feed(monkeypatch, io.StringIO("3 2\n0 1\n").read())
     assert main(["convert", "--source", "edges", "--to", "graph6"]) == 2
+    capsys.readouterr()
+    _feed(monkeypatch, "3 -1\n")
+    assert main(["convert", "--source", "edges", "--to", "graph6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: line 1: negative edge count" in err
 
 
 def test_bad_graph6_input_is_a_usage_error(monkeypatch, capsys):
@@ -341,7 +346,10 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2),
     (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2),
-], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "survey-n-0"])
+    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2),
+    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2),
+], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "survey-n-0",
+        "survey-threads-0", "survey-threads-negative"])
 def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
     """A huge budget is no budget; a bad value is an ``error:`` line and exit
     2, never a traceback."""

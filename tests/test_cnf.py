@@ -87,9 +87,28 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(ValueError):
-        parse_dimacs("p cnf 2 1\n1 x 0\n")
-    with pytest.raises(ValueError):
         parse_dimacs("p cnf -2 0\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("p cnf 2 1\n1 x 0\n", 2),
+    ("c note\np cnf 2 1\n1\n3 0\n", 4),
+    ("p cnf 2 1\n1 -1 3 0\n", 2),
+    ("p cnf x 1\n", 1),
+    ("p dnf 2 1\n", 1),
+    ("p cnf 2 1\np cnf 2 1\n", 2),
+    ("c note\n1 2 0\n", 2),
+])
+def test_parse_errors_name_their_line(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        parse_dimacs(text)
+
+
+def test_parse_stops_at_the_satlib_trailer():
+    f = parse_dimacs("p cnf 2 1\n1 2 0\n%\n0\n\n")
+    assert (f.var_count, f.clauses) == (2, [[1, 2]])
+    with pytest.raises(ValueError, match="unterminated clause"):
+        parse_dimacs("p cnf 2 1\n1 2\n%\n0\n")
 
 
 def test_random_round_trips():

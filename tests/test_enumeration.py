@@ -96,10 +96,18 @@ def test_survey_cells_match_brute_force(n):
 
 
 def test_survey_parallel_merge_is_identical():
-    serial = survey(7)
-    fanned = survey(7, jobs=2)
-    assert fanned.n == serial.n
-    assert fanned.cells == serial.cells
+    for n in range(1, 8):
+        serial = survey(n)
+        fanned = survey(n, jobs=2)
+        assert fanned.n == serial.n
+        assert fanned.cells == serial.cells
+        assert serial.total() == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_survey_refuses_a_job_count_below_one(jobs):
+    with pytest.raises(ValueError, match="job count"):
+        survey(5, jobs=jobs)
 
 
 def test_survey_table_accessors():

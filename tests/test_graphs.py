@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from distlab.graphs import (
@@ -137,6 +138,16 @@ def test_components_ordering_and_connectivity():
     assert not is_connected(g)
     assert is_connected(cycle_graph(4))
     assert is_connected(path_graph(1))
+
+
+def test_components_match_networkx_on_the_atlas():
+    graphs = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    assert len(graphs) == 1252  # every graph on 1..7 vertices
+    for h in graphs:
+        g = from_edge_list(h.number_of_nodes(), h.edges())
+        want = sorted(sorted(c) for c in nx.connected_components(h))
+        assert connected_components(g) == want
+        assert is_connected(g) == nx.is_connected(h)
 
 
 def test_bitset_round_trip():

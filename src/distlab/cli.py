@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import bounds, graph6
 from .enumeration import ENUM_CAP, survey
@@ -196,30 +196,42 @@ def cmd_convert(args) -> int:
 
 
 def _parse_edge_lists(fh: TextIO) -> Iterable[Graph]:
-    """Blocks of ``n m`` then m ``u v`` lines, blank line between graphs."""
+    """Blocks of ``n m`` then m ``u v`` lines, blank line between graphs.
+
+    Every error names the line it is on.
+    """
     lines = [ln.strip() for ln in fh]
     pos = 0
+
+    def edges(m: int) -> Iterator[tuple[int, int]]:
+        # pos follows the edge being read, so an edge that from_edge_list
+        # refuses is reported on its own line
+        nonlocal pos
+        for _ in range(m):
+            pos += 1
+            if pos >= len(lines) or not lines[pos]:
+                raise ValueError("truncated edge block")
+            parts = lines[pos].split()
+            if len(parts) != 2:
+                raise ValueError("expected 'u v' edge")
+            yield int(parts[0]), int(parts[1])
+
     while pos < len(lines):
         if not lines[pos]:
             pos += 1
             continue
-        head = lines[pos].split()
-        if len(head) != 2:
-            raise ValueError(f"line {pos + 1}: expected 'n m' header")
-        n, m = int(head[0]), int(head[1])
-        if m < 0:
-            raise ValueError(f"line {pos + 1}: negative edge count {m}")
+        try:
+            head = lines[pos].split()
+            if len(head) != 2:
+                raise ValueError("expected 'n m' header")
+            n, m = int(head[0]), int(head[1])
+            if m < 0:
+                raise ValueError(f"negative edge count {m}")
+            g = from_edge_list(n, edges(m))
+        except ValueError as exc:
+            raise ValueError(f"line {pos + 1}: {exc}") from None
         pos += 1
-        edges = []
-        for _ in range(m):
-            if pos >= len(lines) or not lines[pos]:
-                raise ValueError(f"line {pos + 1}: truncated edge block")
-            parts = lines[pos].split()
-            if len(parts) != 2:
-                raise ValueError(f"line {pos + 1}: expected 'u v' edge")
-            edges.append((int(parts[0]), int(parts[1])))
-            pos += 1
-        yield from_edge_list(n, edges)
+        yield g
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
-                   help=f"vertex count, at most {ENUM_CAP} (n = {ENUM_CAP} takes hours)")
+                   help=f"vertex count, at most {ENUM_CAP} (n = {ENUM_CAP} takes about an hour)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.add_argument("--threads", type=int, default=1,

@@ -7,6 +7,13 @@ the canonical non-cut vertex of highest canonical position.  Each
 isomorphism class is produced exactly once, memory stays flat, and the
 stream order is deterministic.
 
+A degree test comes before canonization, as in McKay's geng.  The
+canonical order never decreases in degree (``canon.refine`` splits by
+degree first and every later split keeps cell order), so the last
+non-cut vertex has the largest degree of any non-cut vertex.  The new
+vertex is never a cut vertex, so a child in which some non-cut vertex
+has a larger degree than the new one is rejected without canonizing it.
+
 The survey pairs each enumerated graph with (diam G, diam G2) where G2
 joins vertices at distance exactly 2.  It lists the nodes of the
 augmentation tree at order max(1, n - 2), counts the pairs of each
@@ -27,9 +34,10 @@ from . import _kernels
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# At the census's measured 1,985 graphs/s (n <= 8, one core), n = 10
-# (11,716,571 classes) takes at least 1.6 h, n = 11 at least 5.9 days and
-# n = 12 at least 2.6 years.
+# At the census's measured 4,923 graphs/s (n <= 8, one core, in the
+# benchmark's scaled seconds; about 3,300 in raw wall time on a 2-core VM),
+# n = 10 (11,716,571 classes) takes at least 0.66 h, n = 11 at least
+# 2.4 days and n = 12 at least 1.1 years.
 ENUM_CAP = 10
 
 
@@ -72,6 +80,11 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
         yield s
 
 
+def _is_cut(rows: Sequence[int], v: int, full: int) -> bool:
+    rest = full & ~(1 << v)  # v is no cut vertex when rest stays connected
+    return _kernels.reach(rows, rest & -rest, rest) != rest
+
+
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
     """Accepted one-vertex extensions with their automorphism generators."""
     m = len(rows)
@@ -79,15 +92,12 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
     for s in _attachment_reps(m, gens):
         child = [r | (((s >> i) & 1) << m) for i, r in enumerate(rows)]
         child.append(s)
+        deg = s.bit_count()
+        if any(child[u].bit_count() > deg and not _is_cut(child, u, full) for u in range(m)):
+            continue  # v* would have that larger degree, so m cannot share its orbit
         res = canonical_labeling_rows(child, m + 1)
         orbit = orbits_from_generators(res.generators, m + 1)
-        vstar = -1
-        for p in range(m, -1, -1):
-            v = res.order[p]
-            rest = full & ~(1 << v)  # v is no cut vertex when rest stays connected
-            if _kernels.reach(child, rest & -rest, rest) == rest:
-                vstar = v
-                break
+        vstar = next(v for v in reversed(res.order) if not _is_cut(child, v, full))
         if orbit[vstar] == orbit[m]:
             yield tuple(child), res.generators
 

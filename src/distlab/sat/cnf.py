@@ -69,14 +69,16 @@ def parse_dimacs(text: str) -> CnfFormula:
     A SATLIB ``%`` line ends the clause list, and an error on a line
     names the line.  Any clause a solver accepts is read, and the formula
     keeps the file's models: a tautology holds under every assignment and
-    is dropped, and an empty clause holds under none and becomes the
-    contradictory units 1 and -1 (raising a zero variable count to 1).
+    is dropped, and an empty clause holds under none: the formula ends
+    with the contradictory units 1 and -1 (raising a zero variable count
+    to 1 only after every literal was checked against the declared one).
     The declared clause count is checked against the clauses read,
     dropped ones included.
     """
     declared = None
     formula = None
     read = 0
+    empty = False
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -102,8 +104,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                     continue
                 read += 1
                 if not pending:
-                    formula.var_count = max(formula.var_count, 1)
-                    formula.extend([[1], [-1]])
+                    empty = True
                 elif set(pending).isdisjoint(-x for x in pending):
                     formula.add(pending)
                 elif max(map(abs, pending)) > formula.var_count:
@@ -117,6 +118,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError("unterminated clause at end of input")
     if read != declared:
         raise ValueError(f"declared {declared} clauses, found {read}")
+    if empty:
+        formula.var_count = max(formula.var_count, 1)
+        formula.extend([[1], [-1]])
     return formula
 
 

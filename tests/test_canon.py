@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import networkx as nx
+
 from distlab.canon import (
     are_isomorphic,
     canonical_form,
@@ -150,3 +152,17 @@ def test_known_group_orders():
     assert _closure_size(
         canonical_labeling_rows(path_graph(3).rows(), 3).generators, 3
     ) == 2
+
+
+def test_canonical_order_never_decreases_in_degree():
+    """The enumeration's degree test rests on this: it makes the last
+    non-cut vertex in canonical order one of largest non-cut degree."""
+    graphs = [from_edge_list(h.number_of_nodes(), h.edges())
+              for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    rng = random.Random(71)
+    for n in range(8, 13):
+        graphs += [random_graph(rng, n, rng.random()) for _ in range(40)]
+    for g in graphs:
+        rows = g.rows()
+        degrees = [rows[v].bit_count() for v in canonical_labeling_rows(rows, g.n).order]
+        assert degrees == sorted(degrees)

@@ -319,6 +319,24 @@ def test_convert_rejects_malformed_edge_blocks(monkeypatch, capsys):
     assert out == "" and "error: line 1: negative edge count" in err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("3 x\n", 1),
+    ("x 1\n", 1),
+    ("70 0\n", 1),
+    ("3 1\n0 7\n", 2),
+    ("3 1\n1 1\n", 2),
+    ("3 1\n0 y\n", 2),
+    ("3 2\n0 1\n", 3),
+    ("3 1\n0 1\n\n4 2\n0 1\n1 4\n", 6),
+], ids=["bad-count", "bad-order", "order-65-plus", "edge-out-of-range", "self-loop",
+        "bad-endpoint", "truncated", "second-block"])
+def test_edge_block_errors_name_their_line(monkeypatch, capsys, text, lineno):
+    _feed(monkeypatch, text)
+    assert main(["convert", "--source", "edges", "--to", "graph6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: line {lineno}: ")
+
+
 def test_bad_graph6_input_is_a_usage_error(monkeypatch, capsys):
     _feed(monkeypatch, "D" + chr(20) + "\n")
     assert main(["diam"]) == 2

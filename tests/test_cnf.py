@@ -98,6 +98,8 @@ def test_parse_rejects_malformed_input():
     ("p dnf 2 1\n", 1),
     ("p cnf 2 1\np cnf 2 1\n", 2),
     ("c note\n1 2 0\n", 2),
+    ("p cnf 0 2\n0\n1 0\n", 3),
+    ("p cnf 0 2\n0\n1 -1 0\n", 3),
 ])
 def test_parse_errors_name_their_line(text, lineno):
     with pytest.raises(ValueError, match=f"^line {lineno}: "):

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from distlab.canon import canonical_form
+from distlab.canon import canonical_form, canonical_labeling_rows, orbits_from_generators
 from distlab.enumeration import (
     ENUM_CAP,
     SurveyTable,
+    _attachment_reps,
+    _children,
     enumerate_connected,
     survey,
 )
@@ -38,6 +40,48 @@ def test_output_is_connected_and_isomorph_free():
             assert is_connected(g)
             forms.add(canonical_form(g))
         assert len(forms) == CLASS_COUNTS[n]
+
+
+def _connected_without(rows, v):
+    rest = [u for u in range(len(rows)) if u != v]
+    seen = {rest[0]} if rest else set()
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for w in rest:
+            if w not in seen and rows[u] >> w & 1:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(rest)
+
+
+def _children_by_canonizing_all(rows, gens):
+    """The acceptance rule without the degree test: canonize every
+    attachment representative and keep those whose new vertex shares an
+    orbit with the last non-cut vertex in canonical order."""
+    m = len(rows)
+    out = []
+    for s in _attachment_reps(m, gens):
+        child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
+        res = canonical_labeling_rows(child, m + 1)
+        orbit = orbits_from_generators(res.generators, m + 1)
+        vstar = [v for v in res.order if _connected_without(child, v)][-1]
+        if orbit[vstar] == orbit[m]:
+            out.append((tuple(child), res.generators))
+    return out
+
+
+def test_degree_test_accepts_what_canonizing_every_child_accepts():
+    nodes = [((0,), [])]
+    seen = 0
+    while nodes:
+        rows, gens = nodes.pop()
+        seen += 1
+        got = list(_children(rows, gens))
+        assert got == _children_by_canonizing_all(rows, gens)
+        if len(rows) < 6:
+            nodes += got
+    assert seen == sum(CLASS_COUNTS[n] for n in range(1, 7))
 
 
 def test_enumeration_is_deterministic():

@@ -2,11 +2,12 @@
 
 The canonical form of a graph is the lexicographically smallest packed
 upper-triangle adjacency code over all relabelings reachable from an
-equitable ordered partition.  The branch-and-bound individualizes one
-vertex of the first smallest non-singleton cell at a time and prunes
-siblings that discovered automorphisms already map onto tried choices,
-so the generators collected along the way generate the full
-automorphism group.  Everything works on plain-int bitset rows.
+equitable ordered partition, refined with a stack of splitter cells
+(McKay 1981).  The branch-and-bound individualizes one vertex of the
+first smallest non-singleton cell at a time, refines by that vertex
+alone, and prunes siblings that discovered automorphisms already map
+onto tried choices, so the generators collected along the way generate
+the full automorphism group.  Everything works on plain-int bitset rows.
 """
 from __future__ import annotations
 
@@ -23,40 +24,36 @@ class CanonResult:
     generators: list[tuple[int, ...]]  # automorphism generators (vertex maps)
 
 
-def refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbor counts into every cell.
+def refine(rows: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Split ``cells`` until it is equitable, one splitter at a time.
 
-    Cell order is deterministic (sub-cells sorted by count key), so the
-    refinement commutes with relabeling and is safe for canonization.
+    ``splitters`` are bitsets that cover what changed since ``cells`` was
+    last equitable: the root passes the whole vertex set, a search node
+    only the vertex it split off a cell of its equitable parent.  Each
+    popped splitter w splits every cell by the count
+    ``(rows[v] & w).bit_count()``; a cell's sub-cells take its place in
+    increasing count, and each new sub-cell is pushed as a splitter.  The
+    result depends only on cell positions and counts, never on vertex
+    labels, so it commutes with relabeling (the search sorts each cell it
+    branches on).
     """
-    cells = [list(c) for c in cells]
-    while True:
-        masks = []
-        for c in cells:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
+    stack = list(splitters)
+    while stack:
+        w = stack.pop()
         new_cells: list[list[int]] = []
-        changed = False
         for c in cells:
-            if len(c) == 1:
+            buckets: dict[int, list[int]] = {}
+            if len(c) > 1:
+                for v in c:
+                    buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
+            if len(buckets) < 2:
                 new_cells.append(c)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for v in c:
-                rv = rows[v]
-                key = tuple((rv & m).bit_count() for m in masks)
-                buckets.setdefault(key, []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(c)
-            else:
-                changed = True
-                for key in sorted(buckets):
-                    new_cells.append(buckets[key])
+            for key in sorted(buckets):
+                new_cells.append(buckets[key])
+                stack.append(sum(1 << v for v in buckets[key]))
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 def _code_for_order(rows: Sequence[int], order: list[int]) -> int:
@@ -79,8 +76,7 @@ class _Search:
         self.generators: list[tuple[int, ...]] = []
         self.prefix: list[int] = []
 
-    def run(self, cells):
-        cells = refine(self.rows, cells)
+    def run(self, cells):  # cells is equitable
         target = -1
         best_len = 0
         for idx, c in enumerate(cells):
@@ -111,7 +107,7 @@ class _Search:
                 + cells[target + 1:]
             )
             self.prefix.append(v)
-            self.run(child)
+            self.run(refine(self.rows, child, [1 << v]))
             self.prefix.pop()
             tried.append(v)
 
@@ -130,7 +126,7 @@ class _Search:
 def canonical_labeling_rows(rows: Sequence[int], n: int) -> CanonResult:
     """Canonical order, code and automorphism generators for bitset rows."""
     search = _Search(list(rows), n)
-    search.run([list(range(n))])
+    search.run(refine(search.rows, [list(range(n))] if n else [], [(1 << n) - 1]))
     assert search.best_order is not None
     return CanonResult(search.best_code, search.best_order, search.generators)
 

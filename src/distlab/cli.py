@@ -23,7 +23,7 @@ from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
-from .sat.encode import build_formula
+from .sat.encode import build_formula, geodesic_length
 from .sat.external import SolverError
 from .sat.search import (
     BudgetExhausted,
@@ -54,16 +54,20 @@ def _write_atomic(path: str, content: str) -> None:
         sys.stdout.write(content)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".distlab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".distlab-")
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):  # name the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -134,13 +138,18 @@ def cmd_sat_search(args) -> int:
         solver=solver or None,
     )
     if args.emit_cnf:
-        vm, formula = build_formula(params, cap_levels(params)[0])
-        _write_atomic(args.emit_cnf, emit_dimacs(formula))
-        _write_atomic(args.emit_cnf + ".vars", vm.sidecar())
-        print(f"emitted {formula.clause_count} clauses over {formula.var_count} "
-              f"variables to {args.emit_cnf}", file=sys.stderr)
+        solved = [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
+        if solved:
+            vm, formula = build_formula(params, solved[0])
+            _write_atomic(args.emit_cnf, emit_dimacs(formula))
+            _write_atomic(args.emit_cnf + ".vars", vm.sidecar())
+            print(f"emitted {formula.clause_count} clauses over {formula.var_count} "
+                  f"variables to {args.emit_cnf}", file=sys.stderr)
+        else:
+            print(f"no formula emitted: the G2 geodesic of every cap level does "
+                  f"not fit in n={params.n}, so no level is solved", file=sys.stderr)
         if args.emit_only:
-            return EXIT_OK
+            return EXIT_OK if solved else EXIT_NEGATIVE
     outcome = search(params)
     meta = {
         "n": params.n,
@@ -285,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external DIMACS solver command (default: $DISTLAB_SOLVER, "
                         "else the built-in DPLL)")
     p.add_argument("--emit-cnf", default=None,
-                   help="write the DIMACS formula of the first solve call here, "
+                   help="write the DIMACS formula of the first solve call here "
+                        "(nothing when no level is solved), "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
                         "lines; besides a (i j) and b (i j), kind t (i j k) "
                         "says j joins the non-adjacent i and k, far (i k) "

@@ -8,11 +8,13 @@ isomorphism class is produced exactly once, memory stays flat, and the
 stream order is deterministic.
 
 A degree test comes before canonization, as in McKay's geng.  The
-canonical order never decreases in degree (``canon.refine`` splits by
-degree first and every later split keeps cell order), so the last
-non-cut vertex has the largest degree of any non-cut vertex.  The new
-vertex is never a cut vertex, so a child in which some non-cut vertex
-has a larger degree than the new one is rejected without canonizing it.
+canonical order never decreases in degree: the root's one refinement
+splitter is the whole vertex set, so ``canon.refine`` first splits by
+degree, and every later split and individualization keeps cell order.
+So the last non-cut vertex has the largest degree of any non-cut
+vertex.  The new vertex is never a cut vertex, so a child in which some
+non-cut vertex has a larger degree than the new one is rejected without
+canonizing it.
 
 The survey pairs each enumerated graph with (diam G, diam G2) where G2
 joins vertices at distance exactly 2.  It lists the nodes of the
@@ -24,6 +26,7 @@ infinite G2 diameters are kept under ``inf``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -34,10 +37,10 @@ from . import _kernels
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# At the census's measured 4,923 graphs/s (n <= 8, one core, in the
-# benchmark's scaled seconds; about 3,300 in raw wall time on a 2-core VM),
-# n = 10 (11,716,571 classes) takes at least 0.66 h, n = 11 at least
-# 2.4 days and n = 12 at least 1.1 years.
+# At the census's measured 5,662 graphs/s (n <= 8, one core, in the
+# benchmark's scaled seconds; about 3,500 in raw wall time on a 2-core VM),
+# n = 10 (11,716,571 classes) takes at least 0.57 h, n = 11 at least
+# 2.1 days and n = 12 at least 0.9 years.
 ENUM_CAP = 10
 
 
@@ -182,13 +185,21 @@ def _survey_subtree(n: int, root) -> dict[tuple[int, int | float], int]:
     return cells
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def survey(n: int, jobs: int = 1) -> SurveyTable:
     """Joint (diam G, diam G2) census over connected graphs on n vertices.
 
     The census is a sum over the subtrees below the augmentation tree's
     nodes at order max(1, n - 2).  ``jobs`` processes count them: the
     subtrees are counted here when it is 1, and fanned out to worker
-    processes otherwise; the table is the same either way.
+    processes otherwise, at most one per usable CPU (a pool starts all
+    its workers at once); the table is the same either way.
     """
     _check_cap(n)
     if not isinstance(jobs, int) or jobs < 1:
@@ -196,7 +207,7 @@ def survey(n: int, jobs: int = 1) -> SurveyTable:
     table = SurveyTable(n)
     roots = _walk((0,), [], max(1, n - 2))
     count = partial(_survey_subtree, n)
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(min(jobs, _usable_cpus())) if jobs > 1 else nullcontext() as pool:
         parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=8)
         for cells in parts:
             for (d, d2), c in cells.items():

@@ -9,6 +9,7 @@ from distlab.canon import (
     canonical_form_rows,
     canonical_labeling_rows,
     orbits_from_generators,
+    refine,
     relabel_rows,
 )
 from distlab.graphs import (
@@ -20,7 +21,7 @@ from distlab.graphs import (
 )
 
 import brute
-from util import brute_isomorphic, brute_orbits, random_graph, relabeled
+from util import brute_isomorphic, brute_orbits, random_graph, reference_refine, relabeled
 
 
 def _graph_from_mask(n, mask):
@@ -166,3 +167,53 @@ def test_canonical_order_never_decreases_in_degree():
         rows = g.rows()
         degrees = [rows[v].bit_count() for v in canonical_labeling_rows(rows, g.n).order]
         assert degrees == sorted(degrees)
+
+
+def _atlas_and_random_graphs():
+    """Every atlas graph (1 <= n <= 7) and 40 random graphs each for n = 8..12."""
+    graphs = [from_edge_list(h.number_of_nodes(), h.edges())
+              for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    rng = random.Random(73)
+    for n in range(8, 13):
+        graphs += [random_graph(rng, n, rng.random()) for _ in range(40)]
+    return graphs
+
+
+def _refinement_inputs(rows, n):
+    """The root's (cells, splitters), then one child per vertex of each
+    non-singleton root cell, individualized as the search does it."""
+    root = [list(range(n))], [(1 << n) - 1]
+    yield root
+    cells = refine(rows, *root)
+    for i, c in enumerate(cells):
+        if len(c) > 1:
+            for v in c:
+                yield cells[:i] + [[v], [u for u in c if u != v]] + cells[i + 1:], [1 << v]
+
+
+def _is_equitable(rows, cells):
+    masks = [sum(1 << v for v in c) for c in cells]
+    return all(len({(rows[v] & m).bit_count() for v in c}) == 1 for c in cells for m in masks)
+
+
+def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
+    rng = random.Random(79)
+    checked = 0
+    for g in _atlas_and_random_graphs():
+        rows, n = g.rows(), g.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = relabel_rows(rows, perm)
+        for cells, splitters in _refinement_inputs(rows, n):
+            got = refine(rows, cells, splitters)
+            want = reference_refine(rows, cells)
+            assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
+            assert _is_equitable(rows, got)
+            images = refine(
+                moved,
+                [sorted(perm[v] for v in c) for c in cells],
+                [sum(1 << perm[v] for v in range(n) if w >> v & 1) for w in splitters],
+            )
+            assert [{perm[v] for v in c} for c in got] == [set(c) for c in images]
+            checked += 1
+    assert checked > 5000  # about 1,450 roots, the rest children

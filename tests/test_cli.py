@@ -204,15 +204,32 @@ def test_sat_search_emit_only(tmp_path, capsys):
 
 
 def test_sat_search_emit_cnf_refuses_a_geodesic_that_does_not_fit(tmp_path, capsys):
-    # n = 5 at cap 3 would pin a G2 geodesic of length 5
+    # n = 5 at cap 3 would pin a G2 geodesic of length 5, so the search solves
+    # no level; the emit ends as the search does
     cnf_path = tmp_path / "search.cnf"
     rc = main([
         "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "2",
         "--emit-cnf", str(cnf_path), "--emit-only",
     ])
-    assert rc == 2
+    assert rc == 1
     assert "does not fit" in capsys.readouterr().err
     assert not cnf_path.exists()
+
+
+@pytest.mark.parametrize("emit_only", [[], ["--emit-only"]], ids=["then-search", "emit-only"])
+def test_sat_search_emit_cnf_without_a_solved_level_ends_as_the_search_does(
+    tmp_path, capsys, emit_only
+):
+    argv = ["sat-search", "--n", "5", "--p2-len", "3", "--min-d2", "3"]
+    assert main(argv) == 1
+    assert _meta(capsys.readouterr().err)["status"] == "unsat"
+    cnf_path = tmp_path / "search.cnf"
+    assert main(argv + ["--emit-cnf", str(cnf_path)] + emit_only) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no formula emitted" in captured.err
+    assert ("status=unsat" in captured.err) == (not emit_only)
+    assert not cnf_path.exists() and not (tmp_path / "search.cnf.vars").exists()
 
 
 def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
@@ -346,6 +363,15 @@ def test_bad_graph6_input_is_a_usage_error(monkeypatch, capsys):
 def test_missing_input_file(capsys):
     assert main(["diam", "--input", "/no/such/file.g6"]) == 2
     assert "io error" in capsys.readouterr().err
+
+
+def test_write_error_names_the_requested_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["survey", "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error:")
+    assert str(out) in err
+    assert ".distlab-" not in err
 
 
 def test_unknown_subcommand_exits_two():

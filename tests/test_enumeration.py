@@ -1,9 +1,11 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
 
+import distlab.enumeration
 from distlab.canon import canonical_form, canonical_labeling_rows, orbits_from_generators
 from distlab.enumeration import (
     ENUM_CAP,
@@ -146,6 +148,45 @@ def test_survey_parallel_merge_is_identical():
         assert fanned.n == serial.n
         assert fanned.cells == serial.cells
         assert serial.total() == CLASS_COUNTS[n]
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs, workers", [
+    ({0, 1}, 64, 500, 2),
+    ({0, 1, 2, 3}, 4, 2, 2),
+    ({5}, 8, 3, 1),
+    (None, 3, 500, 3),
+    (None, None, 500, 1),
+], ids=["affinity-caps", "jobs-below-cpus", "one-usable-cpu", "no-affinity", "cpus-unknown"])
+def test_survey_pool_never_outnumbers_the_usable_cpus(
+    monkeypatch, affinity, cpu_count, jobs, workers
+):
+    monkeypatch.setattr(distlab.enumeration, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert survey(5, jobs=jobs).cells == survey(5).cells
+    assert _SerialPool.sizes == [workers]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

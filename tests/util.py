@@ -111,3 +111,22 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return from_edge_list(n, edges)
+
+
+def reference_refine(rows, cells):
+    """Equitable refinement by whole passes: every pass splits each cell by
+    a vertex's tuple of neighbor counts into every cell, until no cell splits."""
+    cells = [list(c) for c in cells]
+    while True:
+        members = [set(c) for c in cells]
+        new_cells = []
+        for c in cells:
+            buckets = {}
+            for v in c:
+                nbrs = {u for u in range(len(rows)) if rows[v] >> u & 1}
+                key = tuple(len(nbrs & m) for m in members)
+                buckets.setdefault(key, []).append(v)
+            new_cells += [buckets[key] for key in sorted(buckets)]
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells

@@ -167,19 +167,14 @@ def diameter_pair(g: Graph) -> tuple[int | float, int | float]:
     return _inf(d), _inf(d2)
 
 
-def k_distance(g: Graph, k: int, dist: Sequence[Sequence[int]] | None = None) -> Graph:
+def k_distance(g: Graph, k: int) -> Graph:
     """Graph on the same vertices joining pairs at distance exactly ``k``.
 
-    ``k = 1`` reproduces ``g``; ``k >= 1`` required.  ``dist``, when
-    given, must be ``all_pairs_distances(g)``; it saves the BFS.
+    ``k = 1`` reproduces ``g``; ``k >= 1`` required.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if dist is None:
-        rows = _kernels.ring_rows(g.adj, k)
-    else:
-        rows = [sum(1 << j for j, x in enumerate(row) if x == k) for row in dist]
-    return Graph(g.n, rows, _validate=False)
+    return Graph(g.n, _kernels.ring_rows(g.adj, k), _validate=False)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

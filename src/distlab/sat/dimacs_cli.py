@@ -26,7 +26,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --budget-seconds must be a number, got nan", file=sys.stderr)
         return 2
     try:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                text = fh.read()
         formula = parse_dimacs(text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

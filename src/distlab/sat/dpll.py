@@ -11,7 +11,16 @@ checked them: non-empty, literals non-zero and within the variable count,
 no literal repeated and no tautology.  It checks nothing itself.
 
 Literals are encoded internally as ``var << 1 | sign`` with sign 1 for
-negative, the usual watched-literal trick for cheap negation by xor.
+negative, so ``lit ^ 1`` is the negation.  The assignment is one
+``bytearray`` indexed by encoded literal: ``true[lit]`` is set while
+``lit`` is true, and ``lit`` is false iff ``true[lit ^ 1]``.  Each
+decision is remembered by its position ``p`` on the trail, as in MiniSat
+(Eén & Sörensson, SAT 2003): its literal is ``trail[p]`` and everything
+from ``p`` on is implied by it.  Since the negative phase is tried first,
+a decision whose literal is positive has already been flipped.  A
+conflict pops the flipped decisions, unassigns the trail once from the
+deepest open decision's position, and enqueues that decision's negation
+there; the refuted prefix is ``trail[p] for p in decisions``.
 """
 from __future__ import annotations
 
@@ -21,10 +30,6 @@ from typing import Iterable, Sequence
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-_UNASSIGNED = 0
-_TRUE = 1
-_FALSE = 2
 
 
 class DpllSolver:
@@ -51,7 +56,7 @@ class DpllSolver:
     def solve(self, time_budget: float | None = None) -> tuple[str, dict[int, bool] | None]:
         """Returns (status, model); model maps every variable to a bool."""
         nv = self.var_count
-        assign = bytearray(nv + 1)
+        true = bytearray(2 * nv + 2)
         trail: list[int] = []
         qhead = 0
         deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -59,29 +64,12 @@ class DpllSolver:
         clauses = self.clauses
         stats = self.stats
 
-        def value(enc_lit: int) -> int:
-            a = assign[enc_lit >> 1]
-            if a == _UNASSIGNED:
-                return _UNASSIGNED
-            return _TRUE if (a == _TRUE) == (enc_lit & 1 == 0) else _FALSE
-
-        def enqueue(enc_lit: int) -> bool:
-            var = enc_lit >> 1
-            want = _FALSE if enc_lit & 1 else _TRUE
-            cur = assign[var]
-            if cur != _UNASSIGNED:
-                return cur == want
-            assign[var] = want
-            trail.append(enc_lit)
-            return True
-
         def propagate() -> bool:
             nonlocal qhead
             while qhead < len(trail):
-                p = trail[qhead]
+                falsified = trail[qhead] ^ 1
                 qhead += 1
                 stats["propagations"] += 1
-                falsified = p ^ 1
                 ws = watches[falsified]
                 kept: list[int] = []
                 wi = 0
@@ -93,65 +81,58 @@ class DpllSolver:
                     if cl[0] == falsified:
                         cl[0], cl[1] = cl[1], cl[0]
                     first = cl[0]
-                    v0 = value(first)
-                    if v0 == _TRUE:
+                    if true[first]:
                         kept.append(ci)
                         continue
-                    moved = False
                     for t in range(2, len(cl)):
-                        if value(cl[t]) != _FALSE:
+                        if not true[cl[t] ^ 1]:
                             cl[1], cl[t] = cl[t], cl[1]
                             watches[cl[1]].append(ci)
-                            moved = True
                             break
-                    if moved:
-                        continue
-                    kept.append(ci)
-                    if v0 == _FALSE:
-                        kept.extend(ws[wi:])
-                        watches[falsified] = kept
-                        return False
-                    enqueue(first)
+                    else:
+                        kept.append(ci)
+                        if true[first ^ 1]:
+                            kept.extend(ws[wi:])
+                            watches[falsified] = kept
+                            return False
+                        true[first] = 1
+                        trail.append(first)
                 watches[falsified] = kept
             return True
 
         for u in self.units:
-            if not enqueue(u):
+            if true[u ^ 1]:
                 return UNSAT, None
+            if not true[u]:
+                true[u] = 1
+                trail.append(u)
 
-        # decision stack entries: [enc_lit, flipped, trail_mark, var]
-        decisions: list[list[int]] = []
+        decisions: list[int] = []  # trail positions of the decision literals
         var = 1
         while True:
-            ok = propagate()
-            if not ok:
+            if not propagate():
                 stats["conflicts"] += 1
                 if deadline is not None and time.monotonic() > deadline:
                     return UNKNOWN, None
-                while decisions and decisions[-1][1]:
-                    mark = decisions.pop()[2]
-                    for enc_lit in trail[mark:]:
-                        assign[enc_lit >> 1] = _UNASSIGNED
-                    del trail[mark:]
+                while decisions and not trail[decisions[-1]] & 1:
+                    decisions.pop()
                 if not decisions:
                     return UNSAT, None
-                dec = decisions[-1]
-                mark = dec[2]
-                for enc_lit in trail[mark:]:
-                    assign[enc_lit >> 1] = _UNASSIGNED
-                del trail[mark:]
-                qhead = mark
-                dec[0] ^= 1
-                dec[1] = 1
-                var = dec[3]
-                enqueue(dec[0])
+                qhead = p = decisions[-1]
+                lit = trail[p] ^ 1
+                for q in trail[p:]:
+                    true[q] = 0
+                del trail[p:]
+                true[lit] = 1
+                trail.append(lit)
+                var = lit >> 1
                 continue
-            while var <= nv and assign[var] != _UNASSIGNED:
+            while var <= nv and (true[var << 1] or true[var << 1 | 1]):
                 var += 1
             if var > nv:
-                model = {v: assign[v] == _TRUE for v in range(1, nv + 1)}
-                return SAT, model
+                return SAT, {v: bool(true[v << 1]) for v in range(1, nv + 1)}
             stats["decisions"] += 1
-            enc_lit = (var << 1) | 1  # negative phase first
-            decisions.append([enc_lit, 0, len(trail), var])
-            enqueue(enc_lit)
+            decisions.append(len(trail))
+            lit = var << 1 | 1  # negative phase first
+            true[lit] = 1
+            trail.append(lit)

@@ -146,21 +146,18 @@ class EncodingMismatch(RuntimeError):
 
 
 def verify_witness(
-    g: Graph, params: SearchParams, *, dist=None
+    g: Graph, params: SearchParams
 ) -> tuple[bool, int | float, int | float, str]:
     """Exact BFS verdict on a candidate: (ok, d, d2, reason).
 
     Checks, independently of the encoding: diameter above 2 when
     demanded, the pinned path is a geodesic of the 2-distance graph, and
     the 2-distance diameter is finite and at least ``min_d2`` (when
-    ``min_d2 >= 1``).  ``dist``, when given, must be
-    ``all_pairs_distances(g)``; G2 is built from it, so the verdict runs
-    one BFS (on G2) instead of two.
+    ``min_d2 >= 1``).  It computes every distance itself, from ``g``.
     """
-    if dist is None:
-        dist = all_pairs_distances(g)
+    dist = all_pairs_distances(g)
     d = matrix_diameter(dist)
-    dist2 = all_pairs_distances(k_distance(g, 2, dist))
+    dist2 = all_pairs_distances(k_distance(g, 2))
     d2 = matrix_diameter(dist2)
     if params.forbid_diam_le_2 and not (math.isinf(d) or d > 2):
         return False, d, d2, f"diameter {d} is not above 2"
@@ -231,15 +228,14 @@ def search(params: SearchParams) -> SearchOutcome:
             g = decode_model(vm, model)
             claimed = model_b_edges(vm, model)
         with stats.phase("verify"):
-            dist = all_pairs_distances(g)
-            actual = {(i, j) for i, j in vm.pairs() if dist[i][j] == 2}
+            actual = set(k_distance(g, 2).edges())
             if claimed != actual:
                 raise EncodingMismatch(
                     f"b-variables disagree with distance-2 adjacency: "
                     f"claimed-only {sorted(claimed - actual)}, "
                     f"missing {sorted(actual - claimed)}"
                 )
-            ok, d, d2, reason = verify_witness(g, params, dist=dist)
+            ok, d, d2, reason = verify_witness(g, params)
         if not ok:
             raise EncodingMismatch(f"model at cap level {max_d} fails verification: {reason}")
         return Witness(g, d, d2, 0, calls, time.monotonic() - start, stats)

@@ -1,7 +1,11 @@
 import itertools
 import random
 
+import pytest
+
+from distlab.graph6 import emit
 from distlab.sat.dpll import SAT, UNKNOWN, UNSAT, DpllSolver
+from distlab.sat.search import SearchParams, Witness, search
 
 
 def _brute_sat(nvars, clauses):
@@ -118,3 +122,37 @@ def test_deterministic_models():
     clauses = _random_formula(rng, 9, 18)
     runs = [DpllSolver(9, clauses).solve() for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+# The exact search trace: any change to watch order, branching or backtracking
+# moves these counts, so a rewrite that keeps them runs the same search.
+@pytest.mark.parametrize(
+    "target, stats, witness",
+    [
+        ((9, 6, 6), (204, 127, 8_681), "H?_r?z?"),
+        ((13, 8, 8), (391, 145, 41_271), "L???p__@?[K?oC"),
+    ],
+)
+def test_family_targets_pin_the_search_trace(target, stats, witness):
+    out = search(SearchParams(*target))
+    assert isinstance(out, Witness)
+    assert out.stats.solver == dict(zip(("decisions", "conflicts", "propagations"), stats))
+    assert emit(out.graph) == witness
+
+
+def test_pigeonhole_pins_the_search_trace_across_solve_calls():
+    nvars, clauses = _pigeonhole(5, 4)
+    solver = DpllSolver(nvars, clauses)
+    assert solver.solve()[0] == UNSAT
+    assert solver.stats == {"decisions": 51, "conflicts": 52, "propagations": 389}
+    assert solver.solve()[0] == UNSAT
+    assert solver.stats == {"decisions": 102, "conflicts": 104, "propagations": 778}
+
+
+def test_second_solve_returns_the_same_answer():
+    rng = random.Random(83)
+    for _ in range(60):
+        nvars = rng.randrange(1, 9)
+        clauses = _random_formula(rng, nvars, rng.randrange(1, 20))
+        solver = DpllSolver(nvars, clauses)
+        assert solver.solve() == solver.solve()

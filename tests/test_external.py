@@ -87,9 +87,9 @@ def test_input_file_is_dimacs_and_cleaned_up(tmp_path):
     assert (tmp_path / "seen.txt.cnf").read_text() == emit_dimacs(SMALL)
 
 
-def _run_cli(args, stdin_text=None):
+def _run_cli(args, stdin_text=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "distlab.sat.dimacs_cli", *args],
+        [sys.executable, *flags, "-m", "distlab.sat.dimacs_cli", *args],
         capture_output=True,
         text=True,
         input=stdin_text,
@@ -103,6 +103,14 @@ def test_dimacs_cli_sat(tmp_path):
     assert proc.returncode == 10
     assert "s SATISFIABLE" in proc.stdout
     assert proc.stdout.strip().endswith("v 0")
+
+
+def test_dimacs_cli_closes_its_input_file(tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text(emit_dimacs(SMALL))
+    proc = _run_cli([str(path)], flags=("-X", "dev", "-W", "error::ResourceWarning"))
+    assert proc.returncode == 10
+    assert "Warning" not in proc.stderr
 
 
 def test_dimacs_cli_unsat_and_stdin():

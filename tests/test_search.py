@@ -224,7 +224,7 @@ def test_a_model_that_fails_verification_raises(monkeypatch):
     import distlab.sat.search as search_mod
 
     monkeypatch.setattr(
-        search_mod, "verify_witness", lambda g, params, dist=None: (False, 0, 0, "planted")
+        search_mod, "verify_witness", lambda g, params: (False, 0, 0, "planted")
     )
     with pytest.raises(EncodingMismatch, match="planted"):
         search(SearchParams(n=6, p2_len=2, min_d2=3))
@@ -256,7 +256,7 @@ def test_search_matches_brute_force_on_six_vertices(six_vertex_graphs, p2_len, m
     # a pinned pair off distance 2 fails verify_witness, so skipping it first
     # only saves time
     exists = any(
-        verify_witness(g, params, dist=dist)[0]
+        verify_witness(g, params)[0]
         for g, dist in six_vertex_graphs
         if all(dist[i][i + 1] == 2 for i in range(p2_len))
     )

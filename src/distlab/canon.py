@@ -38,14 +38,17 @@ def refine(rows: Sequence[int], cells: list[list[int]], splitters: list[int]) ->
     branches on).
     """
     stack = list(splitters)
-    while stack:
+    n = len(rows)
+    while stack and len(cells) < n:  # a discrete partition splits no further
         w = stack.pop()
         new_cells: list[list[int]] = []
         for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
             buckets: dict[int, list[int]] = {}
-            if len(c) > 1:
-                for v in c:
-                    buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
+            for v in c:
+                buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
             if len(buckets) < 2:
                 new_cells.append(c)
                 continue
@@ -123,10 +126,20 @@ class _Search:
         return any(orbit[t] == orbit[v] for t in tried)
 
 
-def canonical_labeling_rows(rows: Sequence[int], n: int) -> CanonResult:
-    """Canonical order, code and automorphism generators for bitset rows."""
+def canonical_labeling_rows(
+    rows: Sequence[int], n: int, cells: list[list[int]] | None = None
+) -> CanonResult:
+    """Canonical order, code and automorphism generators for bitset rows.
+
+    ``cells``, when given, must be the root partition
+    ``refine(rows, [list(range(n))], [(1 << n) - 1])``; it is then not
+    refined again.  The canonical order keeps that partition's cell
+    order: every search node splits a cell in place.
+    """
     search = _Search(list(rows), n)
-    search.run(refine(search.rows, [list(range(n))] if n else [], [(1 << n) - 1]))
+    if cells is None:
+        cells = refine(search.rows, [list(range(n))] if n else [], [(1 << n) - 1])
+    search.run(cells)
     assert search.best_order is not None
     return CanonResult(search.best_code, search.best_order, search.generators)
 

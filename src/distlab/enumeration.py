@@ -3,25 +3,42 @@
 Enumeration is by canonical augmentation: grow one vertex at a time,
 keep one attachment set per orbit of the parent's automorphism group,
 and accept a child only when the new vertex lies in the same orbit as
-the canonical non-cut vertex of highest canonical position.  Each
+v*, the canonical non-cut vertex of highest canonical position.  Each
 isomorphism class is produced exactly once, memory stays flat, and the
 stream order is deterministic.
 
-A degree test comes before canonization, as in McKay's geng.  The
-canonical order never decreases in degree: the root's one refinement
-splitter is the whole vertex set, so ``canon.refine`` first splits by
-degree, and every later split and individualization keeps cell order.
-So the last non-cut vertex has the largest degree of any non-cut
-vertex.  The new vertex is never a cut vertex, so a child in which some
-non-cut vertex has a larger degree than the new one is rejected without
-canonizing it.
+Most children are decided without canonizing them (McKay,
+"Isomorph-free exhaustive generation", 1998; McKay & Piperno, 2014).
+The new vertex m is never a cut vertex.
+
+- Degree test, as in McKay's geng.  The root refinement of
+  ``canon.refine`` splits by degree first, and every later split and
+  individualization keeps cell order, so the canonical order never
+  decreases in degree and v* has the largest degree of any non-cut
+  vertex.  A child in which some non-cut vertex has a larger degree
+  than m is rejected.
+- Partition rule.  A child that passes is refined once from the whole
+  vertex set.  The canonical order keeps the refined partition's cell
+  order and every automorphism maps each cell onto itself, so v* and
+  its orbit lie in C, the last cell that holds a non-cut vertex.  The
+  child is rejected when m is not in C and accepted when m is the only
+  non-cut vertex of C.  Only the rest are canonized, from the refined
+  cells, to compare m's orbit with v*'s.
+- Leaf shortcut.  Generators are needed only for the nodes the walk
+  grows further, so an accepted child at the walk's final order is not
+  canonized; any other accepted child is, for its generators.
+
+The degree test stays as a separate first step because it is far
+cheaper than a refinement: refining every child in its place made
+survey(7) + survey(8) slower than canonizing every child that passes
+the degree test, with no partition rule at all.
 
 The survey pairs each enumerated graph with (diam G, diam G2) where G2
 joins vertices at distance exactly 2.  It lists the nodes of the
-augmentation tree at order max(1, n - 2), counts the pairs of each
-one's subtree on its own, and sums the subtree counts, in this process
-or in worker processes.  Counts land in a :class:`SurveyTable`;
-infinite G2 diameters are kept under ``inf``.
+augmentation tree at order max(1, n - 2), canonizes each one for its
+generators, counts the pairs of its subtree on its own, and sums the
+subtree counts, in this process or in worker processes.  Counts land in
+a :class:`SurveyTable`; infinite G2 diameters are kept under ``inf``.
 """
 from __future__ import annotations
 
@@ -33,14 +50,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence
 
-from . import _kernels
+from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# At the census's measured 5,662 graphs/s (n <= 8, one core, in the
-# benchmark's scaled seconds; about 3,500 in raw wall time on a 2-core VM),
-# n = 10 (11,716,571 classes) takes at least 0.57 h, n = 11 at least
-# 2.1 days and n = 12 at least 0.9 years.
+# The census runs 7,666 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds; about 5,500 in raw wall time on a 2-core VM) and 4,140
+# graphs/s in raw wall time at n = 10 (100 random subtrees below order 8,
+# same VM).  So n = 10 (11,716,571 classes) takes about 0.8 h, n = 11 at
+# least 2.8 days and n = 12 at least 1.3 years.
 ENUM_CAP = 10
 
 
@@ -88,8 +106,12 @@ def _is_cut(rows: Sequence[int], v: int, full: int) -> bool:
     return _kernels.reach(rows, rest & -rest, rest) != rest
 
 
-def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
-    """Accepted one-vertex extensions with their automorphism generators."""
+def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool):
+    """Accepted one-vertex extensions with their automorphism generators.
+
+    With ``leaf`` the caller needs no generators, and a child that the
+    partition rule accepts comes with none.
+    """
     m = len(rows)
     full = (1 << (m + 1)) - 1
     for s in _attachment_reps(m, gens):
@@ -98,19 +120,37 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
         deg = s.bit_count()
         if any(child[u].bit_count() > deg and not _is_cut(child, u, full) for u in range(m)):
             continue  # v* would have that larger degree, so m cannot share its orbit
-        res = canonical_labeling_rows(child, m + 1)
-        orbit = orbits_from_generators(res.generators, m + 1)
-        vstar = next(v for v in reversed(res.order) if not _is_cut(child, v, full))
-        if orbit[vstar] == orbit[m]:
-            yield tuple(child), res.generators
+        # From here every vertex of larger degree than m is a cut vertex.
+        # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
+        cells = canon.refine(child, [list(range(m + 1))], [full])
+        last = next(
+            c for c in reversed(cells)
+            if m in c or not all(child[v].bit_count() > deg or _is_cut(child, v, full) for v in c)
+        )
+        if m not in last:
+            continue  # v* and its orbit lie in that later cell
+        noncut = [
+            v for v in last
+            if v == m or child[v].bit_count() <= deg and not _is_cut(child, v, full)
+        ]
+        if leaf and len(noncut) == 1:
+            yield tuple(child), []
+            continue
+        res = canonical_labeling_rows(child, m + 1, cells)
+        if len(noncut) > 1:
+            orbit = orbits_from_generators(res.generators, m + 1)
+            vstar = next(v for v in reversed(res.order) if v in noncut)
+            if orbit[vstar] != orbit[m]:
+                continue
+        yield tuple(child), res.generators
 
 
-def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[tuple[int, ...], Sequence]]:
-    """The order-n nodes below (rows, gens), with their automorphism generators."""
+def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[int, ...]]:
+    """The order-n nodes below (rows, gens)."""
     if len(rows) == n:
-        yield rows, gens
+        yield rows
         return
-    for child, child_gens in _children(rows, gens):
+    for child, child_gens in _children(rows, gens, len(rows) + 1 == n):
         yield from _walk(child, child_gens, n)
 
 
@@ -120,7 +160,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     Deterministic order; n up to ``ENUM_CAP``.
     """
     _check_cap(n)
-    for rows, _ in _walk((0,), [], n):
+    for rows in _walk((0,), [], n):
         yield Graph(n, rows, _validate=False)
 
 
@@ -175,10 +215,11 @@ class SurveyTable:
         return table
 
 
-def _survey_subtree(n: int, root) -> dict[tuple[int, int | float], int]:
-    """(diam G, diam G2) counts over the order-n graphs below one ``(rows, gens)`` root."""
+def _survey_subtree(n: int, root: tuple[int, ...]) -> dict[tuple[int, int | float], int]:
+    """(diam G, diam G2) counts over the order-n graphs below one node's rows."""
     cells: dict[tuple[int, int | float], int] = {}
-    for rows, _ in _walk(*root, n):
+    gens = canonical_labeling_rows(root, len(root)).generators
+    for rows in _walk(root, gens, n):
         d, d2 = _kernels.diameter_pair(rows)
         key = (d, math.inf if d2 < 0 else d2)
         cells[key] = cells.get(key, 0) + 1

@@ -217,3 +217,51 @@ def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
             assert [{perm[v] for v in c} for c in got] == [set(c) for c in images]
             checked += 1
     assert checked > 5000  # about 1,450 roots, the rest children
+
+
+def _root_cells(rows, n):
+    return refine(rows, [list(range(n))], [(1 << n) - 1])
+
+
+def _cell_order_inputs():
+    """Every atlas graph with 1 <= n <= 6, then a random relabeling of
+    every atlas graph with n = 7 and of 300 random graphs with n = 8."""
+    rng = random.Random(83)
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not n:
+            continue
+        rows = from_edge_list(n, h.edges()).rows()
+        if n <= 6:
+            yield rows, n
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel_rows(rows, perm), n
+    for _ in range(300):
+        g = random_graph(rng, 8, rng.random())
+        perm = list(range(8))
+        rng.shuffle(perm)
+        yield relabel_rows(g.rows(), perm), 8
+
+
+def test_given_root_cells_change_nothing():
+    for rows, n in _cell_order_inputs():
+        given = canonical_labeling_rows(rows, n, _root_cells(rows, n))
+        fresh = canonical_labeling_rows(rows, n)
+        assert (given.code, given.order, given.generators) == (
+            fresh.code, fresh.order, fresh.generators)
+
+
+def test_canonical_order_keeps_the_root_cell_order():
+    """The enumeration's partition rule rests on this: the last non-cut
+    vertex in canonical order lies in the last root cell that holds a
+    non-cut vertex."""
+    checked = 0
+    for rows, n in _cell_order_inputs():
+        cells = _root_cells(rows, n)
+        order = canonical_labeling_rows(rows, n, cells).order
+        ends = list(itertools.accumulate(len(c) for c in cells))
+        assert [set(order[a:b]) for a, b in zip([0] + ends, ends)] == [set(c) for c in cells]
+        checked += len(cells) < n
+    assert checked > 1000  # graphs whose root partition is not discrete

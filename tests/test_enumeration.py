@@ -26,7 +26,7 @@ from util import (
     relabeled,
 )
 
-CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
 
 
 @pytest.mark.parametrize("n,count", sorted(CLASS_COUNTS.items()))
@@ -58,32 +58,63 @@ def _connected_without(rows, v):
 
 
 def _children_by_canonizing_all(rows, gens):
-    """The acceptance rule without the degree test: canonize every
-    attachment representative and keep those whose new vertex shares an
-    orbit with the last non-cut vertex in canonical order."""
+    """The acceptance rule without the degree test or the partition
+    rule: canonize every attachment representative and keep those whose
+    new vertex shares an orbit with the last non-cut vertex in canonical
+    order."""
     m = len(rows)
     out = []
     for s in _attachment_reps(m, gens):
         child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
         res = canonical_labeling_rows(child, m + 1)
         orbit = orbits_from_generators(res.generators, m + 1)
-        vstar = [v for v in res.order if _connected_without(child, v)][-1]
+        vstar = next(v for v in reversed(res.order) if _connected_without(child, v))
         if orbit[vstar] == orbit[m]:
             out.append((tuple(child), res.generators))
     return out
 
 
 def test_degree_test_accepts_what_canonizing_every_child_accepts():
+    """At every node of order <= 7, the degree test and the partition
+    rule accept exactly the children that canonizing each one accepts,
+    with its generators wherever the walk grows the child further."""
     nodes = [((0,), [])]
     seen = 0
     while nodes:
         rows, gens = nodes.pop()
         seen += 1
-        got = list(_children(rows, gens))
-        assert got == _children_by_canonizing_all(rows, gens)
-        if len(rows) < 6:
-            nodes += got
-    assert seen == sum(CLASS_COUNTS[n] for n in range(1, 7))
+        want = _children_by_canonizing_all(rows, gens)
+        assert list(_children(rows, gens, False)) == want
+        assert [c for c, _ in _children(rows, gens, True)] == [c for c, _ in want]
+        if len(rows) < 7:
+            nodes += want
+    assert seen == sum(CLASS_COUNTS[n] for n in range(1, 8))
+
+
+def test_children_refine_through_the_canon_module(monkeypatch):
+    """Each child that passes the degree test is refined once from the
+    whole vertex set, by a call that a wrapper on ``distlab.canon.refine``
+    sees (the benchmark's tracer counts ``canon.refine`` there)."""
+    whole = []
+    real = distlab.canon.refine
+
+    def counting(rows, cells, splitters):
+        whole.append(cells == [list(range(len(rows)))])
+        return real(rows, cells, splitters)
+
+    monkeypatch.setattr(distlab.canon, "refine", counting)
+    for rows in ((0b110, 0b1, 0b1), (0b1110, 0b1, 0b1, 0b1), (0b10, 0b101, 0b1010, 0b100)):
+        m = len(rows)
+        gens = canonical_labeling_rows(rows, m).generators
+        whole.clear()
+        list(_children(rows, gens, True))
+        survivors = 0
+        for s in _attachment_reps(m, gens):
+            child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
+            survivors += not any(
+                child[u].bit_count() > s.bit_count() and _connected_without(child, u)
+                for u in range(m))
+        assert survivors and whole.count(True) == survivors
 
 
 def test_enumeration_is_deterministic():
@@ -142,7 +173,9 @@ def test_survey_cells_match_brute_force(n):
 
 
 def test_survey_parallel_merge_is_identical():
-    for n in range(1, 8):
+    """Both paths total A001349; ``survey`` canonizes each root of order
+    n - 2 for the generators that prune its subtree's attachment sets."""
+    for n in range(1, 9):
         serial = survey(n)
         fanned = survey(n, jobs=2)
         assert fanned.n == serial.n

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, diameter_pair, from_edge_list
+from .graphs import MAX_VERTICES, Graph, diameter_pair, from_edge_list
 
 HOLDS = "Holds"
 HOLDS_VACUOUSLY = "HoldsVacuously"
@@ -53,8 +53,9 @@ def family_graph(k: int) -> Graph:
     and 1, closing a single triangle.  The result has 2k + 1 vertices,
     diameter k, and 2-distance diameter k + 2.
     """
-    if not isinstance(k, int) or k < 4 or k % 2:
-        raise ValueError(f"family is defined for even k >= 4, got {k!r}")
+    k_max = (MAX_VERTICES - 1) // 4 * 2  # largest even k with 2k + 1 <= MAX_VERTICES
+    if not isinstance(k, int) or not 4 <= k <= k_max or k % 2:
+        raise ValueError(f"family is defined for even k in 4..{k_max}, got {k!r}")
     edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
     edges += [(2 * k, 0), (2 * k, 1)]
     return from_edge_list(2 * k + 1, edges)

@@ -24,7 +24,6 @@ from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
 from .sat.encode import build_formula, geodesic_length
-from .sat.external import SolverError
 from .sat.search import (
     BudgetExhausted,
     SearchParams,
@@ -127,7 +126,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sat_search(args) -> int:
-    solver = args.solver if args.solver is not None else os.environ.get("DISTLAB_SOLVER")
     params = SearchParams(
         n=args.n,
         p2_len=args.p2_len,
@@ -135,7 +133,6 @@ def cmd_sat_search(args) -> int:
         forbid_diam_le_2=not args.allow_diam_le_2,
         require_sharp=not args.allow_non_sharp,
         budget_seconds=args.budget_seconds,
-        solver=solver or None,
     )
     if args.emit_cnf:
         solved = [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
@@ -155,7 +152,6 @@ def cmd_sat_search(args) -> int:
         "n": params.n,
         "p2_len": params.p2_len,
         "min_d2": params.min_d2,
-        "solver": solver or "builtin",
         "solve_calls": outcome.solve_calls,
         "elapsed_seconds": f"{outcome.elapsed:.2f}",
         "cap_levels": ",".join(
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")
-    p.add_argument("--k", type=int, required=True, help="even diameter >= 4")
+    p.add_argument("--k", type=int, required=True, help="even diameter, 4..30")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_family)
 
@@ -291,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept witnesses even when diam G2 < diam G + 2 "
                         "(and drop the diameter-cap staircase)")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--solver", default=None,
-                   help="external DIMACS solver command (default: $DISTLAB_SOLVER, "
-                        "else the built-in DPLL)")
     p.add_argument("--emit-cnf", default=None,
                    help="write the DIMACS formula of the first solve call here "
                         "(nothing when no level is solved), "
@@ -327,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (graph6.Graph6Error, SolverError, ValueError) as exc:
+    except (graph6.Graph6Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

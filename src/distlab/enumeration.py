@@ -69,35 +69,37 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
 
 
-def _apply_perm_to_set(perm: Sequence[int], bits: int) -> int:
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << perm[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """Nonempty subsets of 0..m-1, one per orbit of the parent's group."""
+    """Nonempty subsets of 0..m-1, one per orbit of the parent's group,
+    each the least member of its orbit, in ascending order.
+
+    Each generator's action on subsets is tabulated once, in 2^m steps:
+    a subset's image is the image of the subset without its lowest
+    member, plus that member's image.
+    """
+    size = 1 << m
     if not gens:
-        yield from range(1, 1 << m)
+        yield from range(1, size)
         return
-    seen = bytearray(1 << m)
-    for s in range(1, 1 << m):
+    tables = []
+    for g in gens:
+        img = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << g[low.bit_length() - 1]
+        tables.append(img)
+    seen = bytearray(size)
+    for s in range(1, size):
         if seen[s]:
             continue
         orbit = [s]
         seen[s] = 1
-        head = 0
-        while head < len(orbit):
-            cur = orbit[head]
-            head += 1
-            for g in gens:
-                img = _apply_perm_to_set(g, cur)
-                if not seen[img]:
-                    seen[img] = 1
-                    orbit.append(img)
+        for cur in orbit:  # the loop also visits the images appended below
+            for img in tables:
+                t = img[cur]
+                if not seen[t]:
+                    seen[t] = 1
+                    orbit.append(t)
         yield s
 
 

@@ -12,7 +12,6 @@ from .encode import (
     encode_p2_fixing,
     encode_p2_geodesic,
 )
-from .external import SolverError, run_external
 from .search import (
     BudgetExhausted,
     EncodingMismatch,
@@ -39,8 +38,6 @@ __all__ = [
     "encode_g2_connected",
     "encode_p2_fixing",
     "encode_p2_geodesic",
-    "SolverError",
-    "run_external",
     "BudgetExhausted",
     "EncodingMismatch",
     "SearchParams",

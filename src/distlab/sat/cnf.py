@@ -5,7 +5,8 @@ solver, from the encoder or from a DIMACS file, went through its ``add``.
 Variables are 1-based.  ``VarMap`` lays out a-variables (adjacency of
 candidate graphs) first, then b-variables (2-distance adjacency), then
 auxiliary definitions, all contiguous, and can serialize itself as a
-sidecar mapping for debugging external solver runs.
+sidecar that names each variable of an emitted formula, for reading a
+model or a core that another tool found in it.
 """
 from __future__ import annotations
 

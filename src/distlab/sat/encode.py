@@ -300,8 +300,9 @@ def _true_pairs(vm: VarMap, model, var_of, unset: str) -> list[tuple[int, int]]:
 
 
 def decode_model(vm: VarMap, model: Mapping[int, bool]) -> Graph:
-    """Graph from the a-variables of a model, a mapping var -> bool as both
-    solvers return it.  Every a-variable must be assigned.
+    """Graph from the a-variables of a model, a mapping var -> bool as
+    :meth:`~distlab.sat.dpll.DpllSolver.solve` returns it.  Every
+    a-variable must be assigned.
     """
     unset = "model leaves adjacency variable {var} (a {i} {j}) unset"
     return from_edge_list(vm.n, _true_pairs(vm, model, vm.a, unset))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from ..graphs import Graph, all_pairs_distances, k_distance, matrix_diameter
 from .dpll import SAT, UNSAT, DpllSolver
 from .encode import build_formula, decode_model, geodesic_length, model_b_edges
-from .external import run_external
 
 
 @dataclass
@@ -34,9 +33,8 @@ class SearchParams:
     pins a geodesic of length max(p2_len, min_d2, D + 2).  The staircase
     is complete without assuming the theorem: a sharp witness with
     d = diam G satisfies level d, or the lowest level if d is below it.
-    ``solver`` is an external DIMACS solver command; ``None`` uses the
-    built-in DPLL.  A negative ``min_d2`` or a NaN budget is a
-    ``ValueError``.
+    Each level is solved by the built-in DPLL.  A negative ``min_d2`` or
+    a NaN budget is a ``ValueError``.
     """
 
     n: int
@@ -45,7 +43,6 @@ class SearchParams:
     forbid_diam_le_2: bool = True
     require_sharp: bool = True
     budget_seconds: float | None = None
-    solver: str | None = None
 
     def __post_init__(self):
         if self.min_d2 < 0:
@@ -66,8 +63,8 @@ class SearchStats:
     their geodesic does not fit in n vertices; ``phase_seconds``
     splits the time into encode (formula and solver set-up), solve,
     decode and verify;
-    ``solver_runs`` holds the ``stats`` of the built-in solver of each
-    level (none for an external solver), and ``solver`` sums them.
+    ``solver_runs`` holds the solver ``stats`` of each level solved,
+    and ``solver`` sums them.
     """
 
     cap_levels: list[int | None] = field(default_factory=list)
@@ -205,10 +202,8 @@ def search(params: SearchParams) -> SearchOutcome:
             continue
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)
-            solver = None
-            if not params.solver:
-                solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))
-                stats.solver_runs.append(solver.stats)
+            solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))
+            stats.solver_runs.append(solver.stats)
         remaining: float | None = None
         if params.budget_seconds is not None:
             remaining = params.budget_seconds - (time.monotonic() - start)
@@ -216,10 +211,7 @@ def search(params: SearchParams) -> SearchOutcome:
                 return BudgetExhausted(0, calls, time.monotonic() - start, "time budget", stats)
         calls += 1
         with stats.phase("solve"):
-            if solver is not None:
-                status, model = solver.solve(time_budget=remaining)
-            else:
-                status, model = run_external(params.solver, formula, remaining)
+            status, model = solver.solve(time_budget=remaining)
         if status == UNSAT:
             continue
         if status != SAT:

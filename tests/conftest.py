@@ -5,8 +5,8 @@ import distlab
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-# Child interpreters (the DIMACS solver behind --solver, the CLI exit-code
-# checks, the numpy-free import) load the same source tree as this one,
+# Child interpreters (the DIMACS front end ``distlab.sat.dimacs_cli``, the
+# CLI exit-code checks, the numpy-free import) load the same source tree as this one,
 # whether or not the package is installed.
 _src = os.path.dirname(os.path.dirname(os.path.abspath(distlab.__file__)))
 os.environ["PYTHONPATH"] = os.pathsep.join(

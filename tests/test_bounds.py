@@ -49,6 +49,14 @@ def test_family_graph_rejects_bad_k():
             family_graph(k)
 
 
+def test_family_graph_stops_at_64_vertices():
+    """k = 30 is the largest even k with 2k + 1 <= 64; beyond it the error
+    names k, not the vertex count."""
+    assert family_graph(30).n == 61
+    with pytest.raises(ValueError, match=r"^family is defined for even k in 4\.\.30, got 32$"):
+        family_graph(32)
+
+
 @pytest.mark.parametrize("k", [4, 6, 8, 10])
 def test_family_pair_dual_route(k):
     g = family_graph(k)

@@ -16,9 +16,6 @@ from distlab.sat.encode import build_formula
 from distlab.sat.search import SearchParams, cap_levels, search, verify_witness
 
 
-CLI_SOLVER = f"{sys.executable} -m distlab.sat.dimacs_cli"
-
-
 def _feed(monkeypatch, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
 
@@ -128,7 +125,6 @@ def test_sat_search_witness(capsys):
     assert rc == 0
     meta = _meta(captured.err)
     assert meta["status"] == "witness"
-    assert meta["solver"] == "builtin"
     g = parse(captured.out.strip())
     params = SearchParams(n=6, p2_len=2, min_d2=3, require_sharp=False)
     ok, d, d2, _ = verify_witness(g, params)
@@ -262,44 +258,6 @@ def test_sat_search_sidecar_lists_the_geodesic_reach_variables(tmp_path, capsys)
     assert reach == [[f"q{s}", str(v)] for s in range(1, 6) for v in range(1, 9)]
 
 
-def test_sat_search_external_solver(capsys):
-    rc = main([
-        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
-        "--allow-non-sharp", "--solver", CLI_SOLVER,
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0
-    meta = _meta(captured.err)
-    assert meta["solver"] == CLI_SOLVER
-    rc2 = main([
-        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
-        "--allow-non-sharp",
-    ])
-    builtin_out = capsys.readouterr().out
-    assert rc2 == 0
-    assert captured.out == builtin_out
-
-
-def test_sat_search_env_solver(monkeypatch, capsys):
-    monkeypatch.setenv("DISTLAB_SOLVER", CLI_SOLVER)
-    rc = main([
-        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
-        "--allow-non-sharp",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert _meta(captured.err)["solver"] == CLI_SOLVER
-
-
-def test_sat_search_bad_solver(capsys):
-    rc = main([
-        "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
-        "--solver", "/no/such/solver",
-    ])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_convert_round_trip(tmp_path):
     g6 = tmp_path / "in.g6"
     edges = tmp_path / "mid.txt"
@@ -380,20 +338,29 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+def test_sat_search_has_no_solver_option(capsys):
+    """The built-in DPLL is the only solver; ``--solver`` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3", "--solver", "x"])
+    assert exc.value.code == 2
+    assert "--solver" in capsys.readouterr().err
+
+
 SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3"]
 
 
 @pytest.mark.parametrize("argv, code", [
-    (SAT_SEARCH_6 + ["--solver", CLI_SOLVER, "--budget-seconds", "inf"], 0),
-    (SAT_SEARCH_6 + ["--solver", CLI_SOLVER, "--budget-seconds", "1e300"], 0),
+    (SAT_SEARCH_6 + ["--budget-seconds", "inf"], 0),
+    (SAT_SEARCH_6 + ["--budget-seconds", "1e300"], 0),
     (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2),
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2),
     (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2),
     (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2),
     (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2),
+    (["distlab.cli", "family", "--k", "100"], 2),
 ], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "survey-n-0",
-        "survey-threads-0", "survey-threads-negative"])
+        "survey-threads-0", "survey-threads-negative", "family-k-100"])
 def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
     """A huge budget is no budget; a bad value is an ``error:`` line and exit
     2, never a traceback."""

@@ -1,0 +1,95 @@
+"""``python -m distlab.sat.dimacs_cli``: the built-in solver behind a
+DIMACS front end with competition-style output."""
+import subprocess
+import sys
+
+from distlab.sat.cnf import CnfFormula, emit_dimacs
+
+
+SMALL = CnfFormula(3, [[1, -2], [2, 3], [-1, -3]])
+
+
+def _run_cli(args, stdin_text=None, flags=()):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "distlab.sat.dimacs_cli", *args],
+        capture_output=True,
+        text=True,
+        input=stdin_text,
+    )
+
+
+def test_dimacs_cli_sat(tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text(emit_dimacs(SMALL))
+    proc = _run_cli([str(path)])
+    assert proc.returncode == 10
+    assert "s SATISFIABLE" in proc.stdout
+    assert proc.stdout.strip().endswith("v 0")
+
+
+def test_dimacs_cli_closes_its_input_file(tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text(emit_dimacs(SMALL))
+    proc = _run_cli([str(path)], flags=("-X", "dev", "-W", "error::ResourceWarning"))
+    assert proc.returncode == 10
+    assert "Warning" not in proc.stderr
+
+
+def test_dimacs_cli_unsat_and_stdin():
+    f = CnfFormula(1, [[1], [-1]])
+    proc = _run_cli(["-"], stdin_text=emit_dimacs(f))
+    assert proc.returncode == 20
+    assert "s UNSATISFIABLE" in proc.stdout
+
+
+def test_dimacs_cli_solves_a_tautology():
+    proc = _run_cli(["-"], stdin_text="p cnf 2 2\n1 -1 0\n2 0\n")
+    assert proc.returncode == 10
+    assert proc.stdout.splitlines()[0] == "s SATISFIABLE"
+
+
+def test_dimacs_cli_refutes_an_empty_clause():
+    proc = _run_cli(["-"], stdin_text="p cnf 1 1\n0\n")
+    assert proc.returncode == 20
+    assert proc.stdout.splitlines() == ["s UNSATISFIABLE"]
+
+
+def test_dimacs_cli_bad_input(tmp_path):
+    path = tmp_path / "junk.cnf"
+    path.write_text("not dimacs\n")
+    proc = _run_cli([str(path)])
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert _run_cli(["/no/such/file.cnf"]).returncode == 2
+
+
+def _model(stdout):
+    """The model of the ``v`` lines, var -> bool, after an ``s`` line."""
+    assert stdout.splitlines()[0] == "s SATISFIABLE"
+    lits = [int(tok) for line in stdout.splitlines() if line.startswith("v ")
+            for tok in line.split()[1:]]
+    assert lits[-1] == 0 and 0 not in lits[:-1]
+    return {abs(lit): lit > 0 for lit in lits[:-1]}
+
+
+def test_dimacs_cli_as_external_solver(tmp_path):
+    """Read back as an outside program's answer: the ``s`` line and the
+    model of the ``v`` lines."""
+    path = tmp_path / "small.cnf"
+    path.write_text(emit_dimacs(SMALL))
+    model = _model(_run_cli([str(path)]).stdout)
+    lit_ok = lambda lit: (lit > 0) == model[abs(lit)]
+    assert all(any(lit_ok(lit) for lit in clause) for clause in SMALL.clauses)
+    path.write_text(emit_dimacs(CnfFormula(2, [[1], [-1]])))
+    assert _run_cli([str(path)]).stdout.splitlines() == ["s UNSATISFIABLE"]
+
+
+def test_dimacs_cli_long_model_chunks(tmp_path):
+    f = CnfFormula(50, [[v] for v in range(1, 51)])
+    path = tmp_path / "wide.cnf"
+    path.write_text(emit_dimacs(f))
+    proc = _run_cli([str(path)])
+    vlines = [ln for ln in proc.stdout.splitlines() if ln.startswith("v ")]
+    assert len(vlines) == 4  # 20 + 20 + 10 literals, then the closing v 0
+    model = _model(proc.stdout)
+    assert all(model[v] for v in range(1, 51))

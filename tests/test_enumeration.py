@@ -91,6 +91,38 @@ def test_degree_test_accepts_what_canonizing_every_child_accepts():
     assert seen == sum(CLASS_COUNTS[n] for n in range(1, 8))
 
 
+def _orbit_minima(m, gens):
+    """Least member of each orbit of nonempty subsets of 0..m-1, ascending,
+    from the whole group: the generators closed under composition."""
+    group = {tuple(range(m))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[i]] for i in range(m))
+                if q not in group:
+                    group.add(q)
+                    new.append(q)
+        frontier = new
+    image = lambda p, s: sum(1 << p[i] for i in range(m) if s >> i & 1)
+    return sorted({min(image(p, s) for p in group) for s in range(1, 1 << m)})
+
+
+def test_attachment_reps_are_the_least_members_of_the_orbits():
+    """At every node of order <= 6 the representatives are the ascending
+    least members of the subset orbits of the node's automorphism group."""
+    nodes = [((0,), [])]
+    seen = 0
+    while nodes:
+        rows, gens = nodes.pop()
+        seen += 1
+        assert list(_attachment_reps(len(rows), gens)) == _orbit_minima(len(rows), gens)
+        if len(rows) < 6:
+            nodes += _children(rows, gens, False)
+    assert seen == sum(CLASS_COUNTS[n] for n in range(1, 7))
+
+
 def test_children_refine_through_the_canon_module(monkeypatch):
     """Each child that passes the degree test is refined once from the
     whole vertex set, by a call that a wrapper on ``distlab.canon.refine``

@@ -11,7 +11,6 @@ from distlab.canon import are_isomorphic
 from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
 from distlab.sat.cnf import CnfFormula
 from distlab.sat.dpll import DpllSolver
-from distlab.sat.external import SolverError
 from distlab.sat.search import (
     BudgetExhausted,
     EncodingMismatch,
@@ -25,8 +24,6 @@ from distlab.sat.search import (
 
 import brute
 from util import reference_distances
-
-CLI_SOLVER = f"{sys.executable} -m distlab.sat.dimacs_cli"
 
 
 def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
@@ -103,24 +100,6 @@ def test_time_budget_zero():
 def test_nan_budget_is_refused():
     with pytest.raises(ValueError, match="nan"):
         search(SearchParams(n=6, p2_len=2, min_d2=3, budget_seconds=math.nan))
-
-
-def test_external_solver_matches_builtin():
-    base = SearchParams(n=6, p2_len=2, min_d2=3, require_sharp=False)
-    ext = SearchParams(
-        n=6, p2_len=2, min_d2=3, require_sharp=False, solver=CLI_SOLVER
-    )
-    a = search(base)
-    b = search(ext)
-    assert isinstance(b, Witness)
-    assert a.graph == b.graph
-    assert a.solve_calls == b.solve_calls
-
-
-def test_external_solver_errors_propagate():
-    params = SearchParams(n=6, p2_len=2, min_d2=3, solver="/no/such/solver")
-    with pytest.raises(SolverError):
-        search(params)
 
 
 # family_graph(4) relabeled so vertices 0..6 walk a diametral geodesic of

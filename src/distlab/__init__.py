@@ -28,17 +28,9 @@ from .graphs import (
     k_distance,
     path_graph,
 )
-from .sat import (
-    BudgetExhausted,
-    CnfFormula,
-    SearchParams,
-    Unsat,
-    VarMap,
-    Witness,
-    build_formula,
-    decode_model,
-)
-from .sat.search import search
+from .sat.cnf import CnfFormula, VarMap
+from .sat.encode import build_formula, decode_model
+from .sat.search import BudgetExhausted, SearchParams, Unsat, Witness, search
 
 __version__ = "0.1.0"
 

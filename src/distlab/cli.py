@@ -7,13 +7,16 @@ stream), ``diam``, ``survey`` (CSV plus optional SVG heatmap),
 
 Exit codes: 0 success or witness found, 1 clean negative (unsatisfiable
 search, exhausted budget, or bound violations), 2 usage or input error.
-File outputs are written to a temp file and renamed into place.
+File outputs land as a plain write would (see ``_write_atomic``), but a
+regular file is replaced whole or not at all.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterable, Iterator, TextIO
@@ -25,7 +28,6 @@ from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
 from .sat.encode import build_formula, geodesic_length
 from .sat.search import (
-    BudgetExhausted,
     SearchParams,
     Unsat,
     Witness,
@@ -42,23 +44,52 @@ def _fmt_ext(value: int | float) -> str:
     return "inf" if math.isinf(value) else str(int(value))
 
 
-def _open_input(path: str) -> TextIO:
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """The input at ``path``; ``-`` is stdin, which is left open."""
     if path == "-":
-        return sys.stdin
-    return open(path, "r")
+        yield sys.stdin
+        return
+    with open(path, "r") as fh:
+        yield fh
+
+
+def _umask() -> int:
+    # os.umask reads the mask only by setting one; the CLI runs one thread
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def _write_atomic(path: str, content: str) -> None:
+    """Write ``content`` to ``path`` (``-`` is stdout) as ``open(path, "w")``
+    would, but so that a regular file is replaced whole or not at all.
+
+    A regular file is written to a temp file beside it and renamed into
+    place: a new file gets 0o666 less the umask, a replaced one keeps its
+    mode, and a symlink stays a symlink, since the rename lands on the
+    path it resolves to. Any other existing target, such as a FIFO or a
+    device, is written in place: a rename would replace the node itself.
+    """
     if path == "-":
         sys.stdout.write(content)
         return
-    directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".distlab-")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w") as fh:
+                fh.write(content)
+            return
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".distlab-")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~_umask() if mode is None else stat.S_IMODE(mode))
             fh.write(content)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             try:
@@ -70,30 +101,26 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-def _input_graphs(path: str) -> Iterable[Graph]:
-    fh = _open_input(path)
-    try:
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _input_graphs(path: str) -> Iterator[Graph]:
+    with _opened(path) as fh:
         yield from graph6.iter_graphs(fh)
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
 
 def cmd_transform(args) -> int:
     if args.k < 1:  # before any input is read, so an empty stream is refused too
         raise ValueError(f"k must be a positive integer, got {args.k!r}")
-    out_lines = []
-    for g in _input_graphs(args.input):
-        out_lines.append(graph6.emit(k_distance(g, args.k)))
-    _write_atomic(args.out, "".join(line + "\n" for line in out_lines))
+    graphs = _input_graphs(args.input)
+    _write_atomic(args.out, _lines(graph6.emit(k_distance(g, args.k)) for g in graphs))
     return EXIT_OK
 
 
 def cmd_diam(args) -> int:
-    lines = []
-    for idx, g in enumerate(_input_graphs(args.input)):
-        lines.append(f"{idx},{_fmt_ext(diameter(g))}")
-    _write_atomic(args.out, "".join(line + "\n" for line in lines))
+    graphs = enumerate(_input_graphs(args.input))
+    _write_atomic(args.out, _lines(f"{idx},{_fmt_ext(diameter(g))}" for idx, g in graphs))
     return EXIT_OK
 
 
@@ -106,26 +133,22 @@ def cmd_survey(args) -> int:
 
 
 def cmd_family(args) -> int:
-    g = bounds.family_graph(args.k)
-    _write_atomic(args.out, graph6.emit(g) + "\n")
+    _write_atomic(args.out, _lines([graph6.emit(bounds.family_graph(args.k))]))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    lines = []
-    violations = 0
-    for idx, g in enumerate(_input_graphs(args.input)):
-        report = bounds.check_bounds(g)
-        if report.verdict == bounds.VIOLATION:
-            violations += 1
-        lines.append(
-            f"{idx},{_fmt_ext(report.d)},{_fmt_ext(report.d2)},{report.verdict}"
-        )
-    _write_atomic(args.out, "".join(line + "\n" for line in lines))
-    return EXIT_NEGATIVE if violations else EXIT_OK
+    reports = [bounds.check_bounds(g) for g in _input_graphs(args.input)]
+    _write_atomic(args.out, _lines(
+        f"{idx},{_fmt_ext(r.d)},{_fmt_ext(r.d2)},{r.verdict}" for idx, r in enumerate(reports)
+    ))
+    return EXIT_NEGATIVE if any(r.verdict == bounds.VIOLATION for r in reports) else EXIT_OK
 
 
 def cmd_sat_search(args) -> int:
+    if args.emit_cnf == "-":
+        raise ValueError("--emit-cnf needs a file path: its .vars sidecar goes beside "
+                         "the formula, and stdout carries the witness")
     params = SearchParams(
         n=args.n,
         p2_len=args.p2_len,
@@ -163,39 +186,30 @@ def cmd_sat_search(args) -> int:
     for key, value in outcome.stats.solver.items():
         meta[f"dpll.{key}"] = value
     if isinstance(outcome, Witness):
-        meta["status"] = "witness"
-        meta["d"] = _fmt_ext(outcome.d)
-        meta["d2"] = _fmt_ext(outcome.d2)
-        for key, value in meta.items():
-            print(f"{key}={value}", file=sys.stderr)
-        print(graph6.emit(outcome.graph))
-        return EXIT_OK
-    meta["status"] = "unsat" if isinstance(outcome, Unsat) else "budget-exhausted"
-    if isinstance(outcome, BudgetExhausted):
-        meta["budget"] = outcome.reason
+        meta.update(status="witness", d=_fmt_ext(outcome.d), d2=_fmt_ext(outcome.d2))
+    elif isinstance(outcome, Unsat):
+        meta["status"] = "unsat"
+    else:
+        meta.update(status="budget-exhausted", budget=outcome.reason)
     for key, value in meta.items():
         print(f"{key}={value}", file=sys.stderr)
-    return EXIT_NEGATIVE
+    if not isinstance(outcome, Witness):
+        return EXIT_NEGATIVE
+    _write_atomic("-", _lines([graph6.emit(outcome.graph)]))
+    return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    graphs = list(_input_graphs(args.input)) if args.source == "graph6" else None
-    if graphs is None:
-        fh = _open_input(args.input)
-        try:
-            graphs = list(_parse_edge_lists(fh))
-        finally:
-            if fh is not sys.stdin:
-                fh.close()
+    read = graph6.iter_graphs if args.source == "graph6" else _parse_edge_lists
+    with _opened(args.input) as fh:
+        graphs = list(read(fh))
     if args.to == "graph6":
-        content = "".join(graph6.emit(g) + "\n" for g in graphs)
+        content = _lines(graph6.emit(g) for g in graphs)
     else:
-        blocks = []
-        for g in graphs:
-            lines = [f"{g.n} {g.edge_count()}"]
-            lines += [f"{u} {v}" for u, v in g.edges()]
-            blocks.append("\n".join(lines))
-        content = "\n\n".join(blocks) + ("\n" if blocks else "")
+        content = "\n".join(
+            _lines([f"{g.n} {g.edge_count()}"] + [f"{u} {v}" for u, v in g.edges()])
+            for g in graphs
+        )
     _write_atomic(args.out, content)
     return EXIT_OK
 
@@ -245,16 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="k-distance graph transforms, diameter surveys and witness search",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    io_args = argparse.ArgumentParser(add_help=False)
+    io_args.add_argument("--input", default="-", help="input file, - for stdin")
+    io_args.add_argument("--out", default="-", help="output file, - for stdout")
 
-    p = sub.add_parser("transform", help="apply the k-distance operator to graph6 input")
+    p = sub.add_parser("transform", parents=[io_args],
+                       help="apply the k-distance operator to graph6 input")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--input", default="-", help="graph6 file, - for stdin")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("diam", help="diameters of graph6 input, one 'index,d' per line")
-    p.add_argument("--input", default="-")
-    p.add_argument("--out", default="-")
+    p = sub.add_parser("diam", parents=[io_args],
+                       help="diameters of graph6 input, one 'index,d' per line")
     p.set_defaults(func=cmd_diam)
 
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
@@ -272,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("verify", help="bound verdicts for graph6 input")
-    p.add_argument("--input", default="-")
-    p.add_argument("--out", default="-")
+    p = sub.add_parser("verify", parents=[io_args], help="bound verdicts for graph6 input")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sat-search", help="search for an extremal witness")
@@ -288,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(and drop the diameter-cap staircase)")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--emit-cnf", default=None,
-                   help="write the DIMACS formula of the first solve call here "
-                        "(nothing when no level is solved), "
+                   help="write the DIMACS formula of the first solve call to this "
+                        "file path, not - (nothing when no level is solved), "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
                         "lines; besides a (i j) and b (i j), kind t (i j k) "
                         "says j joins the non-adjacent i and k, far (i k) "
@@ -306,11 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --emit-cnf: stop after writing the formula")
     p.set_defaults(func=cmd_sat_search)
 
-    p = sub.add_parser("convert", help="convert between graph6 and edge-list blocks")
+    p = sub.add_parser("convert", parents=[io_args],
+                       help="convert between graph6 and edge-list blocks")
     p.add_argument("--source", choices=["graph6", "edges"], default="graph6")
     p.add_argument("--to", choices=["graph6", "edges"], required=True)
-    p.add_argument("--input", default="-")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_convert)
     return parser
 
@@ -320,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (graph6.Graph6Error, ValueError) as exc:
+    except ValueError as exc:  # Graph6Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

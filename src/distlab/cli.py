@@ -149,6 +149,8 @@ def cmd_sat_search(args) -> int:
     if args.emit_cnf == "-":
         raise ValueError("--emit-cnf needs a file path: its .vars sidecar goes beside "
                          "the formula, and stdout carries the witness")
+    if args.emit_only and not args.emit_cnf:
+        raise ValueError("--emit-only needs --emit-cnf: it stops after writing the formula")
     params = SearchParams(
         n=args.n,
         p2_len=args.p2_len,
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "r<s> (i j within distance s, s >= 3; distance 2 is "
                         "a or b) and m<s> (i k j, joined through k)")
     p.add_argument("--emit-only", action="store_true",
-                   help="with --emit-cnf: stop after writing the formula")
+                   help="needs --emit-cnf: stop after writing the formula")
     p.set_defaults(func=cmd_sat_search)
 
     p = sub.add_parser("convert", parents=[io_args],

@@ -31,18 +31,21 @@ def emit(g: Graph) -> str:
         out.append(n + 63)
     else:
         out += bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    # column j holds the pairs (0, j) .. (j-1, j), pair (i, j) at bit j-1-i,
+    # and the first column sits highest, as :func:`parse` reads them
     acc = 0
-    nbits = 0
     for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
+        lower = g.adj[j] & ((1 << j) - 1)
+        col = 0
+        while lower:
+            low = lower & -lower
+            col |= 1 << (j - low.bit_length())
+            lower ^= low
+        acc = acc << j | col
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    out += bytes(63 + (acc >> shift & 63) for shift in range(nbits + pad - 6, -1, -6))
     return out.decode("ascii")
 
 

@@ -128,83 +128,59 @@ def parse_dimacs(text: str) -> CnfFormula:
 class VarMap:
     """Contiguous 1-based layout: a-vars, then b-vars, then auxiliaries.
 
+    One table lists ``(kind, vertices...)`` for every variable in index
+    order; ``describe``, ``var_count`` and the sidecar dump all read it.
     a(i, j) is adjacency of the candidate graph, b(i, j) adjacency of its
-    2-distance graph; both normalize to i < j.  Auxiliaries come from
-    ``tagged``, which records their kind and the vertices they serve for
-    ``describe`` and the sidecar dump.
+    2-distance graph; both normalize to i < j and are computed from the
+    pair's position in :meth:`pairs`.  Auxiliaries come from ``tagged``,
+    which appends their kind and the vertices they serve to the table.
     """
 
     def __init__(self, n: int):
         if not 2 <= n <= 64:
             raise ValueError(f"need 2 <= n <= 64, got {n!r}")
         self.n = n
-        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self._a = {}
-        self._b = {}
-        nxt = 1
-        for p in self._pairs:
-            self._a[p] = nxt
-            nxt += 1
-        for p in self._pairs:
-            self._b[p] = nxt
-            nxt += 1
-        self._next = nxt
-        self._aux: list[tuple[str, tuple[int, ...]]] = []
-
-    @staticmethod
-    def _norm(i: int, j: int) -> tuple[int, int]:
-        if i == j:
-            raise ValueError(f"no variable for the diagonal pair ({i}, {j})")
-        return (i, j) if i < j else (j, i)
+        self._npairs = n * (n - 1) // 2
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._vars: list[tuple] = [("a", *p) for p in pairs] + [("b", *p) for p in pairs]
 
     def a(self, i: int, j: int) -> int:
-        return self._a[self._norm(i, j)]
+        if i == j:
+            raise ValueError(f"no variable for the diagonal pair ({i}, {j})")
+        if i > j:
+            i, j = j, i
+        if i < 0 or j >= self.n:
+            raise KeyError((i, j))
+        return i * (2 * self.n - i - 1) // 2 + j - i
 
     def b(self, i: int, j: int) -> int:
-        return self._b[self._norm(i, j)]
+        return self.a(i, j) + self._npairs
 
     def tagged(self, kind: str, *verts: int) -> int:
         """A fresh variable listed under ``kind`` with ``verts`` in the sidecar."""
-        var = self._next
-        self._next += 1
-        self._aux.append((kind, verts))
-        return var
+        self._vars.append((kind, *verts))
+        return len(self._vars)
 
     @property
     def var_count(self) -> int:
-        return self._next - 1
+        return len(self._vars)
 
     def a_vars(self) -> list[int]:
-        return [self._a[p] for p in self._pairs]
+        return list(range(1, self._npairs + 1))
 
     def b_vars(self) -> list[int]:
-        return [self._b[p] for p in self._pairs]
+        return list(range(self._npairs + 1, 2 * self._npairs + 1))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return list(self._pairs)
+        return [(i, j) for _, i, j in self._vars[:self._npairs]]
 
     def describe(self, var: int) -> tuple:
         """``(kind, vertices...)`` of a variable, as in the sidecar."""
-        na = len(self._pairs)
-        if 1 <= var <= na:
-            i, j = self._pairs[var - 1]
-            return ("a", i, j)
-        if na < var <= 2 * na:
-            i, j = self._pairs[var - na - 1]
-            return ("b", i, j)
-        if 2 * na < var < self._next:
-            kind, verts = self._aux[var - 2 * na - 1]
-            return (kind, *verts)
-        raise KeyError(f"unknown variable {var}")
+        if not 1 <= var <= len(self._vars):
+            raise KeyError(f"unknown variable {var}")
+        return self._vars[var - 1]
 
     def sidecar(self) -> str:
         """One line per variable: ``<index> <kind> <vertices...>``."""
-        lines = []
-        na = len(self._pairs)
-        for idx, (i, j) in enumerate(self._pairs, start=1):
-            lines.append(f"{idx} a {i} {j}")
-        for idx, (i, j) in enumerate(self._pairs, start=na + 1):
-            lines.append(f"{idx} b {i} {j}")
-        for v, (kind, verts) in enumerate(self._aux, start=2 * na + 1):
-            lines.append(" ".join([str(v), kind, *map(str, verts)]))
-        return "\n".join(lines) + "\n"
+        return "".join(" ".join(map(str, (idx, *entry))) + "\n"
+                       for idx, entry in enumerate(self._vars, start=1))

@@ -226,23 +226,16 @@ def encode_free_vertex_ordering(vm: VarMap, p2_len: int) -> list[list[int]]:
         xs = [vm.a(u, w) for w in cols]
         ys = [vm.a(v, w) for w in cols]
         clauses.append([-xs[0], ys[0]])
-        prev_eq = None
-        for t in range(1, len(cols)):
-            e = vm.tagged("eq", u, v, cols[t - 1])
-            x_prev, y_prev = xs[t - 1], ys[t - 1]
-            if prev_eq is None:
-                clauses.append([-e, -x_prev, y_prev])
-                clauses.append([-e, x_prev, -y_prev])
-                clauses.append([e, -x_prev, -y_prev])
-                clauses.append([e, x_prev, y_prev])
-            else:
-                clauses.append([-e, prev_eq])
-                clauses.append([-e, -x_prev, y_prev])
-                clauses.append([-e, x_prev, -y_prev])
-                clauses.append([e, -prev_eq, -x_prev, -y_prev])
-                clauses.append([e, -prev_eq, x_prev, y_prev])
-            clauses.append([-e, -xs[t], ys[t]])
-            prev_eq = e
+        prev: list[int] = []  # the previous column's eq variable, none at the first
+        for w, x, y, x_next, y_next in zip(cols, xs, ys, xs[1:], ys[1:]):
+            e = vm.tagged("eq", u, v, w)
+            clauses.extend([-e, p] for p in prev)
+            clauses.append([-e, -x, y])
+            clauses.append([-e, x, -y])
+            clauses.append([e, *(-p for p in prev), -x, -y])
+            clauses.append([e, *(-p for p in prev), x, y])
+            clauses.append([-e, -x_next, y_next])
+            prev = [e]
     return clauses
 
 

@@ -33,8 +33,8 @@ class SearchParams:
     pins a geodesic of length max(p2_len, min_d2, D + 2).  The staircase
     is complete without assuming the theorem: a sharp witness with
     d = diam G satisfies level d, or the lowest level if d is below it.
-    Each level is solved by the built-in DPLL.  A negative ``min_d2`` or
-    a NaN budget is a ``ValueError``.
+    Each level is solved by the built-in DPLL.  An ``n`` outside 1..64, a
+    negative ``min_d2`` or a NaN budget is a ``ValueError``.
     """
 
     n: int
@@ -45,6 +45,8 @@ class SearchParams:
     budget_seconds: float | None = None
 
     def __post_init__(self):
+        if not 1 <= self.n <= 64:
+            raise ValueError(f"n must be in 1..64, got {self.n}")
         if self.min_d2 < 0:
             raise ValueError(f"min_d2 must be at least 0, got {self.min_d2}")
         if self.budget_seconds is not None and math.isnan(self.budget_seconds):
@@ -90,39 +92,34 @@ class SearchStats:
         return total
 
 
-# ``candidates_rejected`` is always 0, since every model is a witness; the
-# field stays because the benchmark's tracer reads it.
+@dataclass(kw_only=True)
+class SearchOutcome:
+    """What every outcome of :func:`search` reports: the solve calls made,
+    the wall time and the :class:`SearchStats`."""
+
+    solve_calls: int
+    elapsed: float
+    stats: SearchStats = field(default_factory=SearchStats)
+    # Always 0, since every model is a witness; the field stays because the
+    # benchmark's tracer reads it (perfbench/spans.py::_outcome_after).
+    candidates_rejected: int = 0
 
 
-@dataclass
-class Witness:
+@dataclass(kw_only=True)
+class Witness(SearchOutcome):
     graph: Graph
     d: int | float
     d2: int | float
-    candidates_rejected: int
-    solve_calls: int
-    elapsed: float
-    stats: SearchStats = field(default_factory=SearchStats)
 
 
-@dataclass
-class Unsat:
-    candidates_rejected: int
-    solve_calls: int
-    elapsed: float
-    stats: SearchStats = field(default_factory=SearchStats)
+@dataclass(kw_only=True)
+class Unsat(SearchOutcome):
+    pass
 
 
-@dataclass
-class BudgetExhausted:
-    candidates_rejected: int
-    solve_calls: int
-    elapsed: float
+@dataclass(kw_only=True)
+class BudgetExhausted(SearchOutcome):
     reason: str = "budget"
-    stats: SearchStats = field(default_factory=SearchStats)
-
-
-SearchOutcome = Witness | Unsat | BudgetExhausted
 
 
 def cap_levels(params: SearchParams) -> list[int | None]:
@@ -196,6 +193,10 @@ def search(params: SearchParams) -> SearchOutcome:
     start = time.monotonic()
     stats = SearchStats()
     calls = 0
+
+    def outcome(cls, **fields) -> SearchOutcome:
+        return cls(solve_calls=calls, elapsed=time.monotonic() - start, stats=stats, **fields)
+
     for max_d in cap_levels(params):
         stats.cap_levels.append(max_d)
         if geodesic_length(params, max_d) >= params.n:
@@ -208,14 +209,14 @@ def search(params: SearchParams) -> SearchOutcome:
         if params.budget_seconds is not None:
             remaining = params.budget_seconds - (time.monotonic() - start)
             if remaining <= 0:
-                return BudgetExhausted(0, calls, time.monotonic() - start, "time budget", stats)
+                return outcome(BudgetExhausted, reason="time budget")
         calls += 1
         with stats.phase("solve"):
             status, model = solver.solve(time_budget=remaining)
         if status == UNSAT:
             continue
         if status != SAT:
-            return BudgetExhausted(0, calls, time.monotonic() - start, "solver budget", stats)
+            return outcome(BudgetExhausted, reason="solver budget")
         with stats.phase("decode"):
             g = decode_model(vm, model)
             claimed = model_b_edges(vm, model)
@@ -230,5 +231,5 @@ def search(params: SearchParams) -> SearchOutcome:
             ok, d, d2, reason = verify_witness(g, params)
         if not ok:
             raise EncodingMismatch(f"model at cap level {max_d} fails verification: {reason}")
-        return Witness(g, d, d2, 0, calls, time.monotonic() - start, stats)
-    return Unsat(0, calls, time.monotonic() - start, stats)
+        return outcome(Witness, graph=g, d=d, d2=d2)
+    return outcome(Unsat)

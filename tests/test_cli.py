@@ -355,12 +355,16 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
     (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2),
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2),
     (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2),
+    (["distlab.cli", "sat-search", "--n", "0", "--p2-len", "2", "--min-d2", "3"], 2),
+    (["distlab.cli", "sat-search", "--n", "-3", "--p2-len", "2", "--min-d2", "3"], 2),
+    (SAT_SEARCH_6 + ["--emit-only"], 2),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2),
     (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2),
     (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2),
     (["distlab.cli", "family", "--k", "100"], 2),
-], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "survey-n-0",
-        "survey-threads-0", "survey-threads-negative", "family-k-100"])
+], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "n-0",
+        "n-negative", "emit-only-without-emit-cnf", "survey-n-0", "survey-threads-0",
+        "survey-threads-negative", "family-k-100"])
 def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
     """A huge budget is no budget; a bad value is an ``error:`` line and exit
     2, never a traceback."""

@@ -34,9 +34,11 @@ def test_round_trip_long_header_sizes():
 
 
 def test_agrees_with_networkx():
+    """Three graphs of every order 1..64, so every column width and the
+    long header of n >= 63 are checked."""
     rng = random.Random(37)
-    for _ in range(200):
-        g = random_graph(rng, rng.randrange(1, 25), rng.random())
+    for n in [*range(1, 65)] * 3:
+        g = random_graph(rng, n, rng.random())
         ours = emit(g)
         ng = nx.empty_graph(g.n)
         ng.add_edges_from(g.edges())

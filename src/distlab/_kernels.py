@@ -61,19 +61,25 @@ def unpack(level: int, n: int) -> list[int]:
     return out
 
 
-def levels(rows: Sequence[int], first: int | None = None) -> tuple[list[int], bool]:
+def levels(
+    rows: Sequence[int], first: int | None = None, last: int | None = None
+) -> tuple[list[int], bool]:
     """BFS levels from every source, packed, and whether they cover all pairs.
 
     Level 0 is the identity and level 1 the adjacency (``first``, when
     given, must be ``pack(rows)``); the list ends at the last non-empty
-    level, so a connected graph's diameter is its length minus one.
+    level, so a connected graph's diameter is its length minus one.  With
+    ``last`` the list also ends at level ``last``, and the flag tells only
+    whether the levels listed cover all pairs.
     """
     n = len(rows)
     col, ident, full = _consts(n)
+    if last is None:
+        last = n  # no distance reaches n
     frontier = pack(rows) if first is None else first
     out = [ident]
     visited = ident | frontier
-    while frontier:
+    while frontier and len(out) <= last:
         out.append(frontier)
         nxt = 0
         for v in range(n):
@@ -119,7 +125,7 @@ def distances(rows: Sequence[int]) -> list[list[int]]:
 
 def ring_rows(rows: Sequence[int], k: int) -> list[int]:
     """Rows of the graph joining the pairs at distance exactly ``k >= 1``."""
-    lv = levels(rows)[0]
+    lv = levels(rows, last=k)[0]
     return unpack(lv[k], len(rows)) if k < len(lv) else [0] * len(rows)
 
 
@@ -130,12 +136,17 @@ def diameter(rows: Sequence[int]) -> int:
 
 
 def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
-    """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2."""
+    """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2.
+
+    A disconnected G gives (-1, -1) after one BFS: G2 has no edge between
+    the components of G.
+    """
     n = len(rows)
     lv, connected = levels(rows)
-    d = len(lv) - 1 if connected else UNREACHABLE
+    if not connected:
+        return UNREACHABLE, UNREACHABLE
     if len(lv) > 2:
         lv2, connected2 = levels(unpack(lv[2], n), lv[2])
     else:
         lv2, connected2 = levels([0] * n, 0)
-    return d, (len(lv2) - 1 if connected2 else UNREACHABLE)
+    return len(lv) - 1, (len(lv2) - 1 if connected2 else UNREACHABLE)

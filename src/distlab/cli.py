@@ -26,14 +26,8 @@ from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
 from .sat.cnf import emit_dimacs
-from .sat.encode import build_formula, geodesic_length
-from .sat.search import (
-    SearchParams,
-    Unsat,
-    Witness,
-    cap_levels,
-    search,
-)
+from .sat.encode import build_formula
+from .sat.search import SearchParams, Unsat, Witness, search, solved_levels
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -160,7 +154,7 @@ def cmd_sat_search(args) -> int:
         budget_seconds=args.budget_seconds,
     )
     if args.emit_cnf:
-        solved = [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
+        solved = solved_levels(params)
         if solved:
             vm, formula = build_formula(params, solved[0])
             _write_atomic(args.emit_cnf, emit_dimacs(formula))

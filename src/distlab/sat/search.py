@@ -135,6 +135,13 @@ def cap_levels(params: SearchParams) -> list[int | None]:
     return list(range(lo, max(lo, params.n - 3) + 1))
 
 
+def solved_levels(params: SearchParams) -> list[int | None]:
+    """The levels of :func:`cap_levels` that get a formula, lowest first:
+    those whose G2 geodesic (:func:`~distlab.sat.encode.geodesic_length`)
+    fits in n vertices."""
+    return [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
+
+
 class EncodingMismatch(RuntimeError):
     """A model's b-variables or graph disagree with the BFS oracle."""
 
@@ -186,9 +193,8 @@ def search(params: SearchParams) -> SearchOutcome:
     """Solve each level of :func:`cap_levels` once, lowest first.
 
     Each level gets its own formula and solver, and the first model is the
-    witness; ``Unsat`` means every level was unsatisfiable.  A level whose
-    geodesic does not fit in n vertices is not solved.  Budgets count
-    across levels.
+    witness; ``Unsat`` means every level was unsatisfiable.  Only the
+    :func:`solved_levels` are solved.  Budgets count across levels.
     """
     start = time.monotonic()
     stats = SearchStats()
@@ -197,9 +203,10 @@ def search(params: SearchParams) -> SearchOutcome:
     def outcome(cls, **fields) -> SearchOutcome:
         return cls(solve_calls=calls, elapsed=time.monotonic() - start, stats=stats, **fields)
 
+    solved = solved_levels(params)
     for max_d in cap_levels(params):
         stats.cap_levels.append(max_d)
-        if geodesic_length(params, max_d) >= params.n:
+        if max_d not in solved:
             continue
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)

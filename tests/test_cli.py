@@ -349,25 +349,33 @@ def test_sat_search_has_no_solver_option(capsys):
 SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3"]
 
 
-@pytest.mark.parametrize("argv, code", [
-    (SAT_SEARCH_6 + ["--budget-seconds", "inf"], 0),
-    (SAT_SEARCH_6 + ["--budget-seconds", "1e300"], 0),
-    (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2),
-    (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2),
-    (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2),
-    (["distlab.cli", "sat-search", "--n", "0", "--p2-len", "2", "--min-d2", "3"], 2),
-    (["distlab.cli", "sat-search", "--n", "-3", "--p2-len", "2", "--min-d2", "3"], 2),
-    (SAT_SEARCH_6 + ["--emit-only"], 2),
-    (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2),
-    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2),
-    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2),
-    (["distlab.cli", "family", "--k", "100"], 2),
+@pytest.mark.parametrize("argv, code, message", [
+    (SAT_SEARCH_6 + ["--budget-seconds", "inf"], 0, None),
+    (SAT_SEARCH_6 + ["--budget-seconds", "1e300"], 0, None),
+    (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2,
+     "--budget-seconds must be a number"),
+    (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2,
+     "min_d2 must be at least 0"),
+    (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2,
+     "n must be in 1..64"),
+    (["distlab.cli", "sat-search", "--n", "0", "--p2-len", "2", "--min-d2", "3"], 2,
+     "n must be in 1..64"),
+    (["distlab.cli", "sat-search", "--n", "-3", "--p2-len", "2", "--min-d2", "3"], 2,
+     "n must be in 1..64"),
+    (SAT_SEARCH_6 + ["--emit-only"], 2, "--emit-only needs --emit-cnf"),
+    (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2,
+     "vertex count must be a positive integer"),
+    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2,
+     "job count must be a positive integer"),
+    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2,
+     "job count must be a positive integer"),
+    (["distlab.cli", "family", "--k", "100"], 2, "family is defined for even k in 4..30"),
 ], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "n-0",
         "n-negative", "emit-only-without-emit-cnf", "survey-n-0", "survey-threads-0",
         "survey-threads-negative", "family-k-100"])
-def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
-    """A huge budget is no budget; a bad value is an ``error:`` line and exit
-    2, never a traceback."""
+def test_edge_inputs_exit_cleanly(tmp_path, argv, code, message):
+    """A huge budget is no budget; a bad value is an ``error:`` line that
+    names what is wrong and exit 2, never a traceback."""
     cnf = tmp_path / "one.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")
     argv = [str(cnf) if arg == "{cnf}" else arg for arg in argv]
@@ -377,4 +385,4 @@ def test_edge_inputs_exit_cleanly(tmp_path, argv, code):
     if code == 0:
         assert proc.stdout == emit(search(SearchParams(6, 2, 3)).graph) + "\n"
     else:
-        assert proc.stdout == "" and "error:" in proc.stderr
+        assert proc.stdout == "" and f"error: {message}" in proc.stderr

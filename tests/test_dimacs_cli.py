@@ -93,3 +93,22 @@ def test_dimacs_cli_long_model_chunks(tmp_path):
     assert len(vlines) == 4  # 20 + 20 + 10 literals, then the closing v 0
     model = _model(proc.stdout)
     assert all(model[v] for v in range(1, 51))
+
+
+def test_dimacs_cli_binary_only_formulas(tmp_path):
+    """Formulas of binary clauses alone, which the solver keeps only in its
+    implication lists: a chain whose one model sets every variable true, and
+    the four clauses over x1, x2 that refute each other."""
+    n = 12
+    chain = [[v, v + 1] for v in range(1, n)] + [[-v, v + 1] for v in range(1, n)]
+    sat = CnfFormula(n, chain + [[1, -n], [1, n]])
+    path = tmp_path / "chain.cnf"
+    path.write_text(emit_dimacs(sat))
+    proc = _run_cli([str(path)])
+    assert proc.returncode == 10
+    assert _model(proc.stdout) == {v: True for v in range(1, n + 1)}
+    unsat = CnfFormula(2, [[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    path.write_text(emit_dimacs(unsat))
+    proc = _run_cli([str(path)])
+    assert proc.returncode == 20
+    assert proc.stdout.splitlines() == ["s UNSATISFIABLE"]

@@ -124,13 +124,15 @@ def test_deterministic_models():
     assert runs[0] == runs[1] == runs[2]
 
 
-# The exact search trace: any change to watch order, branching or backtracking
-# moves these counts, so a rewrite that keeps them runs the same search.
+# The exact search trace: a change to branching or backtracking moves the
+# decisions and conflicts, so a rewrite that keeps them runs the same search.
+# Propagations count the literals taken off the trail before a conflict, so
+# they also follow the order in which clauses are visited.
 @pytest.mark.parametrize(
     "target, stats, witness",
     [
-        ((9, 6, 6), (204, 127, 8_681), "H?_r?z?"),
-        ((13, 8, 8), (391, 145, 41_271), "L???p__@?[K?oC"),
+        ((9, 6, 6), (204, 127, 8_727), "H?_r?z?"),
+        ((13, 8, 8), (391, 145, 41_283), "L???p__@?[K?oC"),
     ],
 )
 def test_family_targets_pin_the_search_trace(target, stats, witness):
@@ -156,3 +158,88 @@ def test_second_solve_returns_the_same_answer():
         clauses = _random_formula(rng, nvars, rng.randrange(1, 20))
         solver = DpllSolver(nvars, clauses)
         assert solver.solve() == solver.solve()
+
+
+def _random_width_formula(rng, nvars, nclauses, widths):
+    clauses = []
+    for _ in range(nclauses):
+        vs = rng.sample(range(1, nvars + 1), min(rng.choice(widths), nvars))
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return clauses
+
+
+def test_binary_clauses_live_in_implication_lists():
+    solver = DpllSolver(3, [[1, -2], [2, 3], [-1], [1, 2, 3]])
+    # encoded literals: x is 2x and -x is 2x + 1
+    assert solver.units == [3]
+    assert solver.clauses == [[2, 4, 6]]
+    assert solver.implied[2] == [5] and solver.implied[5] == [2]
+    assert solver.implied[4] == [6] and solver.implied[6] == [4]
+    assert sum(map(len, solver.implied)) == 4
+    assert solver.watches[2] == solver.watches[4] == [[2, 4, 6]]
+    assert sum(map(len, solver.watches)) == 2
+
+
+@pytest.mark.parametrize("widths", [(2,), (1, 2, 2, 2, 3)], ids=["2-sat", "mostly-binary"])
+def test_binary_heavy_formulas_agree_with_truth_tables(widths):
+    rng = random.Random(89)
+    verdicts = set()
+    for _ in range(300):
+        nvars = rng.randrange(2, 10)
+        clauses = _random_width_formula(rng, nvars, rng.randrange(1, 3 * nvars), widths)
+        status, model = DpllSolver(nvars, clauses).solve()
+        verdicts.add(status)
+        assert (status == SAT) == _brute_sat(nvars, clauses)
+        if status == SAT:
+            assert _satisfies(model, clauses)
+    assert verdicts == {SAT, UNSAT}
+
+
+def test_binary_blocking_clauses_between_solve_calls():
+    """Enumerate the satisfiable values of one variable pair by adding a
+    binary blocking clause after each model."""
+    rng = random.Random(97)
+    for _ in range(60):
+        nvars = rng.randrange(2, 8)
+        clauses = _random_width_formula(rng, nvars, rng.randrange(1, 12), (1, 2, 3))
+        x, y = rng.sample(range(1, nvars + 1), 2)
+        want = {
+            (bits[x - 1], bits[y - 1])
+            for bits in itertools.product([False, True], repeat=nvars)
+            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses)
+        }
+        solver = DpllSolver(nvars, clauses)
+        got = set()
+        while True:
+            status, model = solver.solve()
+            if status == UNSAT:
+                break
+            assert _satisfies(model, clauses)
+            pair = (model[x], model[y])
+            assert pair not in got
+            got.add(pair)
+            solver.add_clause([-x if model[x] else x, -y if model[y] else y])
+        assert got == want
+
+
+def test_unit_and_shuffled_binary_chain_need_no_decisions():
+    """A unit forces a shuffled chain of implications that alternates
+    signs; closing the chain back onto the unit's negation is refuted by
+    propagation alone."""
+    rng = random.Random(101)
+    n = 40
+    order = list(range(2, n + 1))
+    rng.shuffle(order)
+    order = [1] + order
+    sign = {v: 1 if i % 2 == 0 else -1 for i, v in enumerate(order)}
+    chain = [[-sign[a] * a, sign[b] * b] for a, b in zip(order, order[1:])]
+    rng.shuffle(chain)
+    solver = DpllSolver(n, [[1]] + chain)
+    status, model = solver.solve()
+    assert status == SAT
+    assert all(model[v] == (sign[v] > 0) for v in range(1, n + 1))
+    assert solver.stats == {"decisions": 0, "conflicts": 0, "propagations": n}
+    last = order[-1]
+    solver = DpllSolver(n, chain + [[-sign[last] * last, -1], [1]])
+    assert solver.solve() == (UNSAT, None)
+    assert solver.stats["decisions"] == 0 and solver.stats["conflicts"] == 1

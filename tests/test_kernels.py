@@ -76,6 +76,32 @@ def test_disconnected_graphs_have_both_diameters_infinite():
         assert _kernels.diameter_pair(g.adj) == (-1, -1)
 
 
+def test_bounded_levels_agree_with_unbounded_bfs_and_networkx():
+    """``ring_rows(rows, k)`` stops its BFS at level k and ``diameter_pair``
+    skips the G2 BFS of a disconnected G; neither changes an answer."""
+    rng = random.Random(31)
+    disconnected = 0
+    for _ in range(30):
+        n = rng.randrange(1, 65)
+        g = random_graph(rng, n, rng.choice((0.02, 0.05, 0.1, 0.3)))
+        lv, connected = _kernels.levels(g.adj)
+        disconnected += not connected
+        h = nx.empty_graph(n)
+        h.add_edges_from(g.edges())
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        for k in range(1, n + 2):
+            assert _kernels.levels(g.adj, last=k)[0] == lv[:k + 1]
+            rows = _kernels.ring_rows(g.adj, k)
+            assert rows == (_kernels.unpack(lv[k], n) if k < len(lv) else [0] * n)
+            assert rows == [sum(1 << j for j, x in dist[i].items() if x == k)
+                            for i in range(n)]
+        h2 = nx.empty_graph(n)
+        h2.add_edges_from((i, j) for i in range(n) for j, x in dist[i].items() if x == 2)
+        want = tuple(nx.diameter(x) if nx.is_connected(x) else -1 for x in (h, h2))
+        assert _kernels.diameter_pair(g.adj) == want
+    assert 5 <= disconnected <= 25
+
+
 def test_distances_match_reference_bfs():
     rng = random.Random(17)
     for n in (1, 2, 3, 7, 12, 20, 33):

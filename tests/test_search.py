@@ -11,6 +11,7 @@ from distlab.canon import are_isomorphic
 from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
 from distlab.sat.cnf import CnfFormula
 from distlab.sat.dpll import DpllSolver
+from distlab.sat.encode import geodesic_length
 from distlab.sat.search import (
     BudgetExhausted,
     EncodingMismatch,
@@ -19,6 +20,7 @@ from distlab.sat.search import (
     Witness,
     cap_levels,
     search,
+    solved_levels,
     verify_witness,
 )
 
@@ -27,7 +29,7 @@ from util import reference_distances
 
 
 def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
-    """Every clause the solver watches went through exactly one
+    """Every clause the solver holds went through exactly one
     ``CnfFormula.add``, and the formula kept every clause it checked."""
     search_mod = sys.modules["distlab.sat.search"]
     adds = []
@@ -55,7 +57,11 @@ def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
     assert isinstance(search(SearchParams(n=9, p2_len=6, min_d2=6)), Witness)
     assert len(formulas) == len(solvers) == 1
     (formula,), (solver,) = formulas, solvers
-    assert len(adds) == formula.clause_count == len(solver.clauses) + len(solver.units)
+    # A binary clause (a, b) sits in two implication lists: count it at a < b.
+    binary = sum(1 for a, lits in enumerate(solver.implied) for b in lits if a < b)
+    assert len(adds) == formula.clause_count == (
+        len(solver.units) + binary + len(solver.clauses)
+    )
 
 
 def test_small_search_returns_verified_witness():
@@ -175,6 +181,18 @@ def test_cap_levels_staircase():
     assert cap_levels(SearchParams(n=6, p2_len=2, min_d2=3, forbid_diam_le_2=False)) == [1, 2, 3]
     assert cap_levels(SearchParams(n=6, p2_len=3, min_d2=6)) == [4]
     assert cap_levels(SearchParams(n=9, p2_len=6, min_d2=6, require_sharp=False)) == [None]
+
+
+def test_solved_levels_are_the_cap_levels_whose_geodesic_fits():
+    assert solved_levels(SearchParams(n=9, p2_len=6, min_d2=3)) == [3, 4, 5, 6]
+    # min_d2 = n: every level pins a geodesic of length at least n
+    assert solved_levels(SearchParams(n=6, p2_len=3, min_d2=6)) == []
+    assert solved_levels(SearchParams(n=9, p2_len=6, min_d2=6, require_sharp=False)) == [None]
+    assert solved_levels(SearchParams(n=5, p2_len=3, min_d2=5, require_sharp=False)) == []
+    for min_d2 in range(0, 11):
+        params = SearchParams(n=8, p2_len=2, min_d2=min_d2, forbid_diam_le_2=False)
+        want = [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
+        assert solved_levels(params) == want
 
 
 def test_staircase_escalates_past_unsat_level():

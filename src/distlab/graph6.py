@@ -5,14 +5,36 @@ column into 6-bit groups offset by 63.  Vertex counts above 62 use the
 three-byte long header introduced by ``~``.  Parsing is strict: stray
 bytes, truncation and nonzero padding are all rejected, with 1-based
 line numbers when decoding streams.
+
+Neither direction loops over bytes or edges in Python.  A 6-bit group is
+one base64 digit, so ``bytes.translate`` between the two alphabets and
+:mod:`binascii` turn a body into one int and back.  :func:`parse` writes
+that int as a bit string, left-justifies each column to ``N`` characters
+(``N`` a power of two, at least 8) and reverses the whole: read as one
+int, it sets bit ``j * N + i`` for each edge (i, j) with i < j, the lower
+triangle of an ``N`` x ``N`` bit matrix.  ``log2 N`` delta swaps
+transpose it, and the lower triangle ORed with its transpose, cut into
+``N``-bit words, gives the rows.  :func:`emit` joins each row's lower
+part as a reversed binary string.
 """
 from __future__ import annotations
 
+import binascii
+import functools
+import struct
+import sys
+from itertools import pairwise
 from typing import Iterable, Iterator
 
 from .graphs import MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
+_GRAPH6 = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
+_COLUMN_STARTS = [j * (j - 1) // 2 for j in range(MAX_VERTICES + 1)]
+_ROW_FORMAT = {8 * struct.calcsize(c): c for c in "BHIQ"}  # native unsigned, by bits
 
 
 class Graph6Error(ValueError):
@@ -23,30 +45,43 @@ class Graph6Error(ValueError):
         super().__init__(message)
 
 
+@functools.cache
+def _swap_masks(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each delta swap that transposes a ``size`` x ``size``
+    bit matrix, bit ``r * size + c`` at row r and column c.
+
+    The swap for block width w exchanges (r, c) and (r + w, c - w) for every
+    r without bit w and c with it, which lie ``w * (size - 1)`` bits apart.
+    """
+    out = []
+    w = size >> 1
+    while w:
+        row = sum(1 << c for c in range(size) if c & w)
+        mask = sum(row << (r * size) for r in range(size) if not r & w)
+        out.append((w * (size - 1), mask))
+        w >>= 1
+    return tuple(out)
+
+
 def emit(g: Graph) -> str:
     """One graph6 line (no trailing newline) for ``g``."""
     n = g.n
-    out = bytearray()
     if n <= 62:
-        out.append(n + 63)
+        head = chr(n + 63)
     else:
-        out += bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    # column j holds the pairs (0, j) .. (j-1, j), pair (i, j) at bit j-1-i,
-    # and the first column sits highest, as :func:`parse` reads them
-    acc = 0
-    for j in range(1, n):
-        lower = g.adj[j] & ((1 << j) - 1)
-        col = 0
-        while lower:
-            low = lower & -lower
-            col |= 1 << (j - low.bit_length())
-            lower ^= low
-        acc = acc << j | col
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    out += bytes(63 + (acc >> shift & 63) for shift in range(nbits + pad - 6, -1, -6))
-    return out.decode("ascii")
+        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    # column j holds the pairs (0, j) .. (j-1, j): row j's bits below j,
+    # lowest first, after a guard bit at j that keeps the leading zeros
+    adj = g.adj
+    bits = "".join(
+        [format(adj[j] & ((1 << j) - 1) | 1 << j, "b")[:0:-1] for j in range(1, n)]
+    )
+    need = (len(bits) + 5) // 6
+    width = len(bits) + -len(bits) % 24  # whole base64 quads of 24 bits
+    # the leading "0" makes the empty string of n = 1 a valid int
+    raw = int("0" + bits.ljust(width, "0"), 2).to_bytes(width // 8, "big")
+    return head + binascii.b2a_base64(raw, newline=False)[:need].translate(
+        _FROM_BASE64).decode("ascii")
 
 
 def parse(text: str, line: int | None = None) -> Graph:
@@ -60,9 +95,9 @@ def parse(text: str, line: int | None = None) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise Graph6Error("non-ASCII bytes in graph6 record", line) from None
-    for pos, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte} at position {pos} outside 63..126", line)
+    if min(data) < 63 or max(data) > 126:
+        pos = next(pos for pos, byte in enumerate(data) if not 63 <= byte <= 126)
+        raise Graph6Error(f"byte {data[pos]} at position {pos} outside 63..126", line)
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("vertex counts above 258047 are not supported", line)
@@ -81,26 +116,28 @@ def parse(text: str, line: int | None = None) -> Graph:
         raise Graph6Error(
             f"expected {need} data bytes for n={n}, got {len(body)}", line
         )
-    acc = 0
-    for byte in body:
-        acc = acc << 6 | byte - 63
-    pad = 6 * len(body) - nbits
+    quads = body.translate(_TO_BASE64)
+    quads += b"A" * (-len(quads) % 4)  # zero groups up to a whole quad
+    acc = int.from_bytes(binascii.a2b_base64(quads), "big")
+    pad = 6 * len(quads) - nbits
     if acc & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", line)
     acc >>= pad
-    # column j (pairs (0, j) .. (j-1, j)) is the next j bits from the top,
-    # so the last column sits lowest; bit b of a column is the pair (j-1-b, j)
-    rows = [0] * n
-    for j in range(n - 1, 0, -1):
-        col = acc & ((1 << j) - 1)
-        acc >>= j
-        while col:
-            low = col & -col
-            i = j - low.bit_length()
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            col ^= low
-    return Graph(n, rows, _validate=False)
+    # column j (pairs (0, j) .. (j-1, j)) is the next j bits from the top;
+    # left-justified to size bits and reversed, pair (i, j) lands on bit
+    # j * size + i of the lower triangle
+    bits = format(acc, f"0{nbits}b")
+    size = max(8, 1 << (n - 1).bit_length())  # whole bytes per row
+    lower = int(
+        "".join([bits[a:b].ljust(size, "0") for a, b in pairwise(_COLUMN_STARTS[:n + 1])])[::-1],
+        2,
+    )
+    upper = lower  # transposed in place: bit i * size + j for each edge
+    for shift, mask in _swap_masks(size):
+        t = (upper >> shift ^ upper) & mask
+        upper ^= t ^ t << shift
+    full = (lower | upper).to_bytes(n * size // 8, sys.byteorder)
+    return Graph(n, memoryview(full).cast(_ROW_FORMAT[size]).tolist(), _validate=False)
 
 
 def iter_graphs(lines: Iterable[str]) -> Iterator[Graph]:

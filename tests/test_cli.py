@@ -318,6 +318,24 @@ def test_bad_graph6_input_is_a_usage_error(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["transform", "verify", "diam"])
+def test_graph6_error_names_its_line(tmp_path, command):
+    """A bad byte on line 2 is one ``error:`` line and exit 2, never a
+    traceback, and the regular-file output is not created."""
+    src = tmp_path / "in.g6"
+    src.write_text(emit(cycle_graph(5)) + "\n" + "D" + chr(20) + "c\n")
+    dst = tmp_path / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distlab.cli", command, "--input", str(src), "--out", str(dst)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "error: line 2: byte 20 at position 1 outside 63..126" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not dst.exists()
+    assert sorted(os.listdir(tmp_path)) == ["in.g6"]
+
+
 def test_missing_input_file(capsys):
     assert main(["diam", "--input", "/no/such/file.g6"]) == 2
     assert "io error" in capsys.readouterr().err

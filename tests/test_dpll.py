@@ -127,7 +127,9 @@ def test_deterministic_models():
 # The exact search trace: a change to branching or backtracking moves the
 # decisions and conflicts, so a rewrite that keeps them runs the same search.
 # Propagations count the literals taken off the trail before a conflict, so
-# they also follow the order in which clauses are visited.
+# they also follow the order in which clauses are visited.  Each search
+# takes well under a second; the budget turns a propagation that stays sound
+# but gets weaker into a quick failure, not a minutes-long run.
 @pytest.mark.parametrize(
     "target, stats, witness",
     [
@@ -136,7 +138,7 @@ def test_deterministic_models():
     ],
 )
 def test_family_targets_pin_the_search_trace(target, stats, witness):
-    out = search(SearchParams(*target))
+    out = search(SearchParams(*target, budget_seconds=60.0))
     assert isinstance(out, Witness)
     assert out.stats.solver == dict(zip(("decisions", "conflicts", "propagations"), stats))
     assert emit(out.graph) == witness

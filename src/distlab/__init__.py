@@ -7,7 +7,6 @@ from .bounds import (
     BoundReport,
     check_bounds,
     family_graph,
-    lower_bound_witness_check,
 )
 from .canon import are_isomorphic, canonical_form
 from .enumeration import SurveyTable, enumerate_connected, survey
@@ -42,7 +41,6 @@ __all__ = [
     "BoundReport",
     "check_bounds",
     "family_graph",
-    "lower_bound_witness_check",
     "are_isomorphic",
     "canonical_form",
     "SurveyTable",

@@ -60,15 +60,3 @@ def family_graph(k: int) -> Graph:
     edges += [(2 * k, 0), (2 * k, 1)]
     return from_edge_list(2 * k + 1, edges)
 
-
-def lower_bound_witness_check(g: Graph) -> bool:
-    """True iff diam G2 equals the lower bound ceil(diam G / 2).
-
-    Requires both diameters finite and diam G >= 3.
-    """
-    d, d2 = diameter_pair(g)
-    if math.isinf(d) or d < 3:
-        raise ValueError("lower-bound check needs a connected graph with diameter >= 3")
-    if math.isinf(d2):
-        raise ValueError("lower-bound check needs a connected 2-distance graph")
-    return d2 == -(-d // 2)

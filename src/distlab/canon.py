@@ -144,15 +144,11 @@ def canonical_labeling_rows(
     return CanonResult(search.best_code, search.best_order, search.generators)
 
 
-def canonical_form_rows(rows: Sequence[int], n: int) -> bytes:
-    res = canonical_labeling_rows(rows, n)
-    nbytes = (n * (n - 1) // 2 + 7) // 8
-    return bytes([n]) + res.code.to_bytes(nbytes, "big") if nbytes else bytes([n])
-
-
 def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant adjacency encoding; equal iff isomorphic."""
-    return canonical_form_rows(g.rows(), g.n)
+    n = g.n
+    code = canonical_labeling_rows(g.rows(), n).code
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -173,17 +169,3 @@ def orbits_from_generators(gens: Sequence[Sequence[int]], n: int) -> list[int]:
                 orbit = [lo if x == hi else x for x in orbit]
     return orbit
 
-
-def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """Rows of the graph with vertex v renamed perm[v]."""
-    n = len(rows)
-    out = [0] * n
-    for v in range(n):
-        rv = rows[v]
-        nv = 0
-        while rv:
-            low = rv & -rv
-            nv |= 1 << perm[low.bit_length() - 1]
-            rv ^= low
-        out[perm[v]] = nv
-    return out

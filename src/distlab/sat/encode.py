@@ -244,11 +244,9 @@ def geodesic_length(params: "SearchParams", max_d: int | None = None) -> int:
     :func:`build_formula` pins (no ``max_d`` term without a cap).
 
     No graph is lost: relabeling puts a length-L G2 geodesic of any graph
-    with diam G2 >= L on 0..L, and 0..p2_len is part of it.  A ``p2_len``
-    outside 0..n-1 is a ``ValueError``.
+    with diam G2 >= L on 0..L, and 0..p2_len is part of it.  L may reach n
+    or more; :func:`~distlab.sat.search.solved_levels` decides the fit.
     """
-    if not 0 <= params.p2_len < params.n:
-        raise ValueError(f"path with {params.p2_len} edges does not fit in n={params.n}")
     if max_d is None:
         return max(params.p2_len, params.min_d2)
     return max(params.p2_len, params.min_d2, max_d + 2)

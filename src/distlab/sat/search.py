@@ -33,8 +33,9 @@ class SearchParams:
     pins a geodesic of length max(p2_len, min_d2, D + 2).  The staircase
     is complete without assuming the theorem: a sharp witness with
     d = diam G satisfies level d, or the lowest level if d is below it.
-    Each level is solved by the built-in DPLL.  An ``n`` outside 1..64, a
-    negative ``min_d2`` or a NaN budget is a ``ValueError``.
+    Each level is solved by the built-in DPLL.  An ``n`` outside 2..64, a
+    ``p2_len`` outside 0..n-1, a negative ``min_d2`` or a NaN budget is a
+    ``ValueError`` here, the one check of a search's inputs.
     """
 
     n: int
@@ -45,8 +46,10 @@ class SearchParams:
     budget_seconds: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= 64:
-            raise ValueError(f"n must be in 1..64, got {self.n}")
+        if not 2 <= self.n <= 64:
+            raise ValueError(f"n must be in 2..64, got {self.n}")
+        if not 0 <= self.p2_len < self.n:
+            raise ValueError(f"path with {self.p2_len} edges does not fit in n={self.n}")
         if self.min_d2 < 0:
             raise ValueError(f"min_d2 must be at least 0, got {self.min_d2}")
         if self.budget_seconds is not None and math.isnan(self.budget_seconds):
@@ -61,8 +64,8 @@ class SearchStats:
     """What a search did on the way to its outcome.
 
     ``cap_levels`` lists the diameter caps D solved under, in order
-    (``[None]`` when no cap applies), including levels skipped because
-    their geodesic does not fit in n vertices; ``phase_seconds``
+    (``[None]`` when no cap applies), or every cap level, none solved,
+    when no geodesic fits in n vertices; ``phase_seconds``
     splits the time into encode (formula and solver set-up), solve,
     decode and verify;
     ``solver_runs`` holds the solver ``stats`` of each level solved,
@@ -136,10 +139,12 @@ def cap_levels(params: SearchParams) -> list[int | None]:
 
 
 def solved_levels(params: SearchParams) -> list[int | None]:
-    """The levels of :func:`cap_levels` that get a formula, lowest first:
-    those whose G2 geodesic (:func:`~distlab.sat.encode.geodesic_length`)
-    fits in n vertices."""
-    return [d for d in cap_levels(params) if geodesic_length(params, d) < params.n]
+    """All of :func:`cap_levels` if the lowest level's G2 geodesic
+    (:func:`~distlab.sat.encode.geodesic_length`) fits in n vertices, else
+    ``[]``: p2_len < n, and D + 2 < n for every level D <= n - 3, so the
+    fit is all or nothing (a lowest level above n - 3 is the only one)."""
+    levels = cap_levels(params)
+    return levels if geodesic_length(params, levels[0]) < params.n else []
 
 
 class EncodingMismatch(RuntimeError):
@@ -193,8 +198,8 @@ def search(params: SearchParams) -> SearchOutcome:
     """Solve each level of :func:`cap_levels` once, lowest first.
 
     Each level gets its own formula and solver, and the first model is the
-    witness; ``Unsat`` means every level was unsatisfiable.  Only the
-    :func:`solved_levels` are solved.  Budgets count across levels.
+    witness; ``Unsat`` means every level was unsatisfiable, or none fits
+    (:func:`solved_levels` is empty).  Budgets count across levels.
     """
     start = time.monotonic()
     stats = SearchStats()
@@ -203,11 +208,12 @@ def search(params: SearchParams) -> SearchOutcome:
     def outcome(cls, **fields) -> SearchOutcome:
         return cls(solve_calls=calls, elapsed=time.monotonic() - start, stats=stats, **fields)
 
-    solved = solved_levels(params)
-    for max_d in cap_levels(params):
+    levels = solved_levels(params)
+    if not levels:
+        stats.cap_levels = cap_levels(params)
+        return outcome(Unsat)
+    for max_d in levels:
         stats.cap_levels.append(max_d)
-        if max_d not in solved:
-            continue
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)
             solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))

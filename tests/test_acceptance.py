@@ -179,7 +179,6 @@ def test_criterion_07_sat_pipeline_small():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_sat_pipeline_large_scale():
     start = time.monotonic()
     params = SearchParams(n=13, p2_len=8, min_d2=8)

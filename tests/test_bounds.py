@@ -9,7 +9,6 @@ from distlab.bounds import (
     VIOLATION,
     check_bounds,
     family_graph,
-    lower_bound_witness_check,
 )
 from distlab.canon import are_isomorphic
 from distlab.enumeration import enumerate_connected
@@ -108,11 +107,8 @@ def test_lower_bound_witness_search_and_checks():
     hits = []
     for n in (6, 7):
         for g in enumerate_connected(n):
-            try:
-                ok = lower_bound_witness_check(g)
-            except ValueError:
-                continue
-            if ok:
+            r = check_bounds(g)
+            if r.verdict == HOLDS and r.d2 == r.lower:
                 hits.append(g)
     assert hits
     for g in hits[:5]:
@@ -121,8 +117,7 @@ def test_lower_bound_witness_search_and_checks():
 
 
 def test_lower_bound_witness_rejects():
-    assert not lower_bound_witness_check(family_graph(4))
-    with pytest.raises(ValueError):
-        lower_bound_witness_check(path_graph(4))
-    with pytest.raises(ValueError):
-        lower_bound_witness_check(complete_graph(4))
+    r = check_bounds(family_graph(4))
+    assert not (r.verdict == HOLDS and r.d2 == r.lower)
+    assert check_bounds(path_graph(4)).verdict == HOLDS_VACUOUSLY
+    assert check_bounds(complete_graph(4)).verdict == NOT_APPLICABLE

@@ -6,11 +6,9 @@ import networkx as nx
 from distlab.canon import (
     are_isomorphic,
     canonical_form,
-    canonical_form_rows,
     canonical_labeling_rows,
     orbits_from_generators,
     refine,
-    relabel_rows,
 )
 from distlab.graphs import (
     Graph,
@@ -75,8 +73,8 @@ def test_canonical_order_is_a_permutation_and_idempotent():
     for g in _small_zoo():
         res = canonical_labeling_rows(g.rows(), g.n)
         assert sorted(res.order) == list(range(g.n))
-        rel = relabel_rows(g.rows(), _inverse_of_order(res.order))
-        again = canonical_form_rows(rel, g.n)
+        rel = relabeled(g, _inverse_of_order(res.order))
+        again = canonical_form(rel)
         assert again == canonical_form(g)
 
 
@@ -203,7 +201,7 @@ def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
         rows, n = g.rows(), g.n
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = relabel_rows(rows, perm)
+        moved = relabeled(g, perm).rows()
         for cells, splitters in _refinement_inputs(rows, n):
             got = refine(rows, cells, splitters)
             want = reference_refine(rows, cells)
@@ -231,18 +229,18 @@ def _cell_order_inputs():
         n = h.number_of_nodes()
         if not n:
             continue
-        rows = from_edge_list(n, h.edges()).rows()
+        g = from_edge_list(n, h.edges())
         if n <= 6:
-            yield rows, n
+            yield g.rows(), n
         else:
             perm = list(range(n))
             rng.shuffle(perm)
-            yield relabel_rows(rows, perm), n
+            yield relabeled(g, perm).rows(), n
     for _ in range(300):
         g = random_graph(rng, 8, rng.random())
         perm = list(range(8))
         rng.shuffle(perm)
-        yield relabel_rows(g.rows(), perm), 8
+        yield relabeled(g, perm).rows(), 8
 
 
 def test_given_root_cells_change_nothing():

@@ -375,11 +375,17 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2,
      "min_d2 must be at least 0"),
     (["distlab.cli", "sat-search", "--n", "65", "--p2-len", "2", "--min-d2", "3"], 2,
-     "n must be in 1..64"),
+     "n must be in 2..64"),
     (["distlab.cli", "sat-search", "--n", "0", "--p2-len", "2", "--min-d2", "3"], 2,
-     "n must be in 1..64"),
+     "n must be in 2..64"),
     (["distlab.cli", "sat-search", "--n", "-3", "--p2-len", "2", "--min-d2", "3"], 2,
-     "n must be in 1..64"),
+     "n must be in 2..64"),
+    (["distlab.cli", "sat-search", "--n", "1", "--p2-len", "0", "--min-d2", "0"], 2,
+     "n must be in 2..64"),
+    (["distlab.cli", "sat-search", "--n", "1", "--p2-len", "0", "--min-d2", "0",
+      "--allow-non-sharp"], 2, "n must be in 2..64"),
+    (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "5", "--min-d2", "3"], 2,
+     "path with 5 edges does not fit in n=5"),
     (SAT_SEARCH_6 + ["--emit-only"], 2, "--emit-only needs --emit-cnf"),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2,
      "vertex count must be a positive integer"),
@@ -389,7 +395,7 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
      "job count must be a positive integer"),
     (["distlab.cli", "family", "--k", "100"], 2, "family is defined for even k in 4..30"),
 ], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "n-0",
-        "n-negative", "emit-only-without-emit-cnf", "survey-n-0", "survey-threads-0",
+        "n-negative", "n-1", "n-1-non-sharp", "p2-len-5-in-n-5", "emit-only-without-emit-cnf", "survey-n-0", "survey-threads-0",
         "survey-threads-negative", "family-k-100"])
 def test_edge_inputs_exit_cleanly(tmp_path, argv, code, message):
     """A huge budget is no budget; a bad value is an ``error:`` line that

@@ -195,6 +195,34 @@ def test_solved_levels_are_the_cap_levels_whose_geodesic_fits():
         assert solved_levels(params) == want
 
 
+def test_the_geodesic_fits_at_every_level_or_at_none():
+    """p2_len < n and D + 2 <= n - 1 for every level D <= n - 3, so only
+    min_d2 >= n or a lowest level above n - 3 keeps the geodesic out."""
+    for n in range(2, 17):
+        for p2_len in range(n):
+            for min_d2 in range(n + 2):
+                for forbid in (True, False):
+                    for sharp in (True, False):
+                        params = SearchParams(n, p2_len, min_d2, forbid, sharp)
+                        levels = cap_levels(params)
+                        solved = solved_levels(params)
+                        assert solved in ([], levels)
+                        fits = min_d2 < n and (not sharp or levels[0] <= n - 3)
+                        assert bool(solved) == fits, params
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, 0, 0), "n must be in 2..64, got 1"),
+    ((1, 0, 0, True, False), "n must be in 2..64, got 1"),
+    ((65, 2, 3), "n must be in 2..64, got 65"),
+    ((5, 5, 3), "path with 5 edges does not fit in n=5"),
+    ((5, -1, 3, True, False), "path with -1 edges does not fit in n=5"),
+], ids=["n-1", "n-1-non-sharp", "n-65", "p2-len-n", "p2-len-negative"])
+def test_search_params_refuse_what_no_search_can_take(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SearchParams(*fields)
+
+
 def test_staircase_escalates_past_unsat_level():
     params = SearchParams(n=9, p2_len=6, min_d2=3)
     out = search(params)

@@ -15,6 +15,24 @@ its n row slices are the rows of the k-distance graph.  Distance
 matrices use ``UNREACHABLE`` (-1) for pairs in different components,
 and ``diameter_pair`` returns -1 in either slot for an infinite
 diameter.
+
+No pass computes what is already known.  Level 1 is the adjacency, so
+level k takes k - 1 passes, and:
+
+- ``levels`` stops once its levels cover every pair, so a connected
+  graph of diameter d takes d - 1 passes, not d;
+- ``levels(rows, last=k)``, and so ``ring_rows(rows, k)``, stops after
+  level k;
+- ``diameter`` and ``diameter_pair`` decide connectivity first, by one
+  single-source ``reach`` from vertex 0, and run no pass for a
+  disconnected G.
+
+``diameter_pair`` also runs no G2 pass for a connected bipartite G on
+n >= 2 vertices: diam G2 is infinite.  A walk of length 2 ends on the
+side it starts from, so G2 has no edge between the two sides, and both
+sides are non-empty because G is connected and has an edge.  A connected
+G is bipartite iff no edge joins two vertices whose distances from
+vertex 0 have the same parity, which the levels of G already show.
 """
 from __future__ import annotations
 
@@ -61,6 +79,16 @@ def unpack(level: int, n: int) -> list[int]:
     return out
 
 
+def _advance(rows: Sequence[int], frontier: int, col: int) -> int:
+    """One pass: the packed neighbourhoods of every source's frontier."""
+    nxt = 0
+    for v in range(len(rows)):
+        sel = (frontier >> v) & col
+        if sel:
+            nxt |= sel * rows[v]
+    return nxt
+
+
 def levels(
     rows: Sequence[int], first: int | None = None, last: int | None = None
 ) -> tuple[list[int], bool]:
@@ -81,12 +109,10 @@ def levels(
     visited = ident | frontier
     while frontier and len(out) <= last:
         out.append(frontier)
-        nxt = 0
-        for v in range(n):
-            sel = (frontier >> v) & col
-            if sel:
-                nxt |= sel * rows[v]
-        frontier = nxt & ~visited
+        if visited == full or len(out) > last:
+            break  # the next level is empty, or not asked for
+        # _advance is looked up at each pass, where a test counts the passes.
+        frontier = _advance(rows, frontier, col) & ~visited
         visited |= frontier
     return out, visited == full
 
@@ -94,20 +120,26 @@ def levels(
 def reach(rows: Sequence[int], start: int, within: int) -> int:
     """The vertices of ``within`` reachable from the set ``start`` inside it.
 
-    ``start`` must lie in ``within``; both are bitsets.
+    ``start`` must lie in ``within``; both are bitsets.  Each round reads
+    the rows of the vertices reached in the round before only, so the
+    whole search reads each reached row once.
     """
-    seen = start
-    while True:
-        new = seen
-        m = seen
-        while m:
-            low = m & -m
-            new |= rows[low.bit_length() - 1]
-            m ^= low
-        new &= within
-        if new == seen:
-            return seen
-        seen = new
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def connected(rows: Sequence[int]) -> bool:
+    """Whether the graph is connected, by one ``reach`` from vertex 0."""
+    full = (1 << len(rows)) - 1
+    return reach(rows, 1, full) == full
 
 
 def distances(rows: Sequence[int]) -> list[list[int]]:
@@ -131,22 +163,41 @@ def ring_rows(rows: Sequence[int], k: int) -> list[int]:
 
 def diameter(rows: Sequence[int]) -> int:
     """Largest distance, -1 when the graph is disconnected."""
-    lv, connected = levels(rows)
-    return len(lv) - 1 if connected else UNREACHABLE
+    if not connected(rows):
+        return UNREACHABLE
+    return len(levels(rows)[0]) - 1
+
+
+def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> bool:
+    """Whether a connected graph with packed BFS levels ``lv`` is bipartite.
+
+    Its sides would be the vertices at even and at odd distance from
+    vertex 0, read from row 0 of each level.
+    """
+    mask = (1 << len(rows)) - 1
+    even = 0
+    for level in lv[::2]:
+        even |= level & mask
+    odd = mask ^ even
+    return not any(row & (even if (even >> v) & 1 else odd) for v, row in enumerate(rows))
 
 
 def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
     """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2.
 
-    A disconnected G gives (-1, -1) after one BFS: G2 has no edge between
-    the components of G.
+    A disconnected G gives (-1, -1) with no all-sources pass: G2 has no
+    edge between the components of G.  A connected bipartite G on n >= 2
+    vertices gives (diam G, -1) with no G2 pass (see the module docstring).
     """
     n = len(rows)
-    lv, connected = levels(rows)
-    if not connected:
+    if not connected(rows):
         return UNREACHABLE, UNREACHABLE
-    if len(lv) > 2:
+    lv = levels(rows)[0]
+    d = len(lv) - 1
+    if n >= 2 and _bipartite(rows, lv):
+        return d, UNREACHABLE
+    if d >= 2:
         lv2, connected2 = levels(unpack(lv[2], n), lv[2])
     else:
         lv2, connected2 = levels([0] * n, 0)
-    return len(lv) - 1, (len(lv2) - 1 if connected2 else UNREACHABLE)
+    return d, (len(lv2) - 1 if connected2 else UNREACHABLE)

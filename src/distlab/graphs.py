@@ -191,4 +191,4 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return _kernels.connected(g.adj)

@@ -149,6 +149,24 @@ def test_children_refine_through_the_canon_module(monkeypatch):
         assert survivors and whole.count(True) == survivors
 
 
+def test_each_cut_status_is_computed_at_most_once_per_survey(monkeypatch):
+    """Within one survey no (child, vertex) cut test repeats: the search
+    for the last cell with a non-cut vertex stops at m's cell untested."""
+    tested = {}
+    real = distlab.enumeration._is_cut
+
+    def counting(rows, v, full):
+        key = (tuple(rows), v)
+        tested[key] = tested.get(key, 0) + 1
+        return real(rows, v, full)
+
+    monkeypatch.setattr(distlab.enumeration, "_is_cut", counting)
+    for n in range(3, 9):
+        tested.clear()
+        survey(n)
+        assert tested and max(tested.values()) == 1
+
+
 def test_enumeration_is_deterministic():
     first = [emit(g) for g in enumerate_connected(6)]
     second = [emit(g) for g in enumerate_connected(6)]

@@ -8,7 +8,16 @@ import pytest
 
 from distlab import _kernels
 from distlab.graph6 import emit
-from distlab.graphs import all_pairs_distances, cycle_graph, diameter, from_edge_list, k_distance
+from distlab.bounds import family_graph
+from distlab.graphs import (
+    all_pairs_distances,
+    complete_graph,
+    cycle_graph,
+    diameter,
+    from_edge_list,
+    k_distance,
+    path_graph,
+)
 
 from util import random_connected_graph, random_graph, reference_distances
 
@@ -100,6 +109,110 @@ def test_bounded_levels_agree_with_unbounded_bfs_and_networkx():
         want = tuple(nx.diameter(x) if nx.is_connected(x) else -1 for x in (h, h2))
         assert _kernels.diameter_pair(g.adj) == want
     assert 5 <= disconnected <= 25
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A list that grows by one for each all-sources BFS pass."""
+    calls = []
+    advance = _kernels._advance
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(_kernels, "_advance", counted)
+    return calls
+
+
+def _passes_of(passes, fn, *args):
+    passes.clear()
+    out = fn(*args)
+    return out, len(passes)
+
+
+def test_bfs_runs_only_the_passes_its_answer_needs(passes):
+    # Level 1 is the adjacency, so level k costs k - 1 passes.
+    p = path_graph(12).adj
+    for k in range(1, 12):
+        assert _passes_of(passes, _kernels.ring_rows, p, k)[1] == k - 1
+    # A connected graph of diameter d stops at full coverage, after d - 1 passes.
+    rng = random.Random(41)
+    graphs = [path_graph(1), complete_graph(5), cycle_graph(9), family_graph(4)]
+    graphs += [random_connected_graph(rng, n, 3.0 / n) for n in (2, 8, 33, 64)]
+    for g in graphs:
+        d, count = _passes_of(passes, _kernels.diameter, g.adj)
+        assert count == max(d - 1, 0)
+        assert _passes_of(passes, _kernels.levels, g.adj)[1] == max(d - 1, 0)
+    # (4, 6): d - 1 passes for G, then d2 - 1 for G2.
+    assert _passes_of(passes, _kernels.diameter_pair, family_graph(4).adj) == ((4, 6), 8)
+    # A disconnected G runs no pass at all.
+    for g in (from_edge_list(2, []), from_edge_list(40, [(i, i + 1) for i in range(38)])):
+        assert _passes_of(passes, _kernels.diameter, g.adj) == (-1, 0)
+        assert _passes_of(passes, _kernels.diameter_pair, g.adj) == ((-1, -1), 0)
+    # A connected bipartite G runs no G2 pass.
+    for g in (path_graph(12), cycle_graph(10), from_edge_list(6, [(0, i) for i in range(1, 6)])):
+        d = _kernels.diameter(g.adj)
+        assert _passes_of(passes, _kernels.diameter_pair, g.adj) == ((d, -1), d - 1)
+
+
+def test_bounded_levels_flag_covers_only_the_levels_listed():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randrange(1, 65)
+        g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.2, 0.5)))
+        dist = reference_distances(g)
+        for k in range(1, n + 2):
+            covered = all(0 <= x <= k for row in dist for x in row)
+            assert _kernels.levels(g.adj, last=k)[1] == covered
+
+
+def _nx_pair(n, edges):
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    h2 = nx.empty_graph(n)
+    h2.add_edges_from((i, j) for i in range(n) for j, x in dist[i].items() if x == 2)
+    return tuple(nx.diameter(x) if nx.is_connected(x) else -1 for x in (h, h2))
+
+
+def test_bipartite_rule_agrees_with_networkx():
+    assert _kernels.diameter_pair(path_graph(1).adj) == (0, 0)
+    assert _kernels.diameter_pair(path_graph(2).adj) == (1, -1)
+    assert _kernels.diameter_pair(cycle_graph(5).adj) == (2, 2)
+    rng = random.Random(47)
+    cases = []
+    for n in range(2, 65):
+        cases.append((n, path_graph(n).edges()))
+        cases.append((n, [(0, i) for i in range(1, n)]))  # star
+        cases.append((n, [(rng.randrange(v), v) for v in range(1, n)]))  # random tree
+        a = rng.randrange(1, n)
+        cases.append((n, [(i, j) for i in range(a) for j in range(a, n)]))  # K_{a,n-a}
+        if n >= 3:
+            cases.append((n, cycle_graph(n).edges()))  # even and odd cycles
+    for n, edges in cases:
+        g = from_edge_list(n, edges)
+        want = _nx_pair(n, edges)
+        assert _kernels.diameter_pair(g.adj) == want
+
+
+def test_reach_matches_a_plain_fixpoint():
+    rng = random.Random(53)
+    for n in range(1, 65):
+        for p in (0.02, 0.08, 0.3):
+            rows = random_graph(rng, n, p).adj
+            within = rng.getrandbits(n) | 1
+            start = rng.getrandbits(n) & within
+            want = start
+            while True:
+                grown = want
+                for v in range(n):
+                    if (want >> v) & 1:
+                        grown |= rows[v] & within
+                if grown == want:
+                    break
+                want = grown
+            assert _kernels.reach(rows, start, within) == want
 
 
 def test_distances_match_reference_bfs():

@@ -15,13 +15,10 @@ from .graphs import (
     UNREACHABLE,
     Graph,
     all_pairs_distances,
-    complement,
     complete_graph,
-    connected_components,
     cycle_graph,
     diameter,
     diameter_pair,
-    empty_graph,
     from_edge_list,
     is_connected,
     k_distance,
@@ -50,13 +47,10 @@ __all__ = [
     "UNREACHABLE",
     "Graph",
     "all_pairs_distances",
-    "complement",
     "complete_graph",
-    "connected_components",
     "cycle_graph",
     "diameter",
     "diameter_pair",
-    "empty_graph",
     "from_edge_list",
     "is_connected",
     "k_distance",

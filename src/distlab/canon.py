@@ -147,7 +147,7 @@ def canonical_labeling_rows(
 def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant adjacency encoding; equal iff isomorphic."""
     n = g.n
-    code = canonical_labeling_rows(g.rows(), n).code
+    code = canonical_labeling_rows(g.adj, n).code
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 

@@ -197,25 +197,6 @@ class SurveyTable:
             lines.append(f"{self.n},{d},{d2s},{count}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SurveyTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "n,d,d2,count":
-            raise ValueError("expected header 'n,d,d2,count'")
-        table: "SurveyTable | None" = None
-        for ln in lines[1:]:
-            nstr, dstr, d2str, cstr = ln.strip().split(",")
-            n = int(nstr)
-            if table is None:
-                table = cls(n)
-            elif table.n != n:
-                raise ValueError("mixed n values in one survey table")
-            d2: int | float = math.inf if d2str == "inf" else int(d2str)
-            table.add(int(dstr), d2, int(cstr))
-        if table is None:
-            raise ValueError("empty survey table")
-        return table
-
 
 def _survey_subtree(n: int, root: tuple[int, ...]) -> dict[tuple[int, int | float], int]:
     """(diam G, diam G2) counts over the order-n graphs below one node's rows."""

@@ -56,19 +56,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def rows(self) -> list[int]:
-        """Adjacency rows as a list."""
-        return list(self.adj)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
-
-    def neighbors(self, i: int) -> list[int]:
-        return bitset_to_vertices(self.adj[i])
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i in range(self.n):
@@ -126,16 +113,6 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def empty_graph(n: int) -> Graph:
-    return from_edge_list(n, [])
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    rows = [(full & ~r) & ~(1 << i) for i, r in enumerate(g.rows())]
-    return Graph(g.n, rows, _validate=False)
-
-
 def all_pairs_distances(g: Graph) -> list[list[int]]:
     """Exact BFS distance matrix as a list of rows, ``UNREACHABLE`` (-1)
     across components.
@@ -175,19 +152,6 @@ def k_distance(g: Graph, k: int) -> Graph:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return Graph(g.n, _kernels.ring_rows(g.adj, k), _validate=False)
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex partition into components, each sorted, ordered by least vertex."""
-    full = (1 << g.n) - 1
-    seen = 0
-    comps = []
-    for s in range(g.n):
-        if not (seen >> s) & 1:
-            comp = _kernels.reach(g.adj, 1 << s, full)
-            seen |= comp
-            comps.append(bitset_to_vertices(comp))
-    return comps
 
 
 def is_connected(g: Graph) -> bool:

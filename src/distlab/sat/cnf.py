@@ -165,12 +165,6 @@ class VarMap:
     def var_count(self) -> int:
         return len(self._vars)
 
-    def a_vars(self) -> list[int]:
-        return list(range(1, self._npairs + 1))
-
-    def b_vars(self) -> list[int]:
-        return list(range(self._npairs + 1, 2 * self._npairs + 1))
-
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for _, i, j in self._vars[:self._npairs]]
 

@@ -1,16 +1,15 @@
-"""Labeled-graph brute force with explicit permutation dedup.
+"""Labeled-graph brute force with explicit relabeling dedup, on plain ints.
 
 A graph on n vertices is a bitmask over the C(n,2) unordered pairs,
 bit order lexicographic: (0,1), (0,2), ..., (n-2,n-1).  The class count
 comes from scanning every mask once and, at each unseen mask, marking
-its whole relabeling orbit seen.  No canonical forms, no refinement;
-the only speedup is applying all n! bit permutations at once via numpy.
+its whole relabeling orbit seen.  The orbit is searched under two
+relabelings that generate every permutation, the transposition (0 1)
+and the n-cycle; each one maps a mask through three chunk lookup
+tables.  No canonical forms, no refinement.
 """
 
-import itertools
 import math
-
-import numpy as np
 
 
 def pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -19,19 +18,6 @@ def pair_index(n: int) -> dict[tuple[int, int], int]:
         for j in range(i + 1, n):
             idx[(i, j)] = len(idx)
     return idx
-
-
-def perm_bit_targets(n: int) -> np.ndarray:
-    """targets[p, b] = image bit of b under the p-th permutation."""
-    idx = pair_index(n)
-    m = len(idx)
-    perms = list(itertools.permutations(range(n)))
-    targets = np.zeros((len(perms), m), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        for (i, j), b in idx.items():
-            a, c = perm[i], perm[j]
-            targets[p, b] = idx[(min(a, c), max(a, c))]
-    return targets
 
 
 def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
@@ -58,27 +44,55 @@ def mask_is_connected(n: int, mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
+def _relabel_tables(n: int, perm: list[int], width: int) -> list[list[int]]:
+    """Three chunk tables that relabel a mask by ``perm``.
+
+    ``tables[c][v]`` is the image of the pair bits ``v << (c * width)``,
+    so OR-ing one lookup per chunk relabels a whole mask.
+    """
+    idx = pair_index(n)
+    image = [0] * len(idx)
+    for (i, j), b in idx.items():
+        a, c = perm[i], perm[j]
+        image[b] = 1 << idx[(min(a, c), max(a, c))]
+    tables = []
+    for lo in range(0, 3 * width, width):
+        bits = image[lo:lo + width]
+        table = [0] * (1 << len(bits))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | bits[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 def connected_class_reps(n: int) -> list[int]:
     """First-seen mask per isomorphism class of connected graphs."""
     if n == 1:
         return [0]
     m = n * (n - 1) // 2
-    targets = perm_bit_targets(n)
-    size = 1 << m
-    seen = bytearray(size)
+    width = -(-m // 3)
+    chunk = (1 << width) - 1
+    # The transposition (0 1) and the n-cycle v -> v + 1 generate every
+    # permutation, so a search under the two reaches a mask's whole orbit.
+    swap = [1, 0] + list(range(2, n))
+    shift = [(v + 1) % n for v in range(n)]
+    gens = [_relabel_tables(n, perm, width) for perm in (swap, shift)]
+    seen = bytearray(1 << m)
     reps = []
-    bit_images = 1 << targets.astype(np.uint64)
-    for mask in range(size):
+    for mask in range(1 << m):
         if seen[mask]:
             continue
-        images = np.zeros(len(targets), dtype=np.uint64)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            images |= bit_images[:, low.bit_length() - 1]
-            rest ^= low
-        for im in np.unique(images).tolist():
-            seen[im] = 1
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            a, b, c = x & chunk, (x >> width) & chunk, x >> (2 * width)
+            for t0, t1, t2 in gens:
+                y = t0[a] | t1[b] | t2[c]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
         if mask_is_connected(n, mask):
             reps.append(mask)
     return reps

@@ -36,9 +36,9 @@ def test_family_graph_shape():
         g = family_graph(k)
         assert g.n == 2 * k + 1
         apex = 2 * k
-        assert g.neighbors(apex) == [0, 1]
-        assert g.degree(0) == 3 and g.degree(1) == 3
-        assert all(g.degree(v) == 2 for v in range(2, apex))
+        assert g.adj[apex] == 0b11
+        assert g.adj[0].bit_count() == 3 and g.adj[1].bit_count() == 3
+        assert all(g.adj[v].bit_count() == 2 for v in range(2, apex))
         assert g.edge_count() == 2 * k + 2
 
 

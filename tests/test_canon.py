@@ -71,7 +71,7 @@ def test_are_isomorphic_matches_brute_force():
 
 def test_canonical_order_is_a_permutation_and_idempotent():
     for g in _small_zoo():
-        res = canonical_labeling_rows(g.rows(), g.n)
+        res = canonical_labeling_rows(g.adj, g.n)
         assert sorted(res.order) == list(range(g.n))
         rel = relabeled(g, _inverse_of_order(res.order))
         again = canonical_form(rel)
@@ -88,7 +88,7 @@ def _inverse_of_order(order):
 
 def test_generators_are_automorphisms():
     for g in _small_zoo():
-        res = canonical_labeling_rows(g.rows(), g.n)
+        res = canonical_labeling_rows(g.adj, g.n)
         edges = set(g.edges())
         for perm in res.generators:
             assert sorted(perm) == list(range(g.n))
@@ -102,7 +102,7 @@ def test_generators_span_the_full_automorphism_group():
     for _ in range(20):
         samples.append(random_graph(rng, 6, rng.random()))
     for g in samples:
-        res = canonical_labeling_rows(g.rows(), g.n)
+        res = canonical_labeling_rows(g.adj, g.n)
         assert _closure_size(res.generators, g.n) == _brute_aut_count(g)
 
 
@@ -137,19 +137,19 @@ def test_orbits_match_brute_force():
     for _ in range(15):
         samples.append(random_graph(rng, 6, rng.random()))
     for g in samples:
-        res = canonical_labeling_rows(g.rows(), g.n)
+        res = canonical_labeling_rows(g.adj, g.n)
         assert orbits_from_generators(res.generators, g.n) == brute_orbits(g)
 
 
 def test_known_group_orders():
     assert _closure_size(
-        canonical_labeling_rows(cycle_graph(5).rows(), 5).generators, 5
+        canonical_labeling_rows(cycle_graph(5).adj, 5).generators, 5
     ) == 10
     assert _closure_size(
-        canonical_labeling_rows(complete_graph(4).rows(), 4).generators, 4
+        canonical_labeling_rows(complete_graph(4).adj, 4).generators, 4
     ) == 24
     assert _closure_size(
-        canonical_labeling_rows(path_graph(3).rows(), 3).generators, 3
+        canonical_labeling_rows(path_graph(3).adj, 3).generators, 3
     ) == 2
 
 
@@ -162,7 +162,7 @@ def test_canonical_order_never_decreases_in_degree():
     for n in range(8, 13):
         graphs += [random_graph(rng, n, rng.random()) for _ in range(40)]
     for g in graphs:
-        rows = g.rows()
+        rows = g.adj
         degrees = [rows[v].bit_count() for v in canonical_labeling_rows(rows, g.n).order]
         assert degrees == sorted(degrees)
 
@@ -198,10 +198,10 @@ def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
     rng = random.Random(79)
     checked = 0
     for g in _atlas_and_random_graphs():
-        rows, n = g.rows(), g.n
+        rows, n = g.adj, g.n
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = relabeled(g, perm).rows()
+        moved = relabeled(g, perm).adj
         for cells, splitters in _refinement_inputs(rows, n):
             got = refine(rows, cells, splitters)
             want = reference_refine(rows, cells)
@@ -231,16 +231,16 @@ def _cell_order_inputs():
             continue
         g = from_edge_list(n, h.edges())
         if n <= 6:
-            yield g.rows(), n
+            yield g.adj, n
         else:
             perm = list(range(n))
             rng.shuffle(perm)
-            yield relabeled(g, perm).rows(), n
+            yield relabeled(g, perm).adj, n
     for _ in range(300):
         g = random_graph(rng, 8, rng.random())
         perm = list(range(8))
         rng.shuffle(perm)
-        yield relabeled(g, perm).rows(), 8
+        yield relabeled(g, perm).adj, 8
 
 
 def test_given_root_cells_change_nothing():

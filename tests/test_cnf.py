@@ -141,8 +141,8 @@ def test_varmap_layout():
     assert vm.b(3, 2) == 12
     assert vm.a(1, 0) == vm.a(0, 1)
     assert vm.var_count == 12
-    assert vm.a_vars() == list(range(1, 7))
-    assert vm.b_vars() == list(range(7, 13))
+    assert [vm.a(i, j) for i, j in vm.pairs()] == list(range(1, 7))
+    assert [vm.b(i, j) for i, j in vm.pairs()] == list(range(7, 13))
     assert vm.pairs() == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from distlab.graphs import from_edge_list, path_graph
+from distlab.graphs import diameter_pair, from_edge_list, path_graph
 from distlab.sat.cnf import CnfFormula, VarMap
 from distlab.sat.dpll import SAT, UNSAT, DpllSolver
 from distlab.sat.encode import (
@@ -20,7 +20,12 @@ from distlab.sat.encode import (
 from distlab.sat.search import SearchParams, verify_witness
 
 import brute
-from util import reference_diameter, reference_distances, reference_k_distance_edges
+from util import (
+    nx_diameter_pair,
+    reference_diameter,
+    reference_distances,
+    reference_k_distance_edges,
+)
 
 
 def _mask_graph(n, mask):
@@ -32,7 +37,7 @@ def _fix_adjacency(vm, g):
     units = []
     for i, j in vm.pairs():
         var = vm.a(i, j)
-        units.append([var] if g.has_edge(i, j) else [-var])
+        units.append([var] if (g.adj[i] >> j) & 1 else [-var])
     return units
 
 
@@ -51,7 +56,7 @@ def _solve_with_graph(formula, vm, g):
 def _enumerate_a_models(vm, formula):
     """All models projected to adjacency masks, via blocking clauses."""
     solver = DpllSolver(formula.var_count, formula.clauses)
-    a_vars = vm.a_vars()
+    a_vars = [vm.a(i, j) for i, j in vm.pairs()]
     out = set()
     while True:
         status, model = solver.solve()
@@ -119,7 +124,7 @@ def _a_models_pinned(vm, formula, free=5):
     the models over those few are enumerated by blocking clauses: the same
     per-graph verdicts as one solver per graph, in far fewer solver builds.
     """
-    fixed = vm.a_vars()[:-free]
+    fixed = [vm.a(i, j) for i, j in vm.pairs()][:-free]
     out = set()
     for cube in range(1 << len(fixed)):
         units = [[v if cube >> bit & 1 else -v] for bit, v in enumerate(fixed)]
@@ -319,8 +324,8 @@ def _lex_ok(n, p2_len, g):
     for u in free[:-1]:
         v = u + 1
         cols = [w for w in range(n) if w not in (u, v)]
-        xs = tuple(int(g.has_edge(u, w)) for w in cols)
-        ys = tuple(int(g.has_edge(v, w)) for w in cols)
+        xs = tuple((g.adj[u] >> w) & 1 for w in cols)
+        ys = tuple((g.adj[v] >> w) & 1 for w in cols)
         if xs > ys:
             return False
     return True
@@ -356,7 +361,7 @@ def test_free_vertex_ordering_keeps_a_member_of_every_class():
             img = from_edge_list(n, edges)
             img_mask = 0
             for bit, (i, j) in enumerate(vm_pairs_5):
-                if img.has_edge(i, j):
+                if (img.adj[i] >> j) & 1:
                     img_mask |= 1 << bit
             if img_mask in survivors:
                 found = True
@@ -422,6 +427,22 @@ def test_every_auxiliary_variable_names_its_kind():
     assert "aux" not in kinds
     assert {"t", "far", "eq", "q1", "c1", "r4", "m4", "r6", "m6"} <= kinds
     assert not {"cn", "w", "r2", "m2"} & kinds
+
+
+def test_violation_level_is_refuted_by_its_cap():
+    """Violation level D = 3 at n = 7 (diam G <= 3, G2 connected, a pinned G2
+    geodesic of length 6) is UNSAT.  Without the cap the same formula is SAT
+    with a (5, 6) graph, so the cap is what refutes the level."""
+    params = SearchParams(7, 0, 6)
+    _, capped = build_formula(params, 3)
+    assert capped.clause_count == 1082
+    assert DpllSolver(capped.var_count, capped.clauses).solve()[0] == UNSAT
+    vm, uncapped = build_formula(params)
+    assert uncapped.clause_count == 830
+    status, model = DpllSolver(uncapped.var_count, uncapped.clauses).solve()
+    assert status == SAT
+    g = decode_model(vm, model)
+    assert diameter_pair(g) == (5, 6) == nx_diameter_pair(g.n, g.edges())
 
 
 def test_decode_model_paths_and_errors():

@@ -278,6 +278,17 @@ def test_survey_refuses_a_job_count_below_one(jobs):
         survey(5, jobs=jobs)
 
 
+def test_census_support_grows_with_the_order():
+    """Adding a false twin keeps (diam G, diam G2) when diam G >= 2, so a
+    cell with d >= 2 that is filled at order n - 1 is filled at order n."""
+    below = survey(2)
+    for n in range(3, 9):
+        table = survey(n)
+        lost = {cell for cell in below.cells if cell[0] >= 2} - table.cells.keys()
+        assert not lost, (n, lost)
+        below = table
+
+
 def test_survey_table_accessors():
     t = SurveyTable(5)
     t.add(2, 3)
@@ -295,16 +306,4 @@ def test_survey_csv_round_trip():
     t = survey(5)
     text = t.to_csv()
     assert text.splitlines()[0] == "n,d,d2,count"
-    back = SurveyTable.from_csv(text)
-    assert back.n == t.n
-    assert back.cells == t.cells
     assert "inf" in text
-
-
-def test_survey_csv_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SurveyTable.from_csv("d,d2,count\n1,1,1\n")
-    with pytest.raises(ValueError):
-        SurveyTable.from_csv("n,d,d2,count\n5,1,1,1\n6,1,1,1\n")
-    with pytest.raises(ValueError):
-        SurveyTable.from_csv("n,d,d2,count\n")

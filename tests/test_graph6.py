@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from distlab.graph6 import HEADER, Graph6Error, emit, iter_graphs, parse
-from distlab.graphs import complete_graph, cycle_graph, empty_graph, from_edge_list
+from distlab.graphs import complete_graph, cycle_graph, from_edge_list
 
 from util import random_graph
 
@@ -12,8 +12,8 @@ from util import random_graph
 def test_known_small_codes():
     assert emit(cycle_graph(5)) == "Dhc"
     assert parse("Dhc") == cycle_graph(5)
-    assert emit(empty_graph(1)) == "@"
-    assert parse("@") == empty_graph(1)
+    assert emit(from_edge_list(1, [])) == "@"
+    assert parse("@") == from_edge_list(1, [])
 
 
 def test_round_trip_random():
@@ -116,7 +116,7 @@ def test_n_64_has_no_padding_bits():
 def test_empty_and_complete_graphs_match_networkx(n):
     """All-zero and all-one bodies at every order: each column width, the
     short and the long header, and every amount of padding."""
-    for g in (empty_graph(n), complete_graph(n)):
+    for g in (from_edge_list(n, []), complete_graph(n)):
         s = emit(g)
         assert parse(s) == g
         assert emit(parse(s)) == s

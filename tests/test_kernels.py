@@ -1,4 +1,5 @@
 """The all-sources BFS of ``distlab._kernels`` against a deque-BFS oracle."""
+import os
 import random
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from distlab.graphs import (
     path_graph,
 )
 
-from util import random_connected_graph, random_graph, reference_distances
+from util import nx_diameter_pair, random_connected_graph, random_graph, reference_distances
 
 
 def _want(g):
@@ -167,15 +168,6 @@ def test_bounded_levels_flag_covers_only_the_levels_listed():
             assert _kernels.levels(g.adj, last=k)[1] == covered
 
 
-def _nx_pair(n, edges):
-    h = nx.empty_graph(n)
-    h.add_edges_from(edges)
-    dist = dict(nx.all_pairs_shortest_path_length(h))
-    h2 = nx.empty_graph(n)
-    h2.add_edges_from((i, j) for i in range(n) for j, x in dist[i].items() if x == 2)
-    return tuple(nx.diameter(x) if nx.is_connected(x) else -1 for x in (h, h2))
-
-
 def test_bipartite_rule_agrees_with_networkx():
     assert _kernels.diameter_pair(path_graph(1).adj) == (0, 0)
     assert _kernels.diameter_pair(path_graph(2).adj) == (1, -1)
@@ -192,8 +184,34 @@ def test_bipartite_rule_agrees_with_networkx():
             cases.append((n, cycle_graph(n).edges()))  # even and odd cycles
     for n, edges in cases:
         g = from_edge_list(n, edges)
-        want = _nx_pair(n, edges)
+        want = nx_diameter_pair(n, edges)
         assert _kernels.diameter_pair(g.adj) == want
+
+
+def _with_twin(g, v, adjacent):
+    """g plus a vertex n with v's neighbourhood, joined to v when ``adjacent``."""
+    extra = [(u, g.n) for u in range(g.n) if (g.adj[v] >> u) & 1]
+    return from_edge_list(g.n + 1, g.edges() + extra + [(v, g.n)] * adjacent)
+
+
+def test_twins_keep_the_diameter_pair():
+    """A false twin (same neighbourhood, not adjacent) keeps (diam G, diam G2)
+    when diam G >= 2 or G is disconnected; a true twin (same neighbourhood,
+    adjacent) keeps it when G is connected.  The README proves the first."""
+    rng = random.Random(61)
+    kept = {False: 0, True: 0}
+    for _ in range(150):
+        n = rng.randrange(2, 64)
+        p = rng.choice((0.03, 0.08, 0.15, 0.3, 0.6))
+        g = random_connected_graph(rng, n, p) if rng.random() < 0.5 else random_graph(rng, n, p)
+        pair = _kernels.diameter_pair(g.adj)
+        v = rng.randrange(n)
+        d = pair[0]
+        for adjacent in [False] * (d == -1 or d >= 2) + [True] * (d != -1):
+            twin = _with_twin(g, v, adjacent)
+            assert _kernels.diameter_pair(twin.adj) == pair == nx_diameter_pair(twin.n, twin.edges())
+            kept[adjacent] += 1
+    assert kept[False] >= 100 and kept[True] >= 100
 
 
 def test_reach_matches_a_plain_fixpoint():
@@ -251,12 +269,18 @@ def test_pack_rows_round_trip():
 
 
 def test_library_runs_without_numpy():
+    """The library, its search and the brute-force oracle run with numpy
+    blocked."""
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
-        "import distlab\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "import brute, distlab\n"
         "from distlab.cli import main\n"
         "print(distlab.survey(6).total())\n"
+        "out = distlab.search(distlab.SearchParams(9, 6, 6))\n"
+        "print(type(out).__name__, out.d, out.d2)\n"
+        "print(len(brute.connected_class_reps(5)))\n"
         "sys.exit(main(['transform', '--k', '2']))\n"
     )
     line = emit(cycle_graph(6))
@@ -267,4 +291,6 @@ def test_library_runs_without_numpy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["112", emit(k_distance(cycle_graph(6), 2))]
+    assert proc.stdout.splitlines() == [
+        "112", "Witness 4 6", "21", emit(k_distance(cycle_graph(6), 2))
+    ]

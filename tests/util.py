@@ -1,12 +1,14 @@
 """Shared helpers for the test suite.
 
-Everything here is deliberately written against plain adjacency lists
-and itertools so it cannot share a bug with the package internals.
+Everything here is deliberately written against plain adjacency lists,
+itertools and networkx so it cannot share a bug with the package internals.
 """
 
 import itertools
 import random
 from collections import deque
+
+import networkx as nx
 
 from distlab.graphs import Graph, from_edge_list
 
@@ -14,7 +16,10 @@ from distlab.graphs import Graph, from_edge_list
 def reference_distances(g: Graph) -> list[list[int]]:
     """Deque BFS from every source, -1 for unreachable pairs."""
     n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
+    nbrs = [[] for _ in range(n)]
+    for i, j in g.edges():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     out = []
     for src in range(n):
         dist = [-1] * n
@@ -38,6 +43,16 @@ def reference_diameter(g: Graph) -> int:
             return -1
         best = max(best, max(row))
     return best
+
+
+def nx_diameter_pair(n: int, edges) -> tuple[int, int]:
+    """(diam G, diam G2) by networkx, -1 for a disconnected graph."""
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    h2 = nx.empty_graph(n)
+    h2.add_edges_from((i, j) for i in range(n) for j, x in dist[i].items() if x == 2)
+    return tuple(nx.diameter(x) if nx.is_connected(x) else -1 for x in (h, h2))
 
 
 def reference_k_distance_edges(g: Graph, k: int) -> set[tuple[int, int]]:

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
                    help=f"vertex count, at most {ENUM_CAP} "
-                        f"(n = {ENUM_CAP} takes about 0.8 h on one core)")
+                        f"(n = {ENUM_CAP} takes about 0.25 h on one core)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.add_argument("--threads", type=int, default=1,

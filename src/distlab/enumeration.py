@@ -9,21 +9,36 @@ stream order is deterministic.
 
 Most children are decided without canonizing them (McKay,
 "Isomorph-free exhaustive generation", 1998; McKay & Piperno, 2014).
-The new vertex m is never a cut vertex.
+A child is its parent plus the new vertex m joined to an attachment set
+s, so the parent's cut structure answers every child's cut questions.
+Once per node, each vertex u of the parent gets the components of the
+parent without u.  The child without u is those components plus m
+joined to s less u, so u is a non-cut vertex of the child iff s meets
+every one of them.  When there is one, only s = {u} misses it; at the
+root there are none, and both vertices of K2 are non-cut.  m is never a
+cut vertex, and u's degree in the child is its parent degree plus one
+when u is in s.  So each child's non-cut vertices and degree classes
+are a few bitset operations, and no child runs a reach of its own.
 
 - Degree test, as in McKay's geng.  The root refinement of
   ``canon.refine`` splits by degree first, and every later split and
   individualization keeps cell order, so the canonical order never
   decreases in degree and v* has the largest degree of any non-cut
   vertex.  A child in which some non-cut vertex has a larger degree
-  than m is rejected.
-- Partition rule.  A child that passes is refined once from the whole
-  vertex set.  The canonical order keeps the refined partition's cell
-  order and every automorphism maps each cell onto itself, so v* and
-  its orbit lie in C, the last cell that holds a non-cut vertex.  The
-  child is rejected when m is not in C and accepted when m is the only
-  non-cut vertex of C.  Only the rest are canonized, from the refined
-  cells, to compare m's orbit with v*'s.
+  than m is rejected before its rows are built.
+- Degree-class accept.  When in addition no other non-cut vertex has
+  m's degree, every vertex but m of degree at least m's is a cut
+  vertex.  The refined partition's cells keep degree order, so m's cell
+  is the last with a non-cut vertex and m is its only one: the
+  partition rule below would accept, and a child at the walk's final
+  order is accepted unrefined.
+- Partition rule.  Any other child that passes is refined once from
+  the whole vertex set.  The canonical order keeps the refined
+  partition's cell order and every automorphism maps each cell onto
+  itself, so v* and its orbit lie in C, the last cell that holds a
+  non-cut vertex.  The child is rejected when m is not in C and
+  accepted when m is the only non-cut vertex of C.  Only the rest are
+  canonized, from the refined cells, to compare m's orbit with v*'s.
 - Leaf shortcut.  Generators are needed only for the nodes the walk
   grows further, so an accepted child at the walk's final order is not
   canonized; any other accepted child is, for its generators.
@@ -54,11 +69,11 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# The census runs 7,666 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds; about 5,500 in raw wall time on a 2-core VM) and 4,140
-# graphs/s in raw wall time at n = 10 (100 random subtrees below order 8,
-# same VM).  So n = 10 (11,716,571 classes) takes about 0.8 h, n = 11 at
-# least 2.8 days and n = 12 at least 1.3 years.
+# The census runs 10,400 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds) and about 13,000 graphs/s in raw wall time at n = 10 (two
+# sets of 100 random subtrees below order 8, one core of a 2-core VM).  So
+# n = 10 (11,716,571 classes) takes about 0.25 h, n = 11 at least 0.9 days
+# and n = 12 at least 0.4 years.
 ENUM_CAP = 10
 
 
@@ -103,45 +118,68 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
         yield s
 
 
-def _is_cut(rows: Sequence[int], v: int, full: int) -> bool:
-    rest = full & ~(1 << v)  # v is no cut vertex when rest stays connected
-    return _kernels.reach(rows, rest & -rest, rest) != rest
+def _cut_parts(rows: Sequence[int]) -> list[list[int]]:
+    """For each vertex u, the components of the graph without u, as bitsets."""
+    parts = []
+    for u in range(len(rows)):
+        rest = (1 << len(rows)) - 1 & ~(1 << u)
+        comps = []
+        while rest:
+            c = _kernels.reach(rows, rest & -rest, rest)
+            comps.append(c)
+            rest ^= c
+        parts.append(comps)
+    return parts
 
 
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool):
     """Accepted one-vertex extensions with their automorphism generators.
 
     With ``leaf`` the caller needs no generators, and a child that the
-    partition rule accepts comes with none.
+    degree classes or the partition rule accept comes with none.
     """
     m = len(rows)
     full = (1 << (m + 1)) - 1
+    parts = _cut_parts(rows)
+    # u < m is a non-cut vertex of the child iff s meets every part of the parent without u.
+    # One part is missed only by s = {u}; the other vertices, the parent's cut vertices
+    # and K1's vertex (no part at all), are tested part by part.
+    solid = sum(1 << u for u in range(m) if len(parts[u]) == 1)
+    joints = [(1 << u, parts[u]) for u in range(m) if len(parts[u]) != 1]
+    level = [0] * (m + 1)  # level[d]: the parent's vertices of degree d
+    for u, r in enumerate(rows):
+        level[r.bit_count()] |= 1 << u
+    above = [0] * (m + 1)  # above[d]: those of degree more than d
+    for d in range(m - 1, -1, -1):
+        above[d] = above[d + 1] | level[d + 1]
     for s in _attachment_reps(m, gens):
-        child = [r | (((s >> i) & 1) << m) for i, r in enumerate(rows)]
+        k = s.bit_count()
+        noncut = 1 << m | (solid if k > 1 else solid & ~s)  # m is never a cut vertex
+        for bit, comps in joints:
+            if all(s & c for c in comps):
+                noncut |= bit
+        if noncut & (above[k] | level[k] & s):
+            continue  # v* would have a larger degree than m, so m cannot share its orbit
+        # whether a non-cut vertex other than m has m's degree
+        tie = noncut & (level[k] & ~s | level[k - 1] & s)
+        child = [r | (s >> i & 1) << m for i, r in enumerate(rows)]
         child.append(s)
-        deg = s.bit_count()
-        if any(child[u].bit_count() > deg and not _is_cut(child, u, full) for u in range(m)):
-            continue  # v* would have that larger degree, so m cannot share its orbit
-        # From here every vertex of larger degree than m is a cut vertex.
+        if leaf and not tie:
+            yield tuple(child), []  # m's cell is the last with a non-cut vertex, and m its only one
+            continue
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
         cells = canon.refine(child, [list(range(m + 1))], [full])
-        last = next(
-            c for c in reversed(cells)
-            if m in c or not all(child[v].bit_count() > deg or _is_cut(child, v, full) for v in c)
-        )
+        last = next(c for c in reversed(cells) if any(noncut >> v & 1 for v in c))
         if m not in last:
             continue  # v* and its orbit lie in that later cell
-        noncut = [
-            v for v in last
-            if v == m or child[v].bit_count() <= deg and not _is_cut(child, v, full)
-        ]
-        if leaf and len(noncut) == 1:
+        rivals = any(v != m and noncut >> v & 1 for v in last)
+        if leaf and not rivals:
             yield tuple(child), []
             continue
         res = canonical_labeling_rows(child, m + 1, cells)
-        if len(noncut) > 1:
+        if rivals:
             orbit = orbits_from_generators(res.generators, m + 1)
-            vstar = next(v for v in reversed(res.order) if v in noncut)
+            vstar = next(v for v in reversed(res.order) if noncut >> v & 1)
             if orbit[vstar] != orbit[m]:
                 continue
         yield tuple(child), res.generators

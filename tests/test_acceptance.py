@@ -6,7 +6,6 @@ Run with ``pytest -v`` (test names carry the criterion numbers) or
 
 import math
 import random
-import sys
 import time
 
 import pytest
@@ -23,7 +22,7 @@ from distlab.graphs import (
     k_distance,
 )
 from distlab.sat.cnf import CnfFormula, VarMap, emit_dimacs, parse_dimacs
-from distlab.sat.dpll import SAT, UNSAT, DpllSolver
+from distlab.sat.dpll import SAT, DpllSolver
 from distlab.sat.encode import (
     build_formula,
     decode_model,

@@ -11,7 +11,6 @@ from distlab.canon import (
     refine,
 )
 from distlab.graphs import (
-    Graph,
     complete_graph,
     cycle_graph,
     from_edge_list,

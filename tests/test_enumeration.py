@@ -3,8 +3,11 @@ import math
 import os
 import random
 
+import networkx as nx
 import pytest
 
+import distlab._kernels
+import distlab.canon
 import distlab.enumeration
 from distlab.canon import canonical_form, canonical_labeling_rows, orbits_from_generators
 from distlab.enumeration import (
@@ -12,6 +15,7 @@ from distlab.enumeration import (
     SurveyTable,
     _attachment_reps,
     _children,
+    _cut_parts,
     enumerate_connected,
     survey,
 )
@@ -20,7 +24,6 @@ from distlab.graphs import from_edge_list, is_connected
 
 import brute
 from util import (
-    random_graph,
     reference_diameter,
     reference_k_distance_edges,
     relabeled,
@@ -109,62 +112,109 @@ def _orbit_minima(m, gens):
     return sorted({min(image(p, s) for p in group) for s in range(1, 1 << m)})
 
 
+def _nodes_up_to(order):
+    """Every node of the augmentation tree of order <= ``order``, with its generators."""
+    nodes, out = [((0,), [])], []
+    while nodes:
+        rows, gens = nodes.pop()
+        out.append((rows, gens))
+        if len(rows) < order:
+            nodes += _children(rows, gens, False)
+    return out
+
+
 def test_attachment_reps_are_the_least_members_of_the_orbits():
     """At every node of order <= 6 the representatives are the ascending
     least members of the subset orbits of the node's automorphism group."""
-    nodes = [((0,), [])]
-    seen = 0
-    while nodes:
-        rows, gens = nodes.pop()
-        seen += 1
+    nodes = _nodes_up_to(6)
+    for rows, gens in nodes:
         assert list(_attachment_reps(len(rows), gens)) == _orbit_minima(len(rows), gens)
-        if len(rows) < 6:
-            nodes += _children(rows, gens, False)
-    assert seen == sum(CLASS_COUNTS[n] for n in range(1, 7))
+    assert len(nodes) == sum(CLASS_COUNTS[n] for n in range(1, 7))
+
+
+def _nx_graph(rows):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(rows)))
+    g.add_edges_from((u, v) for u in range(len(rows)) for v in range(u) if rows[u] >> v & 1)
+    return g
 
 
 def test_children_refine_through_the_canon_module(monkeypatch):
-    """Each child that passes the degree test is refined once from the
+    """A leaf child that passes the degree test is refined once, from the
     whole vertex set, by a call that a wrapper on ``distlab.canon.refine``
-    sees (the benchmark's tracer counts ``canon.refine`` there)."""
-    whole = []
+    sees (the benchmark's tracer counts ``canon.refine`` there), exactly
+    when another non-cut vertex has m's degree; the others are not refined
+    at all.  Without ``leaf`` every child that passes is refined once."""
+    whole, seen = [], set()
     real = distlab.canon.refine
 
-    def counting(rows, cells, splitters):
-        whole.append(cells == [list(range(len(rows)))])
+    def recording(rows, cells, splitters):
+        if cells == [list(range(len(rows)))]:
+            whole.append(tuple(rows))
+        seen.add(tuple(rows))
         return real(rows, cells, splitters)
 
-    monkeypatch.setattr(distlab.canon, "refine", counting)
-    for rows in ((0b110, 0b1, 0b1), (0b1110, 0b1, 0b1, 0b1), (0b10, 0b101, 0b1010, 0b100)):
+    monkeypatch.setattr(distlab.canon, "refine", recording)
+    skipped = 0
+    for rows, gens in _nodes_up_to(6):
         m = len(rows)
-        gens = canonical_labeling_rows(rows, m).generators
+        survivors, tied = [], []
+        for s in _attachment_reps(m, gens):
+            child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
+            noncut = [u for u in range(m) if _connected_without(child, u)]
+            if any(child[u].bit_count() > s.bit_count() for u in noncut):
+                continue
+            survivors.append(child)
+            if any(child[u].bit_count() == s.bit_count() for u in noncut):
+                tied.append(child)
         whole.clear()
+        seen.clear()
         list(_children(rows, gens, True))
-        survivors = 0
+        assert whole == tied and seen == set(tied)
+        skipped += len(survivors) - len(tied)
+        whole.clear()
+        list(_children(rows, gens, False))
+        assert whole == survivors
+    assert skipped
+
+
+def test_parent_cut_parts_give_each_childs_non_cut_vertices():
+    """At every node of order <= 6, K1 included, and for every attachment
+    representative s: u < m is a non-cut vertex of the child iff s meets
+    every component of the parent without u, and m is never a cut vertex."""
+    steps = 0
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        parts = _cut_parts(rows)
         for s in _attachment_reps(m, gens):
             child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
-            survivors += not any(
-                child[u].bit_count() > s.bit_count() and _connected_without(child, u)
-                for u in range(m))
-        assert survivors and whole.count(True) == survivors
+            derived = {u for u in range(m) if all(s & c for c in parts[u])} | {m}
+            cut = set(nx.articulation_points(_nx_graph(child)))
+            assert derived == set(range(m + 1)) - cut, (rows, s)
+            steps += 1
+    assert steps and _cut_parts((0,)) == [[]]
 
 
-def test_each_cut_status_is_computed_at_most_once_per_survey(monkeypatch):
-    """Within one survey no (child, vertex) cut test repeats: the search
-    for the last cell with a non-cut vertex stops at m's cell untested."""
-    tested = {}
-    real = distlab.enumeration._is_cut
+def test_children_reach_once_per_component_of_the_parent_without_a_vertex(monkeypatch):
+    """One ``_children`` call makes one ``_kernels.reach`` per component of
+    parent - u, summed over u, however many attachment sets it tries."""
+    calls = []
+    real = distlab._kernels.reach
 
-    def counting(rows, v, full):
-        key = (tuple(rows), v)
-        tested[key] = tested.get(key, 0) + 1
-        return real(rows, v, full)
+    def counting(rows, start, within):
+        calls.append(1)
+        return real(rows, start, within)
 
-    monkeypatch.setattr(distlab.enumeration, "_is_cut", counting)
-    for n in range(3, 9):
-        tested.clear()
-        survey(n)
-        assert tested and max(tested.values()) == 1
+    monkeypatch.setattr(distlab._kernels, "reach", counting)
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        g = _nx_graph(rows)
+        want = sum(nx.number_connected_components(nx.restricted_view(g, [u], [])) for u in range(m))
+        for pruned in (gens, []):  # all 2^m - 1 attachment sets without generators
+            for leaf in (True, False):
+                calls.clear()
+                list(_children(rows, pruned, leaf))
+                assert len(calls) == want, (rows, pruned, leaf)
 
 
 def test_enumeration_is_deterministic():

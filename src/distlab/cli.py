@@ -3,10 +3,13 @@
 Subcommands: ``transform`` (apply the k-distance operator to a graph6
 stream), ``diam``, ``survey`` (CSV plus optional SVG heatmap),
 ``family`` (sharp even-k witness), ``verify`` (bound verdicts),
-``sat-search`` (extremal witness search) and ``convert``.
+``sat-search`` (extremal witness search), ``solve`` (the built-in solver
+on a DIMACS file) and ``convert``.
 
 Exit codes: 0 success or witness found, 1 clean negative (unsatisfiable
 search, exhausted budget, or bound violations), 2 usage or input error.
+The one exception is ``solve``, which keeps the DIMACS solver codes:
+10 satisfiable, 20 unsatisfiable, 0 unknown (budget spent).
 File outputs land as a plain write would (see ``_write_atomic``), but a
 regular file is replaced whole or not at all.
 """
@@ -25,7 +28,8 @@ from . import bounds, graph6
 from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
-from .sat.cnf import emit_dimacs
+from .sat.cnf import emit_dimacs, parse_dimacs
+from .sat.dpll import SAT, UNSAT, DpllSolver
 from .sat.encode import build_formula
 from .sat.search import SearchParams, Unsat, Witness, search, solved_levels
 
@@ -142,9 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_sat_search(args) -> int:
     if args.emit_cnf == "-":
         raise ValueError("--emit-cnf needs a file path: its .vars sidecar goes beside "
-                         "the formula, and stdout carries the witness")
-    if args.emit_only and not args.emit_cnf:
-        raise ValueError("--emit-only needs --emit-cnf: it stops after writing the formula")
+                         "the formula")
     params = SearchParams(
         n=args.n,
         p2_len=args.p2_len,
@@ -155,17 +157,16 @@ def cmd_sat_search(args) -> int:
     )
     if args.emit_cnf:
         solved = solved_levels(params)
-        if solved:
-            vm, formula = build_formula(params, solved[0])
-            _write_atomic(args.emit_cnf, emit_dimacs(formula))
-            _write_atomic(args.emit_cnf + ".vars", vm.sidecar())
-            print(f"emitted {formula.clause_count} clauses over {formula.var_count} "
-                  f"variables to {args.emit_cnf}", file=sys.stderr)
-        else:
+        if not solved:
             print(f"no formula emitted: the G2 geodesic of every cap level does "
                   f"not fit in n={params.n}, so no level is solved", file=sys.stderr)
-        if args.emit_only:
-            return EXIT_OK if solved else EXIT_NEGATIVE
+            return EXIT_NEGATIVE
+        vm, formula = build_formula(params, solved[0])
+        _write_atomic(args.emit_cnf, emit_dimacs(formula))
+        _write_atomic(args.emit_cnf + ".vars", vm.sidecar())
+        print(f"emitted {formula.clause_count} clauses over {formula.var_count} "
+              f"variables to {args.emit_cnf}", file=sys.stderr)
+        return EXIT_OK
     outcome = search(params)
     meta = {
         "n": params.n,
@@ -193,6 +194,22 @@ def cmd_sat_search(args) -> int:
         return EXIT_NEGATIVE
     _write_atomic("-", _lines([graph6.emit(outcome.graph)]))
     return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    if args.budget_seconds is not None and math.isnan(args.budget_seconds):
+        raise ValueError("--budget-seconds must be a number, got nan")
+    with _opened(args.file) as fh:
+        formula = parse_dimacs(fh.read())
+    solver = DpllSolver(formula.var_count, formula.clauses)
+    status, model = solver.solve(time_budget=args.budget_seconds)
+    if status == SAT:
+        lits = [str(v if model[v] else -v) for v in sorted(model)]
+        vlines = ["v " + " ".join(lits[start:start + 20]) for start in range(0, len(lits), 20)]
+        _write_atomic("-", _lines(["s SATISFIABLE", *vlines, "v 0"]))
+        return 10
+    _write_atomic("-", "s UNSATISFIABLE\n" if status == UNSAT else "s UNKNOWN\n")
+    return 20 if status == UNSAT else 0
 
 
 def cmd_convert(args) -> int:
@@ -298,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--emit-cnf", default=None,
                    help="write the DIMACS formula of the first solve call to this "
-                        "file path, not - (nothing when no level is solved), "
+                        "file path, not -, and stop without searching (nothing "
+                        "is written, exit 1, when no level is solved), "
                         "with a .vars sidecar of '<index> <kind> <vertices>' "
                         "lines; besides a (i j) and b (i j), kind t (i j k) "
                         "says j joins the non-adjacent i and k, far (i k) "
@@ -311,9 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "diameter-cap level, whose reach variables have kinds "
                         "r<s> (i j within distance s, s >= 3; distance 2 is "
                         "a or b) and m<s> (i k j, joined through k)")
-    p.add_argument("--emit-only", action="store_true",
-                   help="needs --emit-cnf: stop after writing the formula")
     p.set_defaults(func=cmd_sat_search)
+
+    p = sub.add_parser("solve", help="run the built-in solver on a DIMACS file, "
+                                     "competition-style output")
+    p.add_argument("file", help="DIMACS CNF path, - for stdin")
+    p.add_argument("--budget-seconds", type=float, default=None)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convert", parents=[io_args],
                        help="convert between graph6 and edge-list blocks")

@@ -259,9 +259,9 @@ def survey(n: int, jobs: int = 1) -> SurveyTable:
 
     The census is a sum over the subtrees below the augmentation tree's
     nodes at order max(1, n - 2).  ``jobs`` processes count them: the
-    subtrees are counted here when it is 1, and fanned out to worker
-    processes otherwise, at most one per usable CPU (a pool starts all
-    its workers at once); the table is the same either way.
+    subtrees are fanned out to at most one worker process per usable CPU
+    (a pool starts all its workers at once), and counted here when that
+    leaves one; the table is the same either way.
     """
     _check_cap(n)
     if not isinstance(jobs, int) or jobs < 1:
@@ -269,7 +269,8 @@ def survey(n: int, jobs: int = 1) -> SurveyTable:
     table = SurveyTable(n)
     roots = _walk((0,), [], max(1, n - 2))
     count = partial(_survey_subtree, n)
-    with ProcessPoolExecutor(min(jobs, _usable_cpus())) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, _usable_cpus())
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=8)
         for cells in parts:
             for (d, d2), c in cells.items():

@@ -12,7 +12,7 @@ from distlab.graph6 import emit, parse
 from distlab.graphs import cycle_graph, from_edge_list, k_distance, path_graph
 from distlab.sat.cnf import parse_dimacs
 from distlab.sat.encode import build_formula
-from distlab.sat.search import SearchParams, cap_levels, search, verify_witness
+from distlab.sat.search import SearchParams, cap_levels, search, solved_levels, verify_witness
 
 
 def _feed(monkeypatch, text):
@@ -185,7 +185,7 @@ def test_sat_search_emit_only(tmp_path, capsys):
     cnf_path = tmp_path / "search.cnf"
     rc = main([
         "sat-search", "--n", "6", "--p2-len", "2", "--min-d2", "3",
-        "--emit-cnf", str(cnf_path), "--emit-only",
+        "--emit-cnf", str(cnf_path),
     ])
     captured = capsys.readouterr()
     assert rc == 0
@@ -203,34 +203,52 @@ def test_sat_search_emit_cnf_refuses_a_geodesic_that_does_not_fit(tmp_path, caps
     cnf_path = tmp_path / "search.cnf"
     rc = main([
         "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "2",
-        "--emit-cnf", str(cnf_path), "--emit-only",
+        "--emit-cnf", str(cnf_path),
     ])
     assert rc == 1
     assert "does not fit" in capsys.readouterr().err
     assert not cnf_path.exists()
 
 
-@pytest.mark.parametrize("emit_only", [[], ["--emit-only"]], ids=["then-search", "emit-only"])
-def test_sat_search_emit_cnf_without_a_solved_level_ends_as_the_search_does(
-    tmp_path, capsys, emit_only
-):
+def test_sat_search_emit_cnf_without_a_solved_level_ends_as_the_search_does(tmp_path, capsys):
     argv = ["sat-search", "--n", "5", "--p2-len", "3", "--min-d2", "3"]
     assert main(argv) == 1
     assert _meta(capsys.readouterr().err)["status"] == "unsat"
     cnf_path = tmp_path / "search.cnf"
-    assert main(argv + ["--emit-cnf", str(cnf_path)] + emit_only) == 1
+    assert main(argv + ["--emit-cnf", str(cnf_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no formula emitted" in captured.err
-    assert ("status=unsat" in captured.err) == (not emit_only)
+    assert "status=unsat" not in captured.err
     assert not cnf_path.exists() and not (tmp_path / "search.cnf.vars").exists()
+
+
+@pytest.mark.parametrize("n, p2_len, min_d2", [(6, 2, 3), (9, 6, 6), (11, 7, 7), (13, 8, 8)])
+def test_sat_search_emit_cnf_builds_one_formula_and_stops(
+    tmp_path, capsys, monkeypatch, n, p2_len, min_d2
+):
+    """``--emit-cnf`` builds the lowest solved level's formula once and
+    runs no search, which would build it again."""
+    built = []
+
+    def counted(params, max_d):
+        built.append(max_d)
+        return build_formula(params, max_d)
+
+    monkeypatch.setattr("distlab.cli.build_formula", counted)
+    monkeypatch.setattr("distlab.sat.search.build_formula", counted)
+    cnf_path = tmp_path / "search.cnf"
+    argv = ["sat-search", "--n", str(n), "--p2-len", str(p2_len), "--min-d2", str(min_d2)]
+    assert main(argv + ["--emit-cnf", str(cnf_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert built == [solved_levels(SearchParams(n, p2_len, min_d2))[0]]
 
 
 def test_sat_search_emits_the_lowest_cap_level(tmp_path, capsys):
     cnf_path = tmp_path / "search.cnf"
     rc = main([
         "sat-search", "--n", "9", "--p2-len", "6", "--min-d2", "6",
-        "--emit-cnf", str(cnf_path), "--emit-only",
+        "--emit-cnf", str(cnf_path),
     ])
     capsys.readouterr()
     assert rc == 0
@@ -247,7 +265,7 @@ def test_sat_search_sidecar_lists_the_geodesic_reach_variables(tmp_path, capsys)
     cnf_path = tmp_path / "search.cnf"
     rc = main([
         "sat-search", "--n", "9", "--p2-len", "6", "--min-d2", "6",
-        "--emit-cnf", str(cnf_path), "--emit-only",
+        "--emit-cnf", str(cnf_path),
     ])
     capsys.readouterr()
     assert rc == 0
@@ -368,7 +386,7 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
 @pytest.mark.parametrize("argv, code, message", [
     (SAT_SEARCH_6 + ["--budget-seconds", "inf"], 0, None),
     (SAT_SEARCH_6 + ["--budget-seconds", "1e300"], 0, None),
-    (["distlab.sat.dimacs_cli", "{cnf}", "--budget-seconds", "nan"], 2,
+    (["distlab.cli", "solve", "{cnf}", "--budget-seconds", "nan"], 2,
      "--budget-seconds must be a number"),
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "2", "--min-d2", "-3"], 2,
      "min_d2 must be at least 0"),
@@ -384,7 +402,7 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
       "--allow-non-sharp"], 2, "n must be in 2..64"),
     (["distlab.cli", "sat-search", "--n", "5", "--p2-len", "5", "--min-d2", "3"], 2,
      "path with 5 edges does not fit in n=5"),
-    (SAT_SEARCH_6 + ["--emit-only"], 2, "--emit-only needs --emit-cnf"),
+    (SAT_SEARCH_6 + ["--emit-only"], 2, "unrecognized arguments: --emit-only"),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2,
      "vertex count must be a positive integer"),
     (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2,

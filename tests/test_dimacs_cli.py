@@ -1,17 +1,21 @@
-"""``python -m distlab.sat.dimacs_cli``: the built-in solver behind a
+"""``distlab solve``: the built-in solver behind a
 DIMACS front end with competition-style output."""
 import subprocess
 import sys
 
+from distlab.graphs import from_edge_list
 from distlab.sat.cnf import CnfFormula, emit_dimacs
+from distlab.sat.search import SearchParams, search
+
+from util import nx_diameter_pair
 
 
 SMALL = CnfFormula(3, [[1, -2], [2, 3], [-1, -3]])
 
 
-def _run_cli(args, stdin_text=None, flags=()):
+def _run_cli(args, stdin_text=None, flags=(), command="solve"):
     return subprocess.run(
-        [sys.executable, *flags, "-m", "distlab.sat.dimacs_cli", *args],
+        [sys.executable, *flags, "-m", "distlab.cli", command, *args],
         capture_output=True,
         text=True,
         input=stdin_text,
@@ -112,3 +116,23 @@ def test_dimacs_cli_binary_only_formulas(tmp_path):
     proc = _run_cli([str(path)])
     assert proc.returncode == 20
     assert proc.stdout.splitlines() == ["s UNSATISFIABLE"]
+
+
+def test_emitted_formula_solves_to_the_search_witness(tmp_path):
+    """``sat-search --emit-cnf F`` then ``solve F``: the model's ``a``
+    variables, read through ``F.vars``, are the edges of the witness."""
+    path = tmp_path / "search.cnf"
+    emitted = _run_cli(["--n", "9", "--p2-len", "6", "--min-d2", "6", "--emit-cnf", str(path)],
+                       command="sat-search")
+    assert emitted.returncode == 0, emitted.stderr
+    proc = _run_cli([str(path)])
+    assert proc.returncode == 10
+    model = _model(proc.stdout)
+    edges = []
+    for line in (tmp_path / "search.cnf.vars").read_text().splitlines():
+        index, kind, *vertices = line.split()
+        if kind == "a" and model[int(index)]:
+            edges.append(tuple(int(v) for v in vertices))
+    g = from_edge_list(9, edges)
+    assert g == search(SearchParams(9, 6, 6)).graph
+    assert nx_diameter_pair(g.n, g.edges()) == (4, 6)

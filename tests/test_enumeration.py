@@ -301,16 +301,18 @@ class _SerialPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("affinity, cpu_count, jobs, workers", [
-    ({0, 1}, 64, 500, 2),
-    ({0, 1, 2, 3}, 4, 2, 2),
-    ({5}, 8, 3, 1),
-    (None, 3, 500, 3),
-    (None, None, 500, 1),
+@pytest.mark.parametrize("affinity, cpu_count, jobs, sizes", [
+    ({0, 1}, 64, 500, [2]),
+    ({0, 1, 2, 3}, 4, 2, [2]),
+    ({5}, 8, 3, []),
+    (None, 3, 500, [3]),
+    (None, None, 500, []),
 ], ids=["affinity-caps", "jobs-below-cpus", "one-usable-cpu", "no-affinity", "cpus-unknown"])
 def test_survey_pool_never_outnumbers_the_usable_cpus(
-    monkeypatch, affinity, cpu_count, jobs, workers
+    monkeypatch, affinity, cpu_count, jobs, sizes
 ):
+    """A pool of one worker adds a process and no parallelism, so one
+    usable CPU counts the subtrees here."""
     monkeypatch.setattr(distlab.enumeration, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     if affinity is None:
@@ -319,7 +321,7 @@ def test_survey_pool_never_outnumbers_the_usable_cpus(
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     assert survey(5, jobs=jobs).cells == survey(5).cells
-    assert _SerialPool.sizes == [workers]
+    assert _SerialPool.sizes == sizes
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

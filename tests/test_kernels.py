@@ -197,7 +197,7 @@ def _with_twin(g, v, adjacent):
 def test_twins_keep_the_diameter_pair():
     """A false twin (same neighbourhood, not adjacent) keeps (diam G, diam G2)
     when diam G >= 2 or G is disconnected; a true twin (same neighbourhood,
-    adjacent) keeps it when G is connected.  The README proves the first."""
+    adjacent) keeps it when G is connected.  The README proves both."""
     rng = random.Random(61)
     kept = {False: 0, True: 0}
     for _ in range(150):
@@ -212,6 +212,19 @@ def test_twins_keep_the_diameter_pair():
             assert _kernels.diameter_pair(twin.adj) == pair == nx_diameter_pair(twin.n, twin.edges())
             kept[adjacent] += 1
     assert kept[False] >= 100 and kept[True] >= 100
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_family_with_false_twins_meets_the_upper_bound_at_every_larger_order(d):
+    """``family_graph(d)`` plus false twins, added one at a time, has
+    (diam G, diam G2) = (d, d + 2) at every order from 2d + 1 up to 64, so
+    the upper bound is attained at every order above the least."""
+    g = family_graph(d)
+    while True:
+        assert _kernels.diameter_pair(g.adj) == (d, d + 2) == nx_diameter_pair(g.n, g.edges())
+        if g.n == 64:
+            break
+        g = _with_twin(g, g.n % (2 * d + 1), adjacent=False)
 
 
 def test_reach_matches_a_plain_fixpoint():

@@ -28,7 +28,7 @@ from . import bounds, graph6
 from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
 from .heatmap import heatmap_svg
-from .sat.cnf import emit_dimacs, parse_dimacs
+from .sat.cnf import DIMACS_MAX_VARS, emit_dimacs, parse_dimacs
 from .sat.dpll import SAT, UNSAT, DpllSolver
 from .sat.encode import build_formula
 from .sat.search import SearchParams, Unsat, Witness, search, solved_levels
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
                    help=f"vertex count, at most {ENUM_CAP} "
-                        f"(n = {ENUM_CAP} takes about 0.25 h on one core)")
+                        f"(n = {ENUM_CAP} takes about 0.27 h on one core)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.add_argument("--threads", type=int, default=1,
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the built-in solver on a DIMACS file, "
                                      "competition-style output")
-    p.add_argument("file", help="DIMACS CNF path, - for stdin")
+    p.add_argument("file", help=f"DIMACS CNF path, - for stdin; "
+                                f"at most {DIMACS_MAX_VARS} variables")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 

@@ -39,6 +39,17 @@ are a few bitset operations, and no child runs a reach of its own.
   non-cut vertex.  The child is rejected when m is not in C and
   accepted when m is the only non-cut vertex of C.  Only the rest are
   canonized, from the refined cells, to compare m's orbit with v*'s.
+- Twin accept.  A vertex v is a twin of m when N(m) less v equals N(v)
+  less m; then the transposition (m v) maps every edge to an edge, so it
+  is an automorphism and v shares m's orbit.  The degree test leaves v*
+  among m and the tie vertices, the other non-cut vertices of m's
+  degree, and the partition rule leaves it among m and the rivals, the
+  other non-cut vertices of C.  So when every tie vertex, or every
+  rival, is a twin of m, v* shares m's orbit and canonizing would
+  accept: a child at the walk's final order is accepted there, unrefined
+  in the first case and uncanonized in the second.  With no tie vertex
+  this is the degree-class accept, and with no rival the partition
+  rule's.
 - Leaf shortcut.  Generators are needed only for the nodes the walk
   grows further, so an accepted child at the walk's final order is not
   canonized; any other accepted child is, for its generators.
@@ -59,7 +70,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -69,11 +79,11 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# The census runs 10,400 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds) and about 13,000 graphs/s in raw wall time at n = 10 (two
-# sets of 100 random subtrees below order 8, one core of a 2-core VM).  So
-# n = 10 (11,716,571 classes) takes about 0.25 h, n = 11 at least 0.9 days
-# and n = 12 at least 0.4 years.
+# The census runs 13,000 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds) and about 12,000 graphs/s in raw wall time at n = 10 (two
+# sets of 100 random subtrees below order 8, one core of a 2-core VM shared
+# with other jobs).  So n = 10 (11,716,571 classes) takes about 0.27 h,
+# n = 11 at least 1 day and n = 12 at least 0.4 years.
 ENUM_CAP = 10
 
 
@@ -132,11 +142,23 @@ def _cut_parts(rows: Sequence[int]) -> list[list[int]]:
     return parts
 
 
+def _all_twins_of(child: Sequence[int], m: int, vs: int) -> bool:
+    """Whether every vertex v in the bitset ``vs`` is a twin of m in
+    ``child``: N(m) less v equals N(v) less m, so (m v) is an automorphism."""
+    while vs:
+        low = vs & -vs
+        if (child[m] ^ child[low.bit_length() - 1]) & ~(low | 1 << m):
+            return False
+        vs ^= low
+    return True
+
+
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool):
     """Accepted one-vertex extensions with their automorphism generators.
 
     With ``leaf`` the caller needs no generators, and a child that the
-    degree classes or the partition rule accept comes with none.
+    degree classes, the partition rule or the twin accept decide comes
+    with none.
     """
     m = len(rows)
     full = (1 << (m + 1)) - 1
@@ -160,21 +182,21 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
                 noncut |= bit
         if noncut & (above[k] | level[k] & s):
             continue  # v* would have a larger degree than m, so m cannot share its orbit
-        # whether a non-cut vertex other than m has m's degree
+        # the non-cut vertices other than m of m's degree
         tie = noncut & (level[k] & ~s | level[k - 1] & s)
         child = [r | (s >> i & 1) << m for i, r in enumerate(rows)]
         child.append(s)
-        if leaf and not tie:
-            yield tuple(child), []  # m's cell is the last with a non-cut vertex, and m its only one
+        if leaf and _all_twins_of(child, m, tie):
+            yield tuple(child), []  # v* is m or a tie vertex, and each is m's twin
             continue
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
         cells = canon.refine(child, [list(range(m + 1))], [full])
         last = next(c for c in reversed(cells) if any(noncut >> v & 1 for v in c))
         if m not in last:
             continue  # v* and its orbit lie in that later cell
-        rivals = any(v != m and noncut >> v & 1 for v in last)
-        if leaf and not rivals:
-            yield tuple(child), []
+        rivals = noncut & ~(1 << m) & sum(1 << v for v in last)
+        if leaf and _all_twins_of(child, m, rivals):
+            yield tuple(child), []  # v* is m or a rival, and each is m's twin
             continue
         res = canonical_labeling_rows(child, m + 1, cells)
         if rivals:
@@ -270,7 +292,14 @@ def survey(n: int, jobs: int = 1) -> SurveyTable:
     roots = _walk((0,), [], max(1, n - 2))
     count = partial(_survey_subtree, n)
     workers = min(jobs, _usable_cpus())
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    fan_out = nullcontext()
+    if workers > 1:
+        # Imported here: concurrent.futures.process is 14-20 ms of a 45-60 ms
+        # ``import distlab``, and a serial census never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        fan_out = ProcessPoolExecutor(workers)
+    with fan_out as pool:
         parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=8)
         for cells in parts:
             for (d, d2), c in cells.items():

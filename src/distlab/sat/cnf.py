@@ -64,6 +64,13 @@ def emit_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The most variables a DIMACS problem line may declare.  The solver
+# allocates lists for every declared variable (about 300 bytes each) before
+# it reads a clause, and build_formula's largest formula, at n = 64
+# (p2_len 0, min_d2 0, cap level 47), has 1,153,483 variables.
+DIMACS_MAX_VARS = 2_000_000
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Strict-enough DIMACS reader; clauses may span lines, comments skipped.
 
@@ -74,7 +81,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     with the contradictory units 1 and -1 (raising a zero variable count
     to 1 only after every literal was checked against the declared one).
     The declared clause count is checked against the clauses read,
-    dropped ones included.
+    dropped ones included, and a declared variable count above
+    ``DIMACS_MAX_VARS`` is refused.
     """
     declared = None
     formula = None
@@ -94,7 +102,11 @@ def parse_dimacs(text: str) -> CnfFormula:
                 parts = s.split()
                 if len(parts) != 4 or parts[1] != "cnf":
                     raise ValueError(f"malformed problem line {s!r}")
-                formula, declared = CnfFormula(int(parts[2])), int(parts[3])
+                var_count, declared = int(parts[2]), int(parts[3])
+                if var_count > DIMACS_MAX_VARS:
+                    raise ValueError(f"{var_count} variables declared, "
+                                     f"more than the limit of {DIMACS_MAX_VARS}")
+                formula = CnfFormula(var_count)
                 continue
             if formula is None:
                 raise ValueError("clause before problem line")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from distlab.sat.cnf import CnfFormula, VarMap, emit_dimacs, parse_dimacs
+from distlab.sat.cnf import DIMACS_MAX_VARS, CnfFormula, VarMap, emit_dimacs, parse_dimacs
 
 
 def test_add_validates_clauses():
@@ -104,6 +104,15 @@ def test_parse_rejects_malformed_input():
 def test_parse_errors_name_their_line(text, lineno):
     with pytest.raises(ValueError, match=f"^line {lineno}: "):
         parse_dimacs(text)
+
+
+def test_parse_refuses_a_var_count_above_the_limit():
+    """The solver allocates for every declared variable, so a declaration
+    above ``DIMACS_MAX_VARS`` is refused on its line; the limit itself is read."""
+    assert parse_dimacs(f"p cnf {DIMACS_MAX_VARS} 1\n1 0\n").var_count == DIMACS_MAX_VARS
+    with pytest.raises(ValueError, match=f"^line 2: {DIMACS_MAX_VARS + 1} variables declared, "
+                                         f"more than the limit of {DIMACS_MAX_VARS}$"):
+        parse_dimacs(f"c big\np cnf {DIMACS_MAX_VARS + 1} 1\n1 0\n")
 
 
 def test_parse_stops_at_the_satlib_trailer():

@@ -1,10 +1,11 @@
 """``distlab solve``: the built-in solver behind a
 DIMACS front end with competition-style output."""
+import resource
 import subprocess
 import sys
 
 from distlab.graphs import from_edge_list
-from distlab.sat.cnf import CnfFormula, emit_dimacs
+from distlab.sat.cnf import DIMACS_MAX_VARS, CnfFormula, emit_dimacs
 from distlab.sat.search import SearchParams, search
 
 from util import nx_diameter_pair
@@ -13,12 +14,13 @@ from util import nx_diameter_pair
 SMALL = CnfFormula(3, [[1, -2], [2, 3], [-1, -3]])
 
 
-def _run_cli(args, stdin_text=None, flags=(), command="solve"):
+def _run_cli(args, stdin_text=None, flags=(), command="solve", **run_args):
     return subprocess.run(
         [sys.executable, *flags, "-m", "distlab.cli", command, *args],
         capture_output=True,
         text=True,
         input=stdin_text,
+        **run_args,
     )
 
 
@@ -65,6 +67,28 @@ def test_dimacs_cli_bad_input(tmp_path):
     assert proc.returncode == 2
     assert "error" in proc.stderr
     assert _run_cli(["/no/such/file.cnf"]).returncode == 2
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_dimacs_cli_refuses_a_huge_var_count():
+    """A declared count far above ``DIMACS_MAX_VARS`` ends in exit 2 with a
+    line-numbered error before the solver allocates per variable.  The
+    child runs under a 1 GiB address-space limit, so a solver that
+    allocates first fails this test fast instead of filling memory."""
+    proc = _run_cli(["-"], stdin_text="p cnf 3000000000 1\n1 0\n",
+                    preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: line 1: 3000000000 variables declared, "
+                           f"more than the limit of {DIMACS_MAX_VARS}\n")
+
+
+def test_solve_help_names_the_var_limit():
+    assert f"at most {DIMACS_MAX_VARS} variables" in " ".join(_run_cli(["-h"]).stdout.split())
 
 
 def _model(stdout):

@@ -1,7 +1,10 @@
+import concurrent.futures
 import itertools
 import math
 import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -139,12 +142,19 @@ def _nx_graph(rows):
     return g
 
 
+def _twin_of_m(child, m, v):
+    """Whether N(m) less v equals N(v) less m, by comparing neighbour sets."""
+    nbrs = lambda u: {w for w in range(len(child)) if child[u] >> w & 1}
+    return nbrs(m) - {v} == nbrs(v) - {m}
+
+
 def test_children_refine_through_the_canon_module(monkeypatch):
     """A leaf child that passes the degree test is refined once, from the
     whole vertex set, by a call that a wrapper on ``distlab.canon.refine``
     sees (the benchmark's tracer counts ``canon.refine`` there), exactly
-    when another non-cut vertex has m's degree; the others are not refined
-    at all.  Without ``leaf`` every child that passes is refined once."""
+    when another non-cut vertex has m's degree and is not a twin of m; the
+    others are not refined at all.  Without ``leaf`` every child that
+    passes is refined once."""
     whole, seen = [], set()
     real = distlab.canon.refine
 
@@ -165,7 +175,8 @@ def test_children_refine_through_the_canon_module(monkeypatch):
             if any(child[u].bit_count() > s.bit_count() for u in noncut):
                 continue
             survivors.append(child)
-            if any(child[u].bit_count() == s.bit_count() for u in noncut):
+            if any(child[u].bit_count() == s.bit_count() and not _twin_of_m(child, m, u)
+                   for u in noncut):
                 tied.append(child)
         whole.clear()
         seen.clear()
@@ -176,6 +187,46 @@ def test_children_refine_through_the_canon_module(monkeypatch):
         list(_children(rows, gens, False))
         assert whole == survivors
     assert skipped
+
+
+def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeypatch):
+    """At every node of order <= 6, with ``leaf``, a wrapper on
+    ``distlab.enumeration.canonical_labeling_rows`` (where the benchmark's
+    tracer counts ``canon.labeling``) sees exactly the children that pass
+    the degree test and the partition rule and have a rival, another
+    non-cut vertex of m's refined cell, that is not a twin of m, in order.
+    A child whose rivals are all twins of m is accepted: (m v) is an
+    automorphism for each of them, so v* shares m's orbit."""
+    seen = []
+    real = distlab.enumeration.canonical_labeling_rows
+
+    def recording(rows, n, cells=None):
+        seen.append(tuple(rows))
+        return real(rows, n, cells)
+
+    monkeypatch.setattr(distlab.enumeration, "canonical_labeling_rows", recording)
+    twins_only = 0
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        want = []
+        for s in _attachment_reps(m, gens):
+            child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
+            noncut = [u for u in range(m + 1) if _connected_without(child, u)]
+            if any(child[u].bit_count() > s.bit_count() for u in noncut):
+                continue
+            cells = distlab.canon.refine(child, [list(range(m + 1))], [(1 << m + 1) - 1])
+            last = next(c for c in reversed(cells) if any(u in noncut for u in c))
+            if m not in last:
+                continue
+            rivals = [u for u in last if u != m and u in noncut]
+            if all(_twin_of_m(child, m, u) for u in rivals):
+                twins_only += bool(rivals)
+            else:
+                want.append(child)
+        seen.clear()
+        list(_children(rows, gens, True))
+        assert seen == want, rows
+    assert twins_only
 
 
 def test_parent_cut_parts_give_each_childs_non_cut_vertices():
@@ -313,7 +364,7 @@ def test_survey_pool_never_outnumbers_the_usable_cpus(
 ):
     """A pool of one worker adds a process and no parallelism, so one
     usable CPU counts the subtrees here."""
-    monkeypatch.setattr(distlab.enumeration, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -322,6 +373,20 @@ def test_survey_pool_never_outnumbers_the_usable_cpus(
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     assert survey(5, jobs=jobs).cells == survey(5).cells
     assert _SerialPool.sizes == sizes
+
+
+def test_a_serial_census_imports_no_process_pool():
+    """``import distlab.cli`` and a one-job survey leave
+    ``concurrent.futures.process`` unimported; a fanned-out survey loads it."""
+    code = ("import sys, distlab.cli\n"
+            "from distlab.enumeration import survey\n"
+            "survey(5)\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            "survey(5, jobs=2)\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -71,9 +71,9 @@ def _code_for_order(rows: Sequence[int], order: list[int]) -> int:
 class _Search:
     __slots__ = ("rows", "n", "best_code", "best_order", "generators", "prefix")
 
-    def __init__(self, rows, n):
+    def __init__(self, rows):
         self.rows = rows
-        self.n = n
+        self.n = len(rows)
         self.best_code: int | None = None
         self.best_order: list[int] | None = None
         self.generators: list[tuple[int, ...]] = []
@@ -127,16 +127,17 @@ class _Search:
 
 
 def canonical_labeling_rows(
-    rows: Sequence[int], n: int, cells: list[list[int]] | None = None
+    rows: Sequence[int], cells: list[list[int]] | None = None
 ) -> CanonResult:
     """Canonical order, code and automorphism generators for bitset rows.
 
     ``cells``, when given, must be the root partition
-    ``refine(rows, [list(range(n))], [(1 << n) - 1])``; it is then not
-    refined again.  The canonical order keeps that partition's cell
-    order: every search node splits a cell in place.
+    ``refine(rows, [list(range(n))], [(1 << n) - 1])``, n = len(rows); it
+    is then not refined again.  The canonical order keeps that partition's
+    cell order: every search node splits a cell in place.
     """
-    search = _Search(list(rows), n)
+    search = _Search(list(rows))
+    n = search.n
     if cells is None:
         cells = refine(search.rows, [list(range(n))] if n else [], [(1 << n) - 1])
     search.run(cells)
@@ -147,7 +148,7 @@ def canonical_labeling_rows(
 def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant adjacency encoding; equal iff isomorphic."""
     n = g.n
-    code = canonical_labeling_rows(g.adj, n).code
+    code = canonical_labeling_rows(g.adj).code
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 

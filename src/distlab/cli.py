@@ -123,7 +123,7 @@ def cmd_diam(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    table = survey(args.n, jobs=args.threads)
+    table = survey(args.n)
     _write_atomic(args.out, table.to_csv())
     if args.heatmap:
         _write_atomic(args.heatmap, heatmap_svg(table))
@@ -288,11 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
                    help=f"vertex count, at most {ENUM_CAP} "
-                        f"(n = {ENUM_CAP} takes about 0.27 h on one core)")
+                        f"(n = {ENUM_CAP} takes about 0.27 h on one core; "
+                        f"from n = 7 the census spreads over the usable CPUs)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.add_argument("--heatmap", default=None, help="optional SVG path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="processes that count the census's subtrees, at least 1")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")

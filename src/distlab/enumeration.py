@@ -82,8 +82,9 @@ from .graphs import Graph
 # The census runs 13,000 graphs/s at n <= 8 (one core, in the benchmark's
 # scaled seconds) and about 12,000 graphs/s in raw wall time at n = 10 (two
 # sets of 100 random subtrees below order 8, one core of a 2-core VM shared
-# with other jobs).  So n = 10 (11,716,571 classes) takes about 0.27 h,
-# n = 11 at least 1 day and n = 12 at least 0.4 years.
+# with other work).  So on one CPU n = 10 (11,716,571 classes) takes about
+# 0.27 h, n = 11 at least 1 day and n = 12 at least 0.4 years.  ``survey``
+# spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
 
@@ -198,7 +199,7 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
         if leaf and _all_twins_of(child, m, rivals):
             yield tuple(child), []  # v* is m or a rival, and each is m's twin
             continue
-        res = canonical_labeling_rows(child, m + 1, cells)
+        res = canonical_labeling_rows(child, cells)
         if rivals:
             orbit = orbits_from_generators(res.generators, m + 1)
             vstar = next(v for v in reversed(res.order) if noncut >> v & 1)
@@ -261,12 +262,17 @@ class SurveyTable:
 def _survey_subtree(n: int, root: tuple[int, ...]) -> dict[tuple[int, int | float], int]:
     """(diam G, diam G2) counts over the order-n graphs below one node's rows."""
     cells: dict[tuple[int, int | float], int] = {}
-    gens = canonical_labeling_rows(root, len(root)).generators
+    gens = canonical_labeling_rows(root).generators
     for rows in _walk(root, gens, n):
         d, d2 = _kernels.diameter_pair(rows)
         key = (d, math.inf if d2 < 0 else d2)
         cells[key] = cells.get(key, 0) + 1
     return cells
+
+
+# Subtrees a worker takes at a time; a pool pays once it has more than one
+# chunk, at n >= 7 (21 subtrees, and 6 at n = 6).
+_CHUNK = 8
 
 
 def _usable_cpus() -> int:
@@ -276,22 +282,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def survey(n: int, jobs: int = 1) -> SurveyTable:
+def survey(n: int) -> SurveyTable:
     """Joint (diam G, diam G2) census over connected graphs on n vertices.
 
     The census is a sum over the subtrees below the augmentation tree's
-    nodes at order max(1, n - 2).  ``jobs`` processes count them: the
-    subtrees are fanned out to at most one worker process per usable CPU
-    (a pool starts all its workers at once), and counted here when that
-    leaves one; the table is the same either way.
+    nodes at order max(1, n - 2).  They are fanned out to one worker
+    process per ``_CHUNK`` of them, at most one per usable CPU (a pool
+    starts all its workers at once), and counted here when that leaves
+    one; the table is the same either way.
     """
     _check_cap(n)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"job count must be a positive integer, got {jobs!r}")
     table = SurveyTable(n)
-    roots = _walk((0,), [], max(1, n - 2))
+    roots = list(_walk((0,), [], max(1, n - 2)))
     count = partial(_survey_subtree, n)
-    workers = min(jobs, _usable_cpus())
+    workers = min(_usable_cpus(), math.ceil(len(roots) / _CHUNK))
     fan_out = nullcontext()
     if workers > 1:
         # Imported here: concurrent.futures.process is 14-20 ms of a 45-60 ms
@@ -300,7 +304,7 @@ def survey(n: int, jobs: int = 1) -> SurveyTable:
 
         fan_out = ProcessPoolExecutor(workers)
     with fan_out as pool:
-        parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=8)
+        parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=_CHUNK)
         for cells in parts:
             for (d, d2), c in cells.items():
                 table.add(d, d2, c)

@@ -141,7 +141,7 @@ class VarMap:
     """Contiguous 1-based layout: a-vars, then b-vars, then auxiliaries.
 
     One table lists ``(kind, vertices...)`` for every variable in index
-    order; ``describe``, ``var_count`` and the sidecar dump all read it.
+    order; ``pairs``, ``var_count`` and the sidecar dump all read it.
     a(i, j) is adjacency of the candidate graph, b(i, j) adjacency of its
     2-distance graph; both normalize to i < j and are computed from the
     pair's position in :meth:`pairs`.  Auxiliaries come from ``tagged``,
@@ -179,12 +179,6 @@ class VarMap:
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for _, i, j in self._vars[:self._npairs]]
-
-    def describe(self, var: int) -> tuple:
-        """``(kind, vertices...)`` of a variable, as in the sidecar."""
-        if not 1 <= var <= len(self._vars):
-            raise KeyError(f"unknown variable {var}")
-        return self._vars[var - 1]
 
     def sidecar(self) -> str:
         """One line per variable: ``<index> <kind> <vertices...>``."""

@@ -54,7 +54,6 @@ class DpllSolver:
         self.var_count = var_count
         self.units: list[int] = []
         self.implied: list[list[int]] = [[] for _ in range(2 * var_count + 2)]
-        self.clauses: list[list[int]] = []  # three or more literals each
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * var_count + 2)]
         self.stats = {"decisions": 0, "conflicts": 0, "propagations": 0}
         for c in clauses:
@@ -70,7 +69,6 @@ class DpllSolver:
             self.implied[a].append(b)
             self.implied[b].append(a)
         else:
-            self.clauses.append(enc)
             self.watches[enc[0]].append(enc)
             self.watches[enc[1]].append(enc)
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import distlab.enumeration
 from distlab.bounds import family_graph
 from distlab.cli import main
 from distlab.enumeration import survey
@@ -90,12 +91,15 @@ def test_survey_csv_and_heatmap(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
-def test_survey_threads_match(tmp_path):
-    serial = tmp_path / "serial.csv"
-    fanned = tmp_path / "fanned.csv"
-    assert main(["survey", "--n", "6", "--out", str(serial)]) == 0
-    assert main(["survey", "--n", "6", "--out", str(fanned), "--threads", "2"]) == 0
-    assert serial.read_text() == fanned.read_text()
+def test_survey_csv_is_the_same_on_one_cpu_and_two(tmp_path, monkeypatch):
+    """From n = 7 two usable CPUs fan the census out to worker processes."""
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda c=cpus: c)
+        out = tmp_path / f"cpus{cpus}.csv"
+        assert main(["survey", "--n", "7", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] == survey(7).to_csv()
 
 
 def test_survey_cap(capsys):
@@ -405,14 +409,10 @@ SAT_SEARCH_6 = ["distlab.cli", "sat-search", "--n", "6", "--p2-len", "2", "--min
     (SAT_SEARCH_6 + ["--emit-only"], 2, "unrecognized arguments: --emit-only"),
     (["distlab.cli", "survey", "--n", "0", "--out", "-"], 2,
      "vertex count must be a positive integer"),
-    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "0"], 2,
-     "job count must be a positive integer"),
-    (["distlab.cli", "survey", "--n", "5", "--out", "-", "--threads", "-3"], 2,
-     "job count must be a positive integer"),
     (["distlab.cli", "family", "--k", "100"], 2, "family is defined for even k in 4..30"),
 ], ids=["inf-budget", "huge-budget", "dimacs-nan-budget", "negative-min-d2", "n-65", "n-0",
-        "n-negative", "n-1", "n-1-non-sharp", "p2-len-5-in-n-5", "emit-only-without-emit-cnf", "survey-n-0", "survey-threads-0",
-        "survey-threads-negative", "family-k-100"])
+        "n-negative", "n-1", "n-1-non-sharp", "p2-len-5-in-n-5", "emit-only-without-emit-cnf", "survey-n-0",
+        "family-k-100"])
 def test_edge_inputs_exit_cleanly(tmp_path, argv, code, message):
     """A huge budget is no budget; a bad value is an ``error:`` line that
     names what is wrong and exit 2, never a traceback."""

@@ -4,6 +4,8 @@ import pytest
 
 from distlab.sat.cnf import DIMACS_MAX_VARS, CnfFormula, VarMap, emit_dimacs, parse_dimacs
 
+from util import sidecar_entries
+
 
 def test_add_validates_clauses():
     f = CnfFormula(3)
@@ -160,13 +162,11 @@ def test_varmap_aux_and_describe():
     t = vm.tagged("tri", 0, 2)
     assert t == 7
     assert vm.var_count == 7
-    assert vm.describe(1) == ("a", 0, 1)
-    assert vm.describe(4) == ("b", 0, 1)
-    assert vm.describe(7) == ("tri", 0, 2)
-    with pytest.raises(KeyError):
-        vm.describe(8)
-    with pytest.raises(KeyError):
-        vm.describe(0)
+    entries = sidecar_entries(vm)
+    assert len(entries) == 7
+    assert entries[0] == ("a", 0, 1)
+    assert entries[3] == ("b", 0, 1)
+    assert entries[6] == ("tri", 0, 2)
 
 
 def test_varmap_rejects_bad_n_and_diagonal():
@@ -194,6 +194,6 @@ def test_tagged_variables_keep_their_kind():
     r = vm.tagged("r4", 0, 2)
     m = vm.tagged("m4", 0, 1, 2)
     assert (r, m) == (8, 9)
-    assert vm.describe(7) == ("far", 1, 2)
-    assert vm.describe(m) == ("m4", 0, 1, 2)
+    assert sidecar_entries(vm)[6] == ("far", 1, 2)
+    assert sidecar_entries(vm)[m - 1] == ("m4", 0, 1, 2)
     assert vm.sidecar().splitlines()[-2:] == ["8 r4 0 2", "9 m4 0 1 2"]

@@ -25,6 +25,7 @@ from util import (
     reference_diameter,
     reference_distances,
     reference_k_distance_edges,
+    sidecar_entries,
 )
 
 
@@ -167,9 +168,9 @@ def test_p2_geodesic_size_and_tags(n):
             continue
         assert len(frag) == (p2_len - 2) * (n - 1) ** 2 + n
         assert vm.var_count - base == (p2_len - 1) * (n - 1)
-        fresh = [vm.describe(v) for v in range(base + 1, vm.var_count + 1)]
-        assert fresh == [(f"q{s}", v) for s in range(1, p2_len) for v in range(1, n)]
-        assert vm.describe(-frag[-1][0]) == (f"q{p2_len - 1}", p2_len)
+        entries = sidecar_entries(vm)
+        assert entries[base:] == [(f"q{s}", v) for s in range(1, p2_len) for v in range(1, n)]
+        assert entries[-frag[-1][0] - 1] == (f"q{p2_len - 1}", p2_len)
 
 
 # C_11 labeled so that its 2-distance graph, also an 11-cycle, runs
@@ -234,8 +235,7 @@ def test_diam2_exclusion_size_closed_form(n):
     clauses = encode_diam2_exclusion(vm)
     assert len(clauses) == pairs * (n - 1) + 1
     assert vm.var_count - base == pairs
-    fresh = [vm.describe(v) for v in range(base + 1, vm.var_count + 1)]
-    assert fresh == [("far", i, k) for i, k in vm.pairs()]
+    assert sidecar_entries(vm)[base:] == [("far", i, k) for i, k in vm.pairs()]
     assert clauses[-1] == list(range(base + 1, vm.var_count + 1))
 
 
@@ -270,10 +270,10 @@ def test_diameter_cap_size_closed_form(n):
 def test_diameter_cap_tags_its_variables():
     vm = VarMap(4)
     encode_diameter_cap(vm, 3)
-    kinds = [vm.describe(v)[0] for v in range(2 * 6 + 1, vm.var_count + 1)]
-    assert set(kinds) == {"r3", "m3"}
-    assert vm.describe(13) == ("r3", 0, 1)
-    assert vm.describe(14) == ("m3", 0, 2, 1)
+    entries = sidecar_entries(vm)
+    assert {kind for kind, *_ in entries[2 * 6:]} == {"r3", "m3"}
+    assert entries[12] == ("r3", 0, 1)
+    assert entries[13] == ("m3", 0, 2, 1)
     vm = VarMap(4)
     assert encode_diameter_cap(vm, 2) == [[vm.a(i, j), vm.b(i, j)] for i, j in vm.pairs()]
     assert vm.var_count == 2 * 6
@@ -314,7 +314,7 @@ def test_g2_connected_size_and_tags(n):
         f = n - path_len - 1
         assert len(frag) == f * (2 + (f - 1) * (2 * f - 1))
         assert vm.var_count - base == f * f + f * (f - 1) ** 2
-        kinds = {vm.describe(v)[0] for v in range(base + 1, vm.var_count + 1)}
+        kinds = {kind for kind, *_ in sidecar_entries(vm)[base:]}
         assert kinds == {f"c{s}" for s in range(1, f + 1)} | {f"cm{s}" for s in range(2, f + 1)}
 
 
@@ -406,24 +406,21 @@ def test_build_formula_composite_is_exact_on_five_vertices():
 def test_build_formula_respects_flags():
     loose = SearchParams(n=5, p2_len=1, min_d2=0, forbid_diam_le_2=False)
     vm, formula = build_formula(loose)
-    kinds = {vm.describe(v + 1)[0] for v in range(formula.var_count)}
+    assert len(sidecar_entries(vm)) == formula.var_count
+    kinds = {kind for kind, *_ in sidecar_entries(vm)}
     assert {"t", "eq"} <= kinds and "far" not in kinds
     strict = SearchParams(n=5, p2_len=1, min_d2=2)
     strict_vm, strict_formula = build_formula(strict)
-    assert "far" in {strict_vm.describe(v + 1)[0] for v in range(strict_formula.var_count)}
+    assert "far" in {kind for kind, *_ in sidecar_entries(strict_vm)}
     assert strict_formula.clause_count > formula.clause_count
 
 
 def test_every_auxiliary_variable_names_its_kind():
     vm, formula = build_formula(SearchParams(n=13, p2_len=8, min_d2=8), 6)
     assert (formula.clause_count, formula.var_count) == (10128, 3130)
-    lines = [line.split() for line in vm.sidecar().splitlines()]
-    assert len(lines) == formula.var_count
-    assert [int(line[0]) for line in lines] == list(range(1, formula.var_count + 1))
-    assert [vm.describe(int(v)) for v, *_ in lines] == [
-        (kind, *map(int, verts)) for _, kind, *verts in lines
-    ]
-    kinds = {kind for _, kind, *_ in lines}
+    entries = sidecar_entries(vm)  # checks that line v numbers variable v
+    assert len(entries) == formula.var_count
+    kinds = {kind for kind, *_ in entries}
     assert "aux" not in kinds
     assert {"t", "far", "eq", "q1", "c1", "r4", "m4", "r6", "m6"} <= kinds
     assert not {"cn", "w", "r2", "m2"} & kinds

@@ -72,7 +72,7 @@ def _children_by_canonizing_all(rows, gens):
     out = []
     for s in _attachment_reps(m, gens):
         child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
-        res = canonical_labeling_rows(child, m + 1)
+        res = canonical_labeling_rows(child)
         orbit = orbits_from_generators(res.generators, m + 1)
         vstar = next(v for v in reversed(res.order) if _connected_without(child, v))
         if orbit[vstar] == orbit[m]:
@@ -200,9 +200,9 @@ def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeyp
     seen = []
     real = distlab.enumeration.canonical_labeling_rows
 
-    def recording(rows, n, cells=None):
+    def recording(rows, cells=None):
         seen.append(tuple(rows))
-        return real(rows, n, cells)
+        return real(rows, cells)
 
     monkeypatch.setattr(distlab.enumeration, "canonical_labeling_rows", recording)
     twins_only = 0
@@ -323,15 +323,28 @@ def test_survey_cells_match_brute_force(n):
     assert table.total() == CLASS_COUNTS[n]
 
 
-def test_survey_parallel_merge_is_identical():
-    """Both paths total A001349; ``survey`` canonizes each root of order
-    n - 2 for the generators that prune its subtree's attachment sets."""
+def test_survey_parallel_merge_is_identical(monkeypatch):
+    """On one usable CPU and on two, the tables for n = 1..8 agree and
+    total A001349; two CPUs fan n = 7 and n = 8 out to two worker
+    processes.  ``survey`` canonizes each root of order n - 2 for the
+    generators that prune its subtree's attachment sets."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for n in range(1, 9):
+        monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 1)
         serial = survey(n)
-        fanned = survey(n, jobs=2)
+        monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 2)
+        fanned = survey(n)
         assert fanned.n == serial.n
         assert fanned.cells == serial.cells
         assert serial.total() == CLASS_COUNTS[n]
+    assert sizes == [2, 2]
 
 
 class _SerialPool:
@@ -352,18 +365,21 @@ class _SerialPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("affinity, cpu_count, jobs, sizes", [
-    ({0, 1}, 64, 500, [2]),
-    ({0, 1, 2, 3}, 4, 2, [2]),
-    ({5}, 8, 3, []),
-    (None, 3, 500, [3]),
-    (None, None, 500, []),
-], ids=["affinity-caps", "jobs-below-cpus", "one-usable-cpu", "no-affinity", "cpus-unknown"])
+@pytest.mark.parametrize("affinity, cpu_count, n, sizes", [
+    ({0, 1}, 64, 7, [2]),
+    ({0, 1, 2, 3}, 4, 7, [3]),
+    ({5}, 8, 8, []),
+    (None, 2, 7, [2]),
+    (None, None, 8, []),
+    (set(range(64)), 64, 6, []),
+], ids=["affinity-caps", "chunks-below-cpus", "one-usable-cpu", "no-affinity", "cpus-unknown",
+        "one-chunk"])
 def test_survey_pool_never_outnumbers_the_usable_cpus(
-    monkeypatch, affinity, cpu_count, jobs, sizes
+    monkeypatch, affinity, cpu_count, n, sizes
 ):
-    """A pool of one worker adds a process and no parallelism, so one
-    usable CPU counts the subtrees here."""
+    """One worker per chunk of 8 subtrees, at most one per usable CPU.  A
+    pool of one worker adds a process and no parallelism, so one usable
+    CPU, or one chunk (n <= 6, at most 6 subtrees), counts them here."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     if affinity is None:
@@ -371,28 +387,29 @@ def test_survey_pool_never_outnumbers_the_usable_cpus(
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    assert survey(5, jobs=jobs).cells == survey(5).cells
+    assert survey(n).total() == CLASS_COUNTS[n]
     assert _SerialPool.sizes == sizes
 
 
 def test_a_serial_census_imports_no_process_pool():
-    """``import distlab.cli`` and a one-job survey leave
-    ``concurrent.futures.process`` unimported; a fanned-out survey loads it."""
+    """``import distlab.cli`` and a census on one usable CPU, or of one
+    chunk of subtrees (n = 6), leave ``concurrent.futures.process``
+    unimported; a census fanned out over two CPUs loads it."""
     code = ("import sys, distlab.cli\n"
-            "from distlab.enumeration import survey\n"
-            "survey(5)\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
-            "survey(5, jobs=2)\n"
-            "print('concurrent.futures.process' in sys.modules)\n")
+            "from distlab import enumeration\n"
+            "def loaded():\n"
+            "    print('concurrent.futures.process' in sys.modules)\n"
+            "enumeration._usable_cpus = lambda: 1\n"
+            "enumeration.survey(7)\n"
+            "loaded()\n"
+            "enumeration._usable_cpus = lambda: 2\n"
+            "enumeration.survey(6)\n"
+            "loaded()\n"
+            "enumeration.survey(7)\n"
+            "loaded()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "True"]
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_survey_refuses_a_job_count_below_one(jobs):
-    with pytest.raises(ValueError, match="job count"):
-        survey(5, jobs=jobs)
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_census_support_grows_with_the_order():

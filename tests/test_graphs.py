@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import networkx as nx
 import pytest
 
 from distlab.graphs import (
+    Graph,
     all_pairs_distances,
     bitset_to_vertices,
     complete_graph,
@@ -43,6 +45,30 @@ def test_from_edge_list_rejects_bad_input():
         from_edge_list(0, [])
     with pytest.raises(ValueError):
         from_edge_list(65, [])
+
+
+@pytest.mark.parametrize("n, rows, want", [
+    (0, (), "vertex count must be in 1..64, got 0"),
+    (65, (0,) * 65, "vertex count must be in 1..64, got 65"),
+    (2.0, (0b10, 0b01), "vertex count must be in 1..64, got 2.0"),
+    (3, (0b10, 0b01), "expected 3 adjacency rows, got 2"),
+    (2, (0b10, 0b101), "row 1 references vertices >= 2"),
+    (2, (0b11, 0b01), "self-loop at vertex 0"),
+    (3, (0b010, 0b000, 0b000), "adjacency not symmetric at (0, 1)"),
+    (4, [0b0010, 0b0101, 0b0010, 0b0000], [(0, 1), (1, 2)]),
+    (1, (0,), []),
+], ids=["n-0", "n-65", "n-float", "row-count", "bit-above-n", "self-loop", "asymmetric",
+        "path-plus-isolated", "k1"])
+def test_graph_rows_are_validated(n, rows, want):
+    """A message is the ``ValueError`` the rows raise; an edge list is the
+    graph they describe, as ``from_edge_list`` builds it."""
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            Graph(n, rows)
+    else:
+        g = Graph(n, rows)
+        assert g == from_edge_list(n, want)
+        assert type(g.adj) is tuple
 
 
 def test_graph_is_immutable_and_hashable():

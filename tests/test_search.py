@@ -10,7 +10,7 @@ from distlab.bounds import family_graph
 from distlab.canon import are_isomorphic
 from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
 from distlab.sat.cnf import CnfFormula
-from distlab.sat.dpll import DpllSolver
+from distlab.sat.dpll import UNKNOWN, DpllSolver
 from distlab.sat.encode import geodesic_length
 from distlab.sat.search import (
     BudgetExhausted,
@@ -59,9 +59,9 @@ def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
     (formula,), (solver,) = formulas, solvers
     # A binary clause (a, b) sits in two implication lists: count it at a < b.
     binary = sum(1 for a, lits in enumerate(solver.implied) for b in lits if a < b)
-    assert len(adds) == formula.clause_count == (
-        len(solver.units) + binary + len(solver.clauses)
-    )
+    # A longer clause is watched on two literals.
+    longer = sum(map(len, solver.watches)) // 2
+    assert len(adds) == formula.clause_count == len(solver.units) + binary + longer
 
 
 def test_small_search_returns_verified_witness():
@@ -93,6 +93,45 @@ def test_unsat_matches_brute_exhaustion():
     for mask in range(1 << 6):
         g = from_edge_list(4, brute.mask_edges(4, mask))
         assert not verify_witness(g, params)[0]
+
+
+def test_every_solved_level_unsat_is_unsat():
+    """(4, 6) needs 9 vertices, and (3, 6) would break diam G2 <= diam G + 2,
+    so the one level, D = 4, is solved and refuted."""
+    out = search(SearchParams(n=7, p2_len=0, min_d2=6))
+    assert isinstance(out, Unsat)
+    assert out.solve_calls == 1 and out.stats.cap_levels == [4]
+    assert out.stats.solver["conflicts"] > 0
+
+
+def test_a_solver_that_gives_up_exhausts_the_budget(monkeypatch):
+    monkeypatch.setattr(DpllSolver, "solve", lambda self, time_budget=None: (UNKNOWN, None))
+    out = search(SearchParams(n=6, p2_len=2, min_d2=3))
+    assert isinstance(out, BudgetExhausted)
+    assert out.reason == "solver budget"
+    assert out.solve_calls == 1 and out.stats.cap_levels == [3]
+
+
+def test_b_variables_that_disagree_with_bfs_raise(monkeypatch):
+    """A model whose b-variables claim one pair too many and miss one is an
+    encoder bug; the message names both pairs."""
+    search_mod = sys.modules["distlab.sat.search"]
+    real = search_mod.model_b_edges
+
+    def tampered(vm, model):
+        claimed = real(vm, model)
+        missing = min(claimed)
+        extra = min(p for p in vm.pairs() if p not in claimed)
+        return claimed - {missing} | {extra}
+
+    monkeypatch.setattr(search_mod, "model_b_edges", tampered)
+    with pytest.raises(EncodingMismatch) as err:
+        search(SearchParams(n=6, p2_len=2, min_d2=3))
+    # the witness's 2-distance graph is the path 0-1-2-3-4-5
+    assert str(err.value) == (
+        "b-variables disagree with distance-2 adjacency: "
+        "claimed-only [(0, 2)], missing [(0, 1)]"
+    )
 
 
 def test_time_budget_zero():

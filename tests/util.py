@@ -145,3 +145,14 @@ def reference_refine(rows, cells):
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+def sidecar_entries(vm) -> list[tuple]:
+    """``(kind, vertices...)`` of every variable, read off ``vm.sidecar()``;
+    entry v - 1 belongs to variable v."""
+    out = []
+    for idx, line in enumerate(vm.sidecar().splitlines(), start=1):
+        num, kind, *verts = line.split()
+        assert int(num) == idx
+        out.append((kind, *map(int, verts)))
+    return out

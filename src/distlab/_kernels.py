@@ -33,6 +33,25 @@ side it starts from, so G2 has no edge between the two sides, and both
 sides are non-empty because G is connected and has an edge.  A connected
 G is bipartite iff no edge joins two vertices whose distances from
 vertex 0 have the same parity, which the levels of G already show.
+
+The census calls ``leaf_pair`` in place of ``diameter_pair``.  Each
+graph it counts is a leaf: a connected parent P plus a vertex m joined
+to a non-empty set S.  ``leaf_basis(P)`` runs P's one BFS for all of
+its leaves, and a leaf adds one layer search of P from S, giving
+a_x = d_P(x, S), and at most one BFS of its G2 (the README's leaf
+lemma):
+
+- d(x, y) = min(d_P(x, y), a_x + a_y + 2) for old x and y, and
+  d(x, m) = a_x + 1, so diam G is the largest D with a_x + 1 >= D for
+  some x, or with d_P(x, y) >= D and a_x + a_y >= D - 2 for some pair;
+- the leaf is bipartite iff P is and S lies on one side of P, and then
+  no G2 pass runs;
+- the leaf's G2 rows are P's distance-2 rows, plus S less N_P[x] for
+  each x in S, plus m joined to the x with a_x = 1, and one ``levels``
+  call on them gives diam G2.
+
+The leaf is connected because P is and S is not empty, so no ``reach``
+runs.
 """
 from __future__ import annotations
 
@@ -168,8 +187,9 @@ def diameter(rows: Sequence[int]) -> int:
     return len(levels(rows)[0]) - 1
 
 
-def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> bool:
-    """Whether a connected graph with packed BFS levels ``lv`` is bipartite.
+def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> int:
+    """The side holding vertex 0 of a connected graph with packed BFS levels
+    ``lv`` when it is bipartite, else 0 (so the result is true iff it is).
 
     Its sides would be the vertices at even and at odd distance from
     vertex 0, read from row 0 of each level.
@@ -179,7 +199,9 @@ def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> bool:
     for level in lv[::2]:
         even |= level & mask
     odd = mask ^ even
-    return not any(row & (even if (even >> v) & 1 else odd) for v, row in enumerate(rows))
+    if any(row & (even if (even >> v) & 1 else odd) for v, row in enumerate(rows)):
+        return 0
+    return even
 
 
 def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
@@ -201,3 +223,98 @@ def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
     else:
         lv2, connected2 = levels([0] * n, 0)
     return d, (len(lv2) - 1 if connected2 else UNREACHABLE)
+
+
+def leaf_basis(rows: Sequence[int]) -> tuple:
+    """What ``leaf_pair`` needs of a connected parent P, from one BFS.
+
+    A tuple of P's rows; ``far``, where ``far[D]`` for D = 2..diam P is
+    the pair (rows of the pairs at distance at least D, the bitset of
+    vertices with such a pair), and ``far[0]`` and ``far[1]`` are unused;
+    P's distance-2 rows; and P's side holding vertex 0 when P is
+    bipartite, else 0.
+    """
+    n = len(rows)
+    lv = levels(rows)[0]
+    far: list = [None] * len(lv)
+    acc = 0
+    for big in range(len(lv) - 1, 1, -1):
+        acc |= lv[big]
+        far_rows = unpack(acc, n)
+        far[big] = far_rows, sum(1 << x for x, row in enumerate(far_rows) if row)
+    ring2 = unpack(lv[2], n) if len(lv) > 2 else [0] * n
+    return rows, far, ring2, _bipartite(rows, lv)
+
+
+def leaf_pair(basis: tuple, s: int) -> tuple[int, int]:
+    """``diameter_pair`` of P plus a vertex m joined to the non-empty set
+    ``s``, from ``basis = leaf_basis(P)`` (see the module docstring).
+
+    Only the G2 BFS is the leaf's own; a bipartite leaf runs none.
+    """
+    rows, far, ring2, side = basis
+    m = len(rows)
+    # layers[k]: P's vertices at distance a_x = k from s; they cover P.
+    layers = [s]
+    seen = frontier = s
+    while True:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    r = len(layers) - 1
+    d = r + 1  # m's eccentricity
+    # An old pair is at most min(d_P(x, y), a_x + a_y + 2) <= min(diam P, 2r + 2) apart.
+    top = min(len(far) - 1, 2 * r + 2)
+    if top > d:
+        beyond = layers[:]  # beyond[k]: the vertices with a_x >= k
+        for k in range(r - 1, -1, -1):
+            beyond[k] |= beyond[k + 1]
+        for big in range(top, d, -1):
+            if _far_pair(far[big], layers, beyond, big):
+                d = big
+                break
+    if side and (not s & side or s & side == s):
+        return d, UNREACHABLE  # s on one side of bipartite P: the leaf is bipartite
+    ring = ring2[:]
+    bits = s
+    while bits:
+        low = bits & -bits
+        x = low.bit_length() - 1
+        ring[x] |= s & ~(rows[x] | low)  # x and y in s meet through m
+        bits ^= low
+    near = layers[1] if r else 0  # a_x = 1: at distance 2 from m
+    bits = near
+    while bits:
+        low = bits & -bits
+        ring[low.bit_length() - 1] |= 1 << m
+        bits ^= low
+    ring.append(near)
+    lv2, connected2 = levels(ring)
+    return d, (len(lv2) - 1 if connected2 else UNREACHABLE)
+
+
+def _far_pair(far_big: tuple, layers: Sequence[int], beyond: Sequence[int], big: int) -> bool:
+    """Whether a leaf has old vertices x and y at least ``big`` apart:
+    d_P(x, y) >= big and a_x + a_y >= big - 2.
+
+    Taking a_x >= a_y, x lies in a layer k >= (big - 2) / 2 and y has
+    a_y >= big - 2 - k, which is never negative as big >= r + 2.
+    ``far_big`` is ``far[big]`` of ``leaf_basis``.
+    """
+    far_rows, ecc = far_big
+    for k in range((big - 1) // 2, len(layers)):
+        want = beyond[big - 2 - k]
+        xs = layers[k] & ecc
+        while xs:
+            low = xs & -xs
+            if far_rows[low.bit_length() - 1] & want:
+                return True
+            xs ^= low
+    return False

@@ -63,8 +63,13 @@ The survey pairs each enumerated graph with (diam G, diam G2) where G2
 joins vertices at distance exactly 2.  It lists the nodes of the
 augmentation tree at order max(1, n - 2), canonizes each one for its
 generators, counts the pairs of its subtree on its own, and sums the
-subtree counts, in this process or in worker processes.  Counts land in
-a :class:`SurveyTable`; infinite G2 diameters are kept under ``inf``.
+subtree counts, in this process or in worker processes.  Within a
+subtree each node at order n - 1 runs one BFS, ``_kernels.leaf_basis``,
+and each child it accepts gets its pair from that and its attachment
+set by ``_kernels.leaf_pair`` (the README's leaf lemma), with no
+``diameter_pair`` and no connectivity test; only n = 1, whose root has
+no parent, is measured directly.  Counts land in a
+:class:`SurveyTable`; infinite G2 diameters are kept under ``inf``.
 """
 from __future__ import annotations
 
@@ -79,17 +84,18 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# The census runs 13,000 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds) and about 12,000 graphs/s in raw wall time at n = 10 (two
-# sets of 100 random subtrees below order 8, one core of a 2-core VM shared
-# with other work).  So on one CPU n = 10 (11,716,571 classes) takes about
+# The census runs 14,500 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds) and about 11,900 graphs/s in raw wall time at n = 10 (the
+# median of six runs on each of two sets of 100 random subtrees below order
+# 8, one core of a 2-core VM shared with other work; single runs spread from
+# 9,300 to 15,900).  So on one CPU n = 10 (11,716,571 classes) takes about
 # 0.27 h, n = 11 at least 1 day and n = 12 at least 0.4 years.  ``survey``
 # spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
 
 def _check_cap(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     if n > ENUM_CAP:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
@@ -208,13 +214,24 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
         yield tuple(child), res.generators
 
 
+def _nodes(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """The order-n nodes below (rows, gens), each with its generators."""
+    if len(rows) == n:
+        yield rows, gens
+        return
+    for child, child_gens in _children(rows, gens, False):
+        yield from _nodes(child, child_gens, n)
+
+
 def _walk(rows: tuple[int, ...], gens, n: int) -> Iterator[tuple[int, ...]]:
-    """The order-n nodes below (rows, gens)."""
+    """The order-n nodes below (rows, gens), grown from their parents
+    with no generators."""
     if len(rows) == n:
         yield rows
         return
-    for child, child_gens in _children(rows, gens, len(rows) + 1 == n):
-        yield from _walk(child, child_gens, n)
+    for parent, parent_gens in _nodes(rows, gens, n - 1):
+        for child, _ in _children(parent, parent_gens, True):
+            yield child
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -259,12 +276,23 @@ class SurveyTable:
         return "\n".join(lines) + "\n"
 
 
+def _leaf_pairs(n: int, root: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """``diameter_pair`` of each order-n graph below a node of lower order,
+    from its parent's ``leaf_basis`` and its attachment set, its last row."""
+    gens = canonical_labeling_rows(root).generators
+    for parent, parent_gens in _nodes(root, gens, n - 1):
+        # The _kernels functions are looked up at each call, where a tracer can wrap them.
+        basis = _kernels.leaf_basis(parent)
+        for child, _ in _children(parent, parent_gens, True):
+            yield _kernels.leaf_pair(basis, child[-1])
+
+
 def _survey_subtree(n: int, root: tuple[int, ...]) -> dict[tuple[int, int | float], int]:
     """(diam G, diam G2) counts over the order-n graphs below one node's rows."""
     cells: dict[tuple[int, int | float], int] = {}
-    gens = canonical_labeling_rows(root).generators
-    for rows in _walk(root, gens, n):
-        d, d2 = _kernels.diameter_pair(rows)
+    # The order-1 root of n = 1 has no parent.
+    pairs = [_kernels.diameter_pair(root)] if len(root) == n else _leaf_pairs(n, root)
+    for d, d2 in pairs:
         key = (d, math.inf if d2 < 0 else d2)
         cells[key] = cells.get(key, 0) + 1
     return cells

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import itertools
 import math
@@ -27,6 +28,7 @@ from distlab.graphs import from_edge_list, is_connected
 
 import brute
 from util import (
+    nx_diameter_pair,
     reference_diameter,
     reference_k_distance_edges,
     relabeled,
@@ -303,6 +305,16 @@ def test_caps():
         survey(ENUM_CAP + 1)
 
 
+@pytest.mark.parametrize("n", [True, False, 0, -1, 2.0, "3", None])
+def test_orders_that_are_not_positive_ints_are_refused(n):
+    """A bool is an int to Python, but True is no vertex count: survey(True)
+    once wrote the row ``True,0,0,1``."""
+    with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+        survey(n)
+    with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+        next(enumerate_connected(n))
+
+
 def _brute_cells(n):
     cells = {}
     for mask in brute.connected_class_reps(n):
@@ -321,6 +333,42 @@ def test_survey_cells_match_brute_force(n):
     assert table.n == n
     assert table.cells == _brute_cells(n)
     assert table.total() == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8])
+def test_survey_cells_match_networkx(n):
+    """The orders the brute-force oracle does not reach, and n = 1, whose
+    root has no parent."""
+    cells = {}
+    for g in enumerate_connected(n):
+        d, d2 = nx_diameter_pair(n, g.edges())
+        key = (d, math.inf if d2 < 0 else d2)
+        cells[key] = cells.get(key, 0) + 1
+    assert survey(n).cells == cells
+
+
+def test_census_measures_each_leaf_from_its_parent(monkeypatch):
+    """A census makes one ``leaf_basis`` BFS per order-(n - 1) node and one
+    ``leaf_pair`` per graph it counts, and no ``diameter_pair`` or
+    connectivity test: every graph it counts is connected."""
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(distlab._kernels, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(distlab._kernels, name, counting)
+
+    for name in ("diameter_pair", "connected", "leaf_basis", "leaf_pair"):
+        counted(name)
+    monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 1)
+    for n in range(3, 9):
+        calls.clear()
+        assert survey(n).total() == CLASS_COUNTS[n]
+        assert calls == {"leaf_basis": CLASS_COUNTS[n - 1], "leaf_pair": CLASS_COUNTS[n]}, n
 
 
 def test_survey_parallel_merge_is_identical(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from distlab import _kernels
 from distlab.graph6 import emit
 from distlab.bounds import family_graph
+from distlab.enumeration import enumerate_connected
 from distlab.graphs import (
     all_pairs_distances,
     complete_graph,
@@ -225,6 +226,72 @@ def test_family_with_false_twins_meets_the_upper_bound_at_every_larger_order(d):
         if g.n == 64:
             break
         g = _with_twin(g, g.n % (2 * d + 1), adjacent=False)
+
+
+def _leaf(rows, s):
+    """P plus a vertex m = len(rows) joined to the vertices of the bitset s."""
+    m = len(rows)
+    return [r | (s >> x & 1) << m for x, r in enumerate(rows)] + [s]
+
+
+def _nx_graph(rows):
+    h = nx.empty_graph(len(rows))
+    h.add_edges_from((x, y) for x, r in enumerate(rows) for y in range(x) if r >> y & 1)
+    return h
+
+
+def test_leaf_distances_follow_from_the_parent():
+    """A leaf is a connected P plus a vertex m joined to a non-empty set S.
+    With a_x = d_P(x, S): d(x, y) = min(d_P(x, y), a_x + a_y + 2) and
+    d(x, m) = a_x + 1; the leaf's distance-2 rows are P's, plus S less
+    N_P[x] for each x in S, plus m joined to the x with a_x = 1; and the
+    leaf is bipartite iff P is and S lies on one side (the README proves
+    these).  ``leaf_pair`` agrees with ``diameter_pair`` on every leaf."""
+    rng = random.Random(73)
+    seen = [0, 0, 0]  # P not bipartite; S on one side of P; S on both
+    for n in list(range(1, 64)) * 2:
+        rows = [0] * n
+        # a random tree plus a few or many random edges: diameters from 1 to about n
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        extra = rng.choice((0, 0, 1, n // 4, 2 * n)) * (n > 1)
+        edges += [rng.sample(range(n), 2) for _ in range(extra)]
+        for x, y in edges:
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+        size = min(n, rng.choice((1, 1, 2, 3, n // 2 + 1, n)))
+        s = sum(1 << x for x in rng.sample(range(n), size))
+        child = _leaf(rows, s)
+        dist_p = _kernels.distances(rows)
+        a = [min(dist_p[x][y] for y in range(n) if s >> y & 1) for x in range(n)]
+        dist = _kernels.distances(child)
+        for x in range(n):
+            assert dist[x][n] == a[x] + 1
+            for y in range(n):
+                assert dist[x][y] == min(dist_p[x][y], a[x] + a[y] + 2)
+        want = _kernels.ring_rows(rows, 2) + [sum(1 << x for x in range(n) if a[x] == 1)]
+        for x in range(n):
+            if s >> x & 1:
+                want[x] |= s & ~(rows[x] | 1 << x)
+            want[x] |= (a[x] == 1) << n
+        assert _kernels.ring_rows(child, 2) == want
+        h = _nx_graph(rows)
+        sides = ()
+        if nx.is_bipartite(h):
+            sides = {c for x, c in nx.bipartite.color(h).items() if s >> x & 1}
+        assert nx.is_bipartite(_nx_graph(child)) == (len(sides) == 1)
+        seen[len(sides)] += 1
+        assert _kernels.leaf_pair(_kernels.leaf_basis(rows), s) == _kernels.diameter_pair(child)
+    assert min(seen) >= 20
+
+
+def test_leaf_pair_matches_the_pair_kernel_on_every_small_leaf():
+    """Every connected P on at most six vertices, every non-empty S."""
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            basis = _kernels.leaf_basis(g.adj)
+            for s in range(1, 1 << n):
+                pair = _kernels.diameter_pair(_leaf(g.adj, s))
+                assert _kernels.leaf_pair(basis, s) == pair, (g.adj, s)
 
 
 def test_reach_matches_a_plain_fixpoint():

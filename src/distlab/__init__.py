@@ -8,21 +8,18 @@ from .bounds import (
     check_bounds,
     family_graph,
 )
-from .canon import are_isomorphic, canonical_form
+from .canon import canonical_form
 from .enumeration import SurveyTable, enumerate_connected, survey
 from .graphs import (
     MAX_VERTICES,
     UNREACHABLE,
     Graph,
     all_pairs_distances,
-    complete_graph,
-    cycle_graph,
     diameter,
     diameter_pair,
     from_edge_list,
     is_connected,
     k_distance,
-    path_graph,
 )
 from .sat.cnf import CnfFormula, VarMap
 from .sat.encode import build_formula, decode_model
@@ -38,7 +35,6 @@ __all__ = [
     "BoundReport",
     "check_bounds",
     "family_graph",
-    "are_isomorphic",
     "canonical_form",
     "SurveyTable",
     "enumerate_connected",
@@ -47,14 +43,11 @@ __all__ = [
     "UNREACHABLE",
     "Graph",
     "all_pairs_distances",
-    "complete_graph",
-    "cycle_graph",
     "diameter",
     "diameter_pair",
     "from_edge_list",
     "is_connected",
     "k_distance",
-    "path_graph",
     "BudgetExhausted",
     "CnfFormula",
     "SearchParams",

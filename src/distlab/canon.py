@@ -7,14 +7,19 @@ equitable ordered partition, refined with a stack of splitter cells
 first smallest non-singleton cell at a time, refines by that vertex
 alone, and prunes siblings that discovered automorphisms already map
 onto tried choices, so the generators collected along the way generate
-the full automorphism group.  Everything works on plain-int bitset rows.
+the full automorphism group.
+
+Everything works on plain-int bitsets: rows, and ordered partitions as
+lists of bitset cells, the root one ``refine(rows, [full], [full])``.
+A vertex x splits a cell c with one ``&``, into ``c & ~rows[x]`` and
+``c & rows[x]``, and a discrete partition reads as an order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, bitset_to_vertices
 
 
 @dataclass
@@ -24,37 +29,52 @@ class CanonResult:
     generators: list[tuple[int, ...]]  # automorphism generators (vertex maps)
 
 
-def refine(rows: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
-    """Split ``cells`` until it is equitable, one splitter at a time.
+def refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split the bitset ``cells`` until they are equitable, one splitter at a time.
 
     ``splitters`` are bitsets that cover what changed since ``cells`` was
     last equitable: the root passes the whole vertex set, a search node
     only the vertex it split off a cell of its equitable parent.  Each
     popped splitter w splits every cell by the count
     ``(rows[v] & w).bit_count()``; a cell's sub-cells take its place in
-    increasing count, and each new sub-cell is pushed as a splitter.  The
-    result depends only on cell positions and counts, never on vertex
-    labels, so it commutes with relabeling (the search sorts each cell it
-    branches on).
+    increasing count, and each new sub-cell is pushed as a splitter.  A
+    singleton splitter {x} needs no count: it splits each cell c into
+    ``c & ~rows[x]`` and then ``c & rows[x]``.  The result depends only on
+    cell positions and counts, never on vertex labels, so it commutes
+    with relabeling.
     """
     stack = list(splitters)
     n = len(rows)
     while stack and len(cells) < n:  # a discrete partition splits no further
         w = stack.pop()
-        new_cells: list[list[int]] = []
-        for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in c:
-                buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
-            if len(buckets) < 2:
-                new_cells.append(c)
-                continue
-            for key in sorted(buckets):
-                new_cells.append(buckets[key])
-                stack.append(sum(1 << v for v in buckets[key]))
+        new_cells: list[int] = []
+        if w & (w - 1) == 0:
+            nbrs = rows[w.bit_length() - 1]
+            for c in cells:
+                hit = c & nbrs
+                if hit and hit != c:
+                    new_cells += (c ^ hit, hit)
+                    stack += (c ^ hit, hit)
+                else:
+                    new_cells.append(c)
+        else:
+            for c in cells:
+                if c & (c - 1) == 0:
+                    new_cells.append(c)
+                    continue
+                buckets: dict[int, int] = {}
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    k = (rows[low.bit_length() - 1] & w).bit_count()
+                    buckets[k] = buckets.get(k, 0) | low
+                    rest ^= low
+                if len(buckets) < 2:
+                    new_cells.append(c)
+                    continue
+                for key in sorted(buckets):
+                    new_cells.append(buckets[key])
+                    stack.append(buckets[key])
         cells = new_cells
     return cells
 
@@ -83,11 +103,12 @@ class _Search:
         target = -1
         best_len = 0
         for idx, c in enumerate(cells):
-            if len(c) > 1 and (target < 0 or len(c) < best_len):
+            size = c.bit_count()
+            if size > 1 and (target < 0 or size < best_len):
                 target = idx
-                best_len = len(c)
+                best_len = size
         if target < 0:
-            order = [c[0] for c in cells]
+            order = [c.bit_length() - 1 for c in cells]
             code = _code_for_order(self.rows, order)
             if self.best_code is None or code < self.best_code:
                 self.best_code = code
@@ -101,14 +122,11 @@ class _Search:
                     self.generators.append(tperm)
             return
         tried: list[int] = []
-        for v in sorted(cells[target]):
+        cell = cells[target]
+        for v in bitset_to_vertices(cell):
             if tried and self._in_tried_orbit(v, tried):
                 continue
-            child = (
-                cells[:target]
-                + [[v], [u for u in cells[target] if u != v]]
-                + cells[target + 1:]
-            )
+            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
             self.prefix.append(v)
             self.run(refine(self.rows, child, [1 << v]))
             self.prefix.pop()
@@ -126,20 +144,19 @@ class _Search:
         return any(orbit[t] == orbit[v] for t in tried)
 
 
-def canonical_labeling_rows(
-    rows: Sequence[int], cells: list[list[int]] | None = None
-) -> CanonResult:
+def canonical_labeling_rows(rows: Sequence[int], cells: list[int] | None = None) -> CanonResult:
     """Canonical order, code and automorphism generators for bitset rows.
 
-    ``cells``, when given, must be the root partition
-    ``refine(rows, [list(range(n))], [(1 << n) - 1])``, n = len(rows); it
-    is then not refined again.  The canonical order keeps that partition's
-    cell order: every search node splits a cell in place.
+    ``cells``, when given, must be the root partition as bitset cells,
+    ``refine(rows, [full], [full])`` with ``full = (1 << len(rows)) - 1``;
+    it is then not refined again.  The canonical order keeps that
+    partition's cell order: every search node splits a cell in place.
     """
     search = _Search(list(rows))
     n = search.n
     if cells is None:
-        cells = refine(search.rows, [list(range(n))] if n else [], [(1 << n) - 1])
+        full = (1 << n) - 1
+        cells = refine(search.rows, [full] if n else [], [full])
     search.run(cells)
     assert search.best_order is not None
     return CanonResult(search.best_code, search.best_order, search.generators)
@@ -150,12 +167,6 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     code = canonical_labeling_rows(g.adj).code
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    return canonical_form(g1) == canonical_form(g2)
 
 
 def orbits_from_generators(gens: Sequence[Sequence[int]], n: int) -> list[int]:

@@ -33,12 +33,14 @@ are a few bitset operations, and no child runs a reach of its own.
   partition rule below would accept, and a child at the walk's final
   order is accepted unrefined.
 - Partition rule.  Any other child that passes is refined once from
-  the whole vertex set.  The canonical order keeps the refined
-  partition's cell order and every automorphism maps each cell onto
-  itself, so v* and its orbit lie in C, the last cell that holds a
-  non-cut vertex.  The child is rejected when m is not in C and
-  accepted when m is the only non-cut vertex of C.  Only the rest are
-  canonized, from the refined cells, to compare m's orbit with v*'s.
+  the whole vertex set, ``canon.refine(child, [full], [full])``, into
+  bitset cells.  The canonical order keeps the refined partition's cell
+  order and every automorphism maps each cell onto itself, so v* and its
+  orbit lie in C, the last cell that holds a non-cut vertex: the last
+  cell c with ``c & noncut``.  The child is rejected when m is not in C
+  and accepted when m is the only non-cut vertex of C; the others,
+  ``C & noncut`` less m, are the rivals.  Only the rest are canonized,
+  from the refined cells, to compare m's orbit with v*'s.
 - Twin accept.  A vertex v is a twin of m when N(m) less v equals N(v)
   less m; then the transposition (m v) maps every edge to an edge, so it
   is an automorphism and v shares m's orbit.  The degree test leaves v*
@@ -61,15 +63,16 @@ the degree test, with no partition rule at all.
 
 The survey pairs each enumerated graph with (diam G, diam G2) where G2
 joins vertices at distance exactly 2.  It lists the nodes of the
-augmentation tree at order max(1, n - 2), canonizes each one for its
-generators, counts the pairs of its subtree on its own, and sums the
-subtree counts, in this process or in worker processes.  Within a
-subtree each node at order n - 1 runs one BFS, ``_kernels.leaf_basis``,
-and each child it accepts gets its pair from that and its attachment
-set by ``_kernels.leaf_pair`` (the README's leaf lemma), with no
-``diameter_pair`` and no connectivity test; only n = 1, whose root has
-no parent, is measured directly.  Counts land in a
-:class:`SurveyTable`; infinite G2 diameters are kept under ``inf``.
+augmentation tree at order max(1, n - 2) with the generators that
+growing them found, so each is canonized once, counts the pairs of each
+node's subtree on its own, and sums the subtree counts, in this process
+or in worker processes.  Within a subtree each node at order n - 1 runs
+one BFS, ``_kernels.leaf_basis``, and each child it accepts gets its
+pair from that and its attachment set by ``_kernels.leaf_pair`` (the
+README's leaf lemma), with no ``diameter_pair`` and no connectivity
+test; only n = 1, whose root has no parent, is measured directly.
+Counts land in a :class:`SurveyTable`; infinite G2 diameters are kept
+under ``inf``.
 """
 from __future__ import annotations
 
@@ -84,12 +87,12 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph
 
-# The census runs 14,500 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds) and about 11,900 graphs/s in raw wall time at n = 10 (the
+# The census runs 16,400 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds) and about 16,800 graphs/s in raw wall time at n = 10 (the
 # median of six runs on each of two sets of 100 random subtrees below order
 # 8, one core of a 2-core VM shared with other work; single runs spread from
-# 9,300 to 15,900).  So on one CPU n = 10 (11,716,571 classes) takes about
-# 0.27 h, n = 11 at least 1 day and n = 12 at least 0.4 years.  ``survey``
+# 11,700 to 20,000).  So on one CPU n = 10 (11,716,571 classes) takes about
+# 0.2 h, n = 11 at least 16 h and n = 12 at least 0.3 years.  ``survey``
 # spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
@@ -197,11 +200,11 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
             yield tuple(child), []  # v* is m or a tie vertex, and each is m's twin
             continue
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
-        cells = canon.refine(child, [list(range(m + 1))], [full])
-        last = next(c for c in reversed(cells) if any(noncut >> v & 1 for v in c))
-        if m not in last:
+        cells = canon.refine(child, [full], [full])
+        last = next(c for c in reversed(cells) if c & noncut)
+        if not last >> m & 1:
             continue  # v* and its orbit lie in that later cell
-        rivals = noncut & ~(1 << m) & sum(1 << v for v in last)
+        rivals = noncut & last & ~(1 << m)
         if leaf and _all_twins_of(child, m, rivals):
             yield tuple(child), []  # v* is m or a rival, and each is m's twin
             continue
@@ -276,10 +279,9 @@ class SurveyTable:
         return "\n".join(lines) + "\n"
 
 
-def _leaf_pairs(n: int, root: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+def _leaf_pairs(n: int, root: tuple[int, ...], gens) -> Iterator[tuple[int, int]]:
     """``diameter_pair`` of each order-n graph below a node of lower order,
     from its parent's ``leaf_basis`` and its attachment set, its last row."""
-    gens = canonical_labeling_rows(root).generators
     for parent, parent_gens in _nodes(root, gens, n - 1):
         # The _kernels functions are looked up at each call, where a tracer can wrap them.
         basis = _kernels.leaf_basis(parent)
@@ -287,11 +289,13 @@ def _leaf_pairs(n: int, root: tuple[int, ...]) -> Iterator[tuple[int, int]]:
             yield _kernels.leaf_pair(basis, child[-1])
 
 
-def _survey_subtree(n: int, root: tuple[int, ...]) -> dict[tuple[int, int | float], int]:
-    """(diam G, diam G2) counts over the order-n graphs below one node's rows."""
+def _survey_subtree(n: int, node) -> dict[tuple[int, int | float], int]:
+    """(diam G, diam G2) counts over the order-n graphs below one node,
+    given as its rows and its automorphism generators."""
+    rows, gens = node
     cells: dict[tuple[int, int | float], int] = {}
     # The order-1 root of n = 1 has no parent.
-    pairs = [_kernels.diameter_pair(root)] if len(root) == n else _leaf_pairs(n, root)
+    pairs = [_kernels.diameter_pair(rows)] if len(rows) == n else _leaf_pairs(n, rows, gens)
     for d, d2 in pairs:
         key = (d, math.inf if d2 < 0 else d2)
         cells[key] = cells.get(key, 0) + 1
@@ -321,7 +325,7 @@ def survey(n: int) -> SurveyTable:
     """
     _check_cap(n)
     table = SurveyTable(n)
-    roots = list(_walk((0,), [], max(1, n - 2)))
+    roots = list(_nodes((0,), [], max(1, n - 2)))
     count = partial(_survey_subtree, n)
     workers = min(_usable_cpus(), math.ceil(len(roots) / _CHUNK))
     fan_out = nullcontext()

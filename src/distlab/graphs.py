@@ -99,20 +99,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows, _validate=False)
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def all_pairs_distances(g: Graph) -> list[list[int]]:
     """Exact BFS distance matrix as a list of rows, ``UNREACHABLE`` (-1)
     across components.

@@ -65,9 +65,10 @@ def emit_dimacs(formula: CnfFormula) -> str:
 
 
 # The most variables a DIMACS problem line may declare.  The solver
-# allocates lists for every declared variable (about 300 bytes each) before
-# it reads a clause, and build_formula's largest formula, at n = 64
-# (p2_len 0, min_d2 0, cap level 47), has 1,153,483 variables.
+# allocates lists only up to the largest variable a clause uses (about 300
+# bytes each), but a model still lists every declared variable, and
+# build_formula's largest formula, at n = 64 (p2_len 0, min_d2 0, cap
+# level 47), has 1,153,483 variables.
 DIMACS_MAX_VARS = 2_000_000
 
 

@@ -1,10 +1,12 @@
 """Chronological-backtracking DPLL with implication lists and two watched literals.
 
 Deterministic by construction: branching takes the unassigned variables
-in ascending index, with the negative phase tried first.  Clauses can be
-appended between ``solve`` calls, which makes the solver directly usable
-for model enumeration and refinement loops.  One optional budget, in
-wall-clock seconds, yields the status ``unknown`` when it runs out.
+in ascending index, with the negative phase tried first.  Variables above
+the largest that occurs in a clause get no list and no decision, and a
+model sets them False.  Clauses can be appended between ``solve`` calls,
+which makes the solver directly usable for model enumeration and
+refinement loops.  One optional budget, in wall-clock seconds, yields the
+status ``unknown`` when it runs out.
 
 The solver takes clauses as a :class:`~distlab.sat.cnf.CnfFormula` has
 checked them: non-empty, literals non-zero and within the variable count,
@@ -53,8 +55,9 @@ class DpllSolver:
     def __init__(self, var_count: int, clauses: Iterable[Sequence[int]] = ()):
         self.var_count = var_count
         self.units: list[int] = []
-        self.implied: list[list[int]] = [[] for _ in range(2 * var_count + 2)]
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * var_count + 2)]
+        self.top = 1  # the largest encoded literal so far, with its sign bit set
+        self.implied: list[list[int]] = [[], []]
+        self.watches: list[list[list[int]]] = [[], []]
         self.stats = {"decisions": 0, "conflicts": 0, "propagations": 0}
         for c in clauses:
             self.add_clause(c)
@@ -62,6 +65,13 @@ class DpllSolver:
     def add_clause(self, lits: Sequence[int]) -> None:
         """Store one checked clause (see the module docstring)."""
         enc = [lit << 1 if lit > 0 else -lit << 1 | 1 for lit in lits]
+        top = max(enc) | 1
+        if top > self.top:
+            self.top = top
+            if top >= len(self.implied):  # at least double, up to the declared count
+                extra = min(top + len(self.implied), 2 * self.var_count + 2) - len(self.implied)
+                self.implied += [[] for _ in range(extra)]
+                self.watches += [[] for _ in range(extra)]
         if len(enc) == 1:
             self.units.append(enc[0])
         elif len(enc) == 2:
@@ -74,8 +84,8 @@ class DpllSolver:
 
     def solve(self, time_budget: float | None = None) -> tuple[str, dict[int, bool] | None]:
         """Returns (status, model); model maps every variable to a bool."""
-        nv = self.var_count
-        true = bytearray(2 * nv + 2)
+        nv = self.top >> 1  # the largest variable that occurs
+        true = bytearray(len(self.implied))
         trail: list[int] = []
         qhead = 0
         deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -161,7 +171,8 @@ class DpllSolver:
             while var <= nv and (true[var << 1] or true[var << 1 | 1]):
                 var += 1
             if var > nv:
-                return SAT, {v: bool(true[v << 1]) for v in range(1, nv + 1)}
+                declared = range(1, self.var_count + 1)  # those above nv occur in no clause
+                return SAT, {v: v <= nv and bool(true[v << 1]) for v in declared}
             stats["decisions"] += 1
             decisions.append(len(trail))
             lit = var << 1 | 1  # negative phase first

@@ -11,11 +11,9 @@ import time
 import pytest
 
 from distlab.bounds import VIOLATION, check_bounds, family_graph
-from distlab.canon import are_isomorphic
 from distlab.enumeration import enumerate_connected, survey
 from distlab.graph6 import emit, parse
 from distlab.graphs import (
-    cycle_graph,
     diameter,
     diameter_pair,
     from_edge_list,
@@ -40,7 +38,7 @@ from distlab.sat.search import (
 )
 
 import brute
-from util import random_graph, reference_k_distance_edges
+from util import are_isomorphic, cycle_graph, random_graph, reference_k_distance_edges
 
 
 def _line(num: int, ok: bool, text: str) -> None:

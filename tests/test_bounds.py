@@ -10,18 +10,21 @@ from distlab.bounds import (
     check_bounds,
     family_graph,
 )
-from distlab.canon import are_isomorphic
 from distlab.enumeration import enumerate_connected
 from distlab.graphs import (
-    complete_graph,
-    cycle_graph,
     diameter,
     from_edge_list,
     k_distance,
-    path_graph,
 )
 
-from util import reference_diameter, reference_k_distance_edges
+from util import (
+    are_isomorphic,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_diameter,
+    reference_k_distance_edges,
+)
 
 
 def _reference_pair(g):

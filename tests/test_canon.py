@@ -1,24 +1,30 @@
+import hashlib
 import itertools
 import random
 
 import networkx as nx
 
 from distlab.canon import (
-    are_isomorphic,
     canonical_form,
     canonical_labeling_rows,
     orbits_from_generators,
     refine,
 )
-from distlab.graphs import (
-    complete_graph,
-    cycle_graph,
-    from_edge_list,
-    path_graph,
-)
+from distlab.graphs import bitset_to_vertices, from_edge_list
 
 import brute
-from util import brute_isomorphic, brute_orbits, random_graph, reference_refine, relabeled
+from util import (
+    are_isomorphic,
+    brute_isomorphic,
+    brute_orbits,
+    complete_graph,
+    cycle_graph,
+    list_cell_refine,
+    path_graph,
+    random_graph,
+    reference_refine,
+    relabeled,
+)
 
 
 def _graph_from_mask(n, mask):
@@ -178,19 +184,20 @@ def _atlas_and_random_graphs():
 
 def _refinement_inputs(rows, n):
     """The root's (cells, splitters), then one child per vertex of each
-    non-singleton root cell, individualized as the search does it."""
-    root = [list(range(n))], [(1 << n) - 1]
+    non-singleton root cell, individualized as the search does it; cells
+    are bitsets."""
+    root = [(1 << n) - 1], [(1 << n) - 1]
     yield root
     cells = refine(rows, *root)
     for i, c in enumerate(cells):
-        if len(c) > 1:
-            for v in c:
-                yield cells[:i] + [[v], [u for u in c if u != v]] + cells[i + 1:], [1 << v]
+        if c.bit_count() > 1:
+            for v in bitset_to_vertices(c):
+                yield cells[:i] + [1 << v, c & ~(1 << v)] + cells[i + 1:], [1 << v]
 
 
 def _is_equitable(rows, cells):
-    masks = [sum(1 << v for v in c) for c in cells]
-    return all(len({(rows[v] & m).bit_count() for v in c}) == 1 for c in cells for m in masks)
+    return all(len({(rows[v] & m).bit_count() for v in bitset_to_vertices(c)}) == 1
+               for c in cells for m in cells)
 
 
 def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
@@ -203,21 +210,32 @@ def test_refine_is_the_equitable_refinement_and_commutes_with_relabeling():
         moved = relabeled(g, perm).adj
         for cells, splitters in _refinement_inputs(rows, n):
             got = refine(rows, cells, splitters)
-            want = reference_refine(rows, cells)
-            assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
+            want = reference_refine(rows, [bitset_to_vertices(c) for c in cells])
+            assert {frozenset(bitset_to_vertices(c)) for c in got} == {frozenset(c) for c in want}
             assert _is_equitable(rows, got)
-            images = refine(
-                moved,
-                [sorted(perm[v] for v in c) for c in cells],
-                [sum(1 << perm[v] for v in range(n) if w >> v & 1) for w in splitters],
-            )
-            assert [{perm[v] for v in c} for c in got] == [set(c) for c in images]
+            image = lambda w: sum(1 << perm[v] for v in bitset_to_vertices(w))
+            images = refine(moved, [image(c) for c in cells], [image(w) for w in splitters])
+            assert [image(c) for c in got] == images
             checked += 1
     assert checked > 5000  # about 1,450 roots, the rest children
 
 
+def test_refine_keeps_the_cell_order_of_list_cells():
+    """Bitset cells are the ascending vertex lists that cells once were,
+    in the same order: the canonical codes, orders and generators, and
+    every census table, rest on it."""
+    checked = 0
+    for g in _atlas_and_random_graphs():
+        rows, n = g.adj, g.n
+        for cells, splitters in _refinement_inputs(rows, n):
+            want = list_cell_refine(rows, [bitset_to_vertices(c) for c in cells], splitters)
+            assert [bitset_to_vertices(c) for c in refine(rows, cells, splitters)] == want
+            checked += 1
+    assert checked > 5000
+
+
 def _root_cells(rows, n):
-    return refine(rows, [list(range(n))], [(1 << n) - 1])
+    return refine(rows, [(1 << n) - 1], [(1 << n) - 1])
 
 
 def _cell_order_inputs():
@@ -242,6 +260,21 @@ def _cell_order_inputs():
         yield relabeled(g, perm).adj, 8
 
 
+# sha256 over repr((code, order, generators)) of the canonical labeling of
+# each of _cell_order_inputs(), recorded before cells were bitsets.
+LABELINGS_SHA256 = "04a78989ace5070a867f3c0d21b0cbd373448fcaf449bc5f3724abc0e09c08fd"
+
+
+def test_canonical_labelings_are_pinned():
+    """Orders and generators, not only codes: the search branches on each
+    cell's vertices in ascending order and keeps the first best leaf."""
+    digest = hashlib.sha256()
+    for rows, _ in _cell_order_inputs():
+        res = canonical_labeling_rows(rows)
+        digest.update(repr((res.code, res.order, res.generators)).encode())
+    assert digest.hexdigest() == LABELINGS_SHA256
+
+
 def test_given_root_cells_change_nothing():
     for rows, n in _cell_order_inputs():
         given = canonical_labeling_rows(rows, _root_cells(rows, n))
@@ -258,7 +291,7 @@ def test_canonical_order_keeps_the_root_cell_order():
     for rows, n in _cell_order_inputs():
         cells = _root_cells(rows, n)
         order = canonical_labeling_rows(rows, cells).order
-        ends = list(itertools.accumulate(len(c) for c in cells))
-        assert [set(order[a:b]) for a, b in zip([0] + ends, ends)] == [set(c) for c in cells]
+        ends = list(itertools.accumulate(c.bit_count() for c in cells))
+        assert [sum(1 << v for v in order[a:b]) for a, b in zip([0] + ends, ends)] == cells
         checked += len(cells) < n
     assert checked > 1000  # graphs whose root partition is not discrete

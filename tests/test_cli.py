@@ -10,10 +10,12 @@ from distlab.bounds import family_graph
 from distlab.cli import main
 from distlab.enumeration import survey
 from distlab.graph6 import emit, parse
-from distlab.graphs import cycle_graph, from_edge_list, k_distance, path_graph
+from distlab.graphs import from_edge_list, k_distance
 from distlab.sat.cnf import parse_dimacs
 from distlab.sat.encode import build_formula
 from distlab.sat.search import SearchParams, cap_levels, search, solved_levels, verify_witness
+
+from util import cycle_graph, path_graph
 
 
 def _feed(monkeypatch, text):

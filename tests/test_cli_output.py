@@ -10,7 +10,8 @@ import distlab.cli
 from distlab.bounds import family_graph
 from distlab.cli import main
 from distlab.graph6 import emit
-from distlab.graphs import cycle_graph
+
+from util import cycle_graph
 
 FAMILY_4 = emit(family_graph(4)) + "\n"
 

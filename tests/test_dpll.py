@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,6 +116,28 @@ def test_branches_ascending_negative_phase_first():
     assert status == SAT
     assert model == {1: False, 2: False, 3: True}
     assert solver.stats["decisions"] == 2
+
+
+def test_lists_are_sized_by_the_variables_that_occur():
+    """A formula over three variables that declares 2,000,000 allocates
+    lists for three, and the variables above the largest that occurs are
+    False in the model without a decision."""
+    tracemalloc.start()
+    try:
+        DpllSolver(2_000_000, [[1, 2, 3]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    solver = DpllSolver(9, [[1, 2, 3], [-2, -3]])
+    status, model = solver.solve()
+    assert model == {1: False, 2: False, 3: True} | dict.fromkeys(range(4, 10), False)
+    assert solver.stats["decisions"] == 2
+    solver.add_clause([7])
+    solver.add_clause([-1, -8])
+    assert solver.solve()[1] == {1: False, 2: False, 3: True, 4: False, 5: False,
+                                 6: False, 7: True, 8: False, 9: False}
+    assert solver.stats["decisions"] == 2 + 6  # 1, 2 and 4..6 and 8; 3 and 7 are implied
 
 
 def test_deterministic_models():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from distlab.graphs import diameter_pair, from_edge_list, path_graph
+from distlab.graphs import diameter_pair, from_edge_list
 from distlab.sat.cnf import CnfFormula, VarMap
 from distlab.sat.dpll import SAT, UNSAT, DpllSolver
 from distlab.sat.encode import (
@@ -22,6 +22,7 @@ from distlab.sat.search import SearchParams, verify_witness
 import brute
 from util import (
     nx_diameter_pair,
+    path_graph,
     reference_diameter,
     reference_distances,
     reference_k_distance_edges,

@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import hashlib
 import itertools
 import math
 import os
@@ -161,7 +162,7 @@ def test_children_refine_through_the_canon_module(monkeypatch):
     real = distlab.canon.refine
 
     def recording(rows, cells, splitters):
-        if cells == [list(range(len(rows)))]:
+        if cells == [(1 << len(rows)) - 1]:
             whole.append(tuple(rows))
         seen.add(tuple(rows))
         return real(rows, cells, splitters)
@@ -216,11 +217,12 @@ def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeyp
             noncut = [u for u in range(m + 1) if _connected_without(child, u)]
             if any(child[u].bit_count() > s.bit_count() for u in noncut):
                 continue
-            cells = distlab.canon.refine(child, [list(range(m + 1))], [(1 << m + 1) - 1])
-            last = next(c for c in reversed(cells) if any(u in noncut for u in c))
-            if m not in last:
+            full = (1 << m + 1) - 1
+            cells = distlab.canon.refine(child, [full], [full])
+            last = next(c for c in reversed(cells) if any(c >> u & 1 for u in noncut))
+            if not last >> m & 1:
                 continue
-            rivals = [u for u in last if u != m and u in noncut]
+            rivals = [u for u in noncut if u != m and last >> u & 1]
             if all(_twin_of_m(child, m, u) for u in rivals):
                 twins_only += bool(rivals)
             else:
@@ -268,6 +270,29 @@ def test_children_reach_once_per_component_of_the_parent_without_a_vertex(monkey
                 calls.clear()
                 list(_children(rows, pruned, leaf))
                 assert len(calls) == want, (rows, pruned, leaf)
+
+
+# sha256 of ''.join(repr(g.adj) for g in enumerate_connected(n)), recorded
+# before canon kept its cells as bitsets.
+ENUMERATION_SHA256 = {
+    1: "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+    2: "34e6f08aad18ac9868a9da1b5d2ad0bf2fabf191e92652264ecfc9bde7460695",
+    3: "1d1760dca281514c696bf4c39f2a0701491d9ea3fe5bff9d48fa9f4d2d80c4a0",
+    4: "6f49767a516df6b023a967b3fb13054210cc8f7ffd09040baad257300a9ce381",
+    5: "94317dea556421cd17d94da081298309138dc9de8c7ce79aee7d736b86d87241",
+    6: "f0c03f443fb86c5acf2d0d13afbcbb4b3aebe74e1c59f3b3ef412e666db45efb",
+    7: "3152964449823a5b38b8bd20531affa246777d9f934a1b6c947dabeaed20ed0f",
+    8: "a7264597696150d9168204d9ef24a61ee5693507e01e59022b846f6bec1219be",
+}
+
+
+def test_enumeration_order_is_pinned():
+    """The stream itself, rows and order included, not only its classes:
+    the canonical orders, generators and accepted children it rests on
+    must not move when canon's internals do."""
+    for n, want in ENUMERATION_SHA256.items():
+        got = hashlib.sha256("".join(repr(g.adj) for g in enumerate_connected(n)).encode())
+        assert got.hexdigest() == want, n
 
 
 def test_enumeration_is_deterministic():
@@ -371,11 +396,30 @@ def test_census_measures_each_leaf_from_its_parent(monkeypatch):
         assert calls == {"leaf_basis": CLASS_COUNTS[n - 1], "leaf_pair": CLASS_COUNTS[n]}, n
 
 
+def test_census_canonizes_each_root_once(monkeypatch):
+    """Every canonization in a census is of a child, from the cells its
+    partition rule refined: the subtree roots come with the generators
+    that listing them found, and none is canonized again."""
+    fresh = []
+    real = distlab.enumeration.canonical_labeling_rows
+
+    def recording(rows, cells=None):
+        if cells is None:
+            fresh.append(tuple(rows))
+        return real(rows, cells)
+
+    monkeypatch.setattr(distlab.enumeration, "canonical_labeling_rows", recording)
+    monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 1)
+    for n in range(1, 9):
+        assert survey(n).total() == CLASS_COUNTS[n]
+    assert fresh == []
+
+
 def test_survey_parallel_merge_is_identical(monkeypatch):
     """On one usable CPU and on two, the tables for n = 1..8 agree and
     total A001349; two CPUs fan n = 7 and n = 8 out to two worker
-    processes.  ``survey`` canonizes each root of order n - 2 for the
-    generators that prune its subtree's attachment sets."""
+    processes, which receive each root of order n - 2 with the generators
+    that prune its subtree's attachment sets."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):

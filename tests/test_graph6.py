@@ -4,9 +4,9 @@ import networkx as nx
 import pytest
 
 from distlab.graph6 import HEADER, Graph6Error, emit, iter_graphs, parse
-from distlab.graphs import complete_graph, cycle_graph, from_edge_list
+from distlab.graphs import from_edge_list
 
-from util import random_graph
+from util import complete_graph, cycle_graph, random_graph
 
 
 def test_known_small_codes():

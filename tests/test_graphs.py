@@ -9,17 +9,17 @@ from distlab.graphs import (
     Graph,
     all_pairs_distances,
     bitset_to_vertices,
-    complete_graph,
-    cycle_graph,
     diameter,
     diameter_pair,
     from_edge_list,
     is_connected,
     k_distance,
-    path_graph,
 )
 
 from util import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
     random_graph,
     reference_distances,
     reference_k_distance_edges,

@@ -13,15 +13,20 @@ from distlab.bounds import family_graph
 from distlab.enumeration import enumerate_connected
 from distlab.graphs import (
     all_pairs_distances,
-    complete_graph,
-    cycle_graph,
     diameter,
     from_edge_list,
     k_distance,
-    path_graph,
 )
 
-from util import nx_diameter_pair, random_connected_graph, random_graph, reference_distances
+from util import (
+    complete_graph,
+    cycle_graph,
+    nx_diameter_pair,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    reference_distances,
+)
 
 
 def _want(g):

@@ -7,8 +7,7 @@ import pytest
 
 import distlab._kernels
 from distlab.bounds import family_graph
-from distlab.canon import are_isomorphic
-from distlab.graphs import all_pairs_distances, complete_graph, from_edge_list, path_graph
+from distlab.graphs import all_pairs_distances, from_edge_list
 from distlab.sat.cnf import CnfFormula
 from distlab.sat.dpll import UNKNOWN, DpllSolver
 from distlab.sat.encode import geodesic_length
@@ -25,7 +24,7 @@ from distlab.sat.search import (
 )
 
 import brute
-from util import reference_distances
+from util import are_isomorphic, complete_graph, path_graph, reference_distances
 
 
 def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):

@@ -10,7 +10,29 @@ from collections import deque
 
 import networkx as nx
 
+from distlab.canon import canonical_form
 from distlab.graphs import Graph, from_edge_list
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """By canonical form, the package's isomorphism test."""
+    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
+        return False
+    return canonical_form(g1) == canonical_form(g2)
 
 
 def reference_distances(g: Graph) -> list[list[int]]:
@@ -145,6 +167,32 @@ def reference_refine(rows, cells):
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+def list_cell_refine(rows, cells, splitters):
+    """The splitter-stack refinement over cells kept as ascending vertex
+    lists, split one vertex at a time: ``canon.refine`` on bitset cells
+    must return the same cells in the same order."""
+    stack = list(splitters)
+    n = len(rows)
+    while stack and len(cells) < n:
+        w = stack.pop()
+        new_cells = []
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            buckets = {}
+            for v in c:
+                buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
+            if len(buckets) < 2:
+                new_cells.append(c)
+                continue
+            for key in sorted(buckets):
+                new_cells.append(buckets[key])
+                stack.append(sum(1 << v for v in buckets[key]))
+        cells = new_cells
+    return cells
 
 
 def sidecar_entries(vm) -> list[tuple]:

@@ -1,4 +1,5 @@
-"""Breadth-first search from every source at once, on plain-int bitsets.
+"""Breadth-first search on plain-int bitsets, from every source at once
+or from one.
 
 A graph on n <= 64 vertices is a sequence of n adjacency rows: bit ``j``
 of ``rows[i]`` is set iff ``{i, j}`` is an edge.  The BFS packs the
@@ -8,7 +9,9 @@ A pass costs n big-int steps: for each vertex ``v``, the sources whose
 frontier holds ``v`` (``(frontier >> v) & COL``, with bit ``s*n`` of
 ``COL`` set for each ``s``) each get a copy of ``rows[v]`` in their own
 row block (``sel * rows[v]``; the blocks do not overlap, so the product
-never carries).
+never carries).  ``levels(rows, sources=...)`` packs only the rows of
+the given sources.  ``layers`` is the single-source search: it reads the
+rows of one layer to find the next.
 
 Level ``k`` is the packed matrix of pairs at distance exactly ``k``;
 its n row slices are the rows of the k-distance graph.  Distance
@@ -23,21 +26,35 @@ level k takes k - 1 passes, and:
   graph of diameter d takes d - 1 passes, not d;
 - ``levels(rows, last=k)``, and so ``ring_rows(rows, k)``, stops after
   level k;
-- ``diameter`` and ``diameter_pair`` decide connectivity first, by one
-  single-source ``reach`` from vertex 0, and run no pass for a
-  disconnected G.
+- ``diameter`` and ``diameter_pair`` decide connectivity first, by the
+  ``layers`` from vertex 0, and run no pass for a disconnected G.
+
+``diameter`` of a connected G whose vertex 0 lies 4 or more from some
+vertex runs its passes from a far set only (the README's far-set lemma).
+Three ``layers`` searches sweep from vertex 0 to a farthest vertex a,
+and from a to a farthest vertex b; the largest eccentricity they find,
+lb = ecc(b), is at most diam G.  A fourth searches from a vertex u
+halfway along a geodesic from a to b.  Every pair farther apart than
+lb has an end in the far set F = {w : d(u, w) > floor(lb / 2)}, so
+diam G is lb or the largest eccentricity over F, and one ``levels``
+call from the sources in F (less 0, a and b, whose eccentricities are
+at most lb) finds it.  F is empty for every tree of even diameter: u
+is then its centre.  When vertex 0 lies within 3 of every vertex,
+diam G <= 6 and one ``levels`` call from every source costs less.
 
 ``diameter_pair`` also runs no G2 pass for a connected bipartite G on
 n >= 2 vertices: diam G2 is infinite.  A walk of length 2 ends on the
 side it starts from, so G2 has no edge between the two sides, and both
 sides are non-empty because G is connected and has an edge.  A connected
 G is bipartite iff no edge joins two vertices whose distances from
-vertex 0 have the same parity, which the levels of G already show.
+vertex 0 have the same parity, which the layers from vertex 0 already
+show; a bipartite G then takes its diam G as ``diameter`` does.  A
+non-bipartite G runs the all-sources BFS of G, whose level 2 is G2.
 
 The census calls ``leaf_pair`` in place of ``diameter_pair``.  Each
 graph it counts is a leaf: a connected parent P plus a vertex m joined
 to a non-empty set S.  ``leaf_basis(P)`` runs P's one BFS for all of
-its leaves, and a leaf adds one layer search of P from S, giving
+its leaves, and a leaf adds one ``layers`` search of P from S, giving
 a_x = d_P(x, S), and at most one BFS of its G2 (the README's leaf
 lemma):
 
@@ -50,8 +67,8 @@ lemma):
   each x in S, plus m joined to the x with a_x = 1, and one ``levels``
   call on them gives diam G2.
 
-The leaf is connected because P is and S is not empty, so no ``reach``
-runs.
+The leaf is connected because P is and S is not empty, so no
+connectivity test runs.
 """
 from __future__ import annotations
 
@@ -79,12 +96,14 @@ def _consts(n: int) -> tuple[int, int, int]:
     return col, ident, (1 << (n * n)) - 1
 
 
-def pack(rows: Sequence[int]) -> int:
-    """The n rows as one packed n * n-bit int."""
-    n = len(rows)
+def pack(rows: Sequence[int], n: int | None = None) -> int:
+    """The rows as one packed int, row s in bits s*n .. s*n + n - 1;
+    ``n`` defaults to the number of rows."""
+    if n is None:
+        n = len(rows)
     out = 0
-    for s in range(n - 1, -1, -1):
-        out = (out << n) | rows[s]
+    for row in reversed(rows):
+        out = (out << n) | row
     return out
 
 
@@ -109,7 +128,10 @@ def _advance(rows: Sequence[int], frontier: int, col: int) -> int:
 
 
 def levels(
-    rows: Sequence[int], first: int | None = None, last: int | None = None
+    rows: Sequence[int],
+    first: int | None = None,
+    last: int | None = None,
+    sources: int | None = None,
 ) -> tuple[list[int], bool]:
     """BFS levels from every source, packed, and whether they cover all pairs.
 
@@ -117,10 +139,19 @@ def levels(
     given, must be ``pack(rows)``); the list ends at the last non-empty
     level, so a connected graph's diameter is its length minus one.  With
     ``last`` the list also ends at level ``last``, and the flag tells only
-    whether the levels listed cover all pairs.
+    whether the levels listed cover all pairs.  With ``sources``, a
+    non-empty bitset, the BFS runs from those vertices only, the i-th
+    lowest in row block i, so the length of the list of a connected graph,
+    minus one, is their largest eccentricity.
     """
     n = len(rows)
     col, ident, full = _consts(n)
+    if sources is not None:
+        srcs = [s for s in range(n) if sources >> s & 1]
+        full = (1 << (len(srcs) * n)) - 1
+        col &= full
+        ident = pack([1 << s for s in srcs], n)
+        first = pack([rows[s] for s in srcs], n)
     if last is None:
         last = n  # no distance reaches n
     frontier = pack(rows) if first is None else first
@@ -134,6 +165,29 @@ def levels(
         frontier = _advance(rows, frontier, col) & ~visited
         visited |= frontier
     return out, visited == full
+
+
+def layers(rows: Sequence[int], start: int) -> list[int]:
+    """Single-source BFS layers from the non-empty vertex set ``start``.
+
+    Layer k is the bitset of vertices at distance k from ``start``; the
+    list ends at the last non-empty layer, so the layers cover the
+    component(s) of ``start``.  Each layer reads only the rows of the
+    layer before it.
+    """
+    out = [start]
+    seen = frontier = start
+    while True:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            return out
+        seen |= frontier
+        out.append(frontier)
 
 
 def reach(rows: Sequence[int], start: int, within: int) -> int:
@@ -182,17 +236,45 @@ def ring_rows(rows: Sequence[int], k: int) -> list[int]:
 
 def diameter(rows: Sequence[int]) -> int:
     """Largest distance, -1 when the graph is disconnected."""
-    if not connected(rows):
+    zero = layers(rows, 1)
+    if sum(zero) != (1 << len(rows)) - 1:
         return UNREACHABLE
-    return len(levels(rows)[0]) - 1
+    return _connected_diameter(rows, zero)
+
+
+def _connected_diameter(rows: Sequence[int], zero: Sequence[int]) -> int:
+    """diam G of a connected G with ``zero = layers(rows, 1)``: by the far
+    set, or from every source when vertex 0 lies within 3 of every vertex."""
+    if len(zero) <= 4:
+        return len(levels(rows)[0]) - 1
+    return _far_diameter(rows, zero)
+
+
+def _far_diameter(rows: Sequence[int], zero: Sequence[int]) -> int:
+    """diam G of a connected G with ``zero = layers(rows, 1)``, by a double
+    sweep and the far-set lemma (see the module docstring)."""
+    a = zero[-1] & -zero[-1]  # the lowest vertex farthest from vertex 0
+    from_a = layers(rows, a)
+    b = from_a[-1] & -from_a[-1]  # the lowest vertex farthest from a
+    from_b = layers(rows, b)
+    lb = len(from_b) - 1  # ecc(b) >= d(a, b) = ecc(a) >= d(0, a) = ecc(0)
+    half = (len(from_a) - 1) // 2
+    mid = from_a[half] & from_b[len(from_a) - 1 - half]  # on an a-b geodesic
+    # Vertices 0, a and b have eccentricity at most lb: no pass needs them.
+    far = sum(layers(rows, mid & -mid)[lb // 2 + 1:]) & ~(1 | a | b)
+    if not far:
+        return lb
+    return max(lb, len(levels(rows, sources=far)[0]) - 1)
 
 
 def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> int:
-    """The side holding vertex 0 of a connected graph with packed BFS levels
-    ``lv`` when it is bipartite, else 0 (so the result is true iff it is).
+    """The side holding vertex 0 of a connected graph when it is bipartite,
+    else 0 (so the result is true iff it is).
 
-    Its sides would be the vertices at even and at odd distance from
-    vertex 0, read from row 0 of each level.
+    ``lv`` lists the BFS layers from vertex 0 (``layers(rows, 1)``), or
+    the packed levels from every source, whose row 0 are those layers.
+    The sides would be the vertices at even and at odd distance from
+    vertex 0.
     """
     mask = (1 << len(rows)) - 1
     even = 0
@@ -207,17 +289,20 @@ def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> int:
 def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
     """(diam G, diam G2) with -1 for infinity; G2 joins pairs at distance 2.
 
-    A disconnected G gives (-1, -1) with no all-sources pass: G2 has no
+    The layers from vertex 0 decide connectivity and bipartiteness.  A
+    disconnected G gives (-1, -1) with no all-sources pass: G2 has no
     edge between the components of G.  A connected bipartite G on n >= 2
-    vertices gives (diam G, -1) with no G2 pass (see the module docstring).
+    vertices gives (diam G, -1) with no G2 pass, and finds diam G as
+    ``diameter`` does (see the module docstring).
     """
     n = len(rows)
-    if not connected(rows):
+    zero = layers(rows, 1)
+    if sum(zero) != (1 << n) - 1:
         return UNREACHABLE, UNREACHABLE
+    if n >= 2 and _bipartite(rows, zero):
+        return _connected_diameter(rows, zero), UNREACHABLE
     lv = levels(rows)[0]
     d = len(lv) - 1
-    if n >= 2 and _bipartite(rows, lv):
-        return d, UNREACHABLE
     if d >= 2:
         lv2, connected2 = levels(unpack(lv[2], n), lv[2])
     else:
@@ -254,30 +339,17 @@ def leaf_pair(basis: tuple, s: int) -> tuple[int, int]:
     """
     rows, far, ring2, side = basis
     m = len(rows)
-    # layers[k]: P's vertices at distance a_x = k from s; they cover P.
-    layers = [s]
-    seen = frontier = s
-    while True:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        layers.append(frontier)
-    r = len(layers) - 1
+    around = layers(rows, s)  # around[k]: a_x = k; they cover P
+    r = len(around) - 1
     d = r + 1  # m's eccentricity
     # An old pair is at most min(d_P(x, y), a_x + a_y + 2) <= min(diam P, 2r + 2) apart.
     top = min(len(far) - 1, 2 * r + 2)
     if top > d:
-        beyond = layers[:]  # beyond[k]: the vertices with a_x >= k
+        beyond = around[:]  # beyond[k]: the vertices with a_x >= k
         for k in range(r - 1, -1, -1):
             beyond[k] |= beyond[k + 1]
         for big in range(top, d, -1):
-            if _far_pair(far[big], layers, beyond, big):
+            if _far_pair(far[big], around, beyond, big):
                 d = big
                 break
     if side and (not s & side or s & side == s):
@@ -289,7 +361,7 @@ def leaf_pair(basis: tuple, s: int) -> tuple[int, int]:
         x = low.bit_length() - 1
         ring[x] |= s & ~(rows[x] | low)  # x and y in s meet through m
         bits ^= low
-    near = layers[1] if r else 0  # a_x = 1: at distance 2 from m
+    near = around[1] if r else 0  # a_x = 1: at distance 2 from m
     bits = near
     while bits:
         low = bits & -bits
@@ -300,7 +372,7 @@ def leaf_pair(basis: tuple, s: int) -> tuple[int, int]:
     return d, (len(lv2) - 1 if connected2 else UNREACHABLE)
 
 
-def _far_pair(far_big: tuple, layers: Sequence[int], beyond: Sequence[int], big: int) -> bool:
+def _far_pair(far_big: tuple, around: Sequence[int], beyond: Sequence[int], big: int) -> bool:
     """Whether a leaf has old vertices x and y at least ``big`` apart:
     d_P(x, y) >= big and a_x + a_y >= big - 2.
 
@@ -309,9 +381,9 @@ def _far_pair(far_big: tuple, layers: Sequence[int], beyond: Sequence[int], big:
     ``far_big`` is ``far[big]`` of ``leaf_basis``.
     """
     far_rows, ecc = far_big
-    for k in range((big - 1) // 2, len(layers)):
+    for k in range((big - 1) // 2, len(around)):
         want = beyond[big - 2 - k]
-        xs = layers[k] & ecc
+        xs = around[k] & ecc
         while xs:
             low = xs & -xs
             if far_rows[low.bit_length() - 1] & want:

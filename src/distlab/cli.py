@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``transform`` (apply the k-distance operator to a graph6
-stream), ``diam``, ``survey`` (CSV plus optional SVG heatmap),
+stream), ``diam``, ``survey`` (the (d, d2) census as CSV),
 ``family`` (sharp even-k witness), ``verify`` (bound verdicts),
 ``sat-search`` (extremal witness search), ``solve`` (the built-in solver
 on a DIMACS file) and ``convert``.
@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, TextIO
 from . import bounds, graph6
 from .enumeration import ENUM_CAP, survey
 from .graphs import Graph, diameter, from_edge_list, k_distance
-from .heatmap import heatmap_svg
 from .sat.cnf import DIMACS_MAX_VARS, emit_dimacs, parse_dimacs
 from .sat.dpll import SAT, UNSAT, DpllSolver
 from .sat.encode import build_formula
@@ -125,8 +124,6 @@ def cmd_diam(args) -> int:
 def cmd_survey(args) -> int:
     table = survey(args.n)
     _write_atomic(args.out, table.to_csv())
-    if args.heatmap:
-        _write_atomic(args.heatmap, heatmap_svg(table))
     return EXIT_OK
 
 
@@ -291,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(n = {ENUM_CAP} takes about 0.2 h on one core; "
                         f"from n = 7 the census spreads over the usable CPUs)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
-    p.add_argument("--heatmap", default=None, help="optional SVG path")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")

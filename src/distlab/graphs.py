@@ -113,7 +113,13 @@ def _inf(d: int) -> int | float:
 
 
 def diameter(g: Graph) -> int | float:
-    """Largest pairwise distance; ``math.inf`` when disconnected."""
+    """Largest pairwise distance; ``math.inf`` when disconnected.
+
+    Single-source sweeps give a lower bound, and the all-sources BFS runs
+    only from the far set of vertices that could beat it (the README's
+    far-set lemma), or from every source when vertex 0 lies within 3 of
+    every vertex.
+    """
     return _inf(_kernels.diameter(g.adj))
 
 

@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -15,7 +18,7 @@ from distlab.sat.cnf import parse_dimacs
 from distlab.sat.encode import build_formula
 from distlab.sat.search import SearchParams, cap_levels, search, solved_levels, verify_witness
 
-from util import cycle_graph, path_graph
+from util import cycle_graph, path_graph, random_graph, random_tree_plus
 
 
 def _feed(monkeypatch, text):
@@ -81,16 +84,17 @@ def test_diam_lines(monkeypatch, capsys):
     assert capsys.readouterr().out == "0,3\n1,inf\n"
 
 
-def test_survey_csv_and_heatmap(tmp_path):
+def test_survey_csv_and_heatmap(tmp_path, capsys):
+    """The CSV is the census's result; the SVG heatmap and its option are gone."""
     csv_path = tmp_path / "t.csv"
-    svg_path = tmp_path / "t.svg"
-    rc = main([
-        "survey", "--n", "5", "--out", str(csv_path), "--heatmap", str(svg_path)
-    ])
-    assert rc == 0
+    assert main(["survey", "--n", "5", "--out", str(csv_path)]) == 0
     assert csv_path.read_text() == survey(5).to_csv()
-    svg = svg_path.read_text()
-    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    svg_path = tmp_path / "t.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--n", "5", "--out", "-", "--heatmap", str(svg_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --heatmap" in capsys.readouterr().err
+    assert not svg_path.exists()
 
 
 def test_survey_csv_is_the_same_on_one_cpu_and_two(tmp_path, monkeypatch):
@@ -428,3 +432,45 @@ def test_edge_inputs_exit_cleanly(tmp_path, argv, code, message):
         assert proc.stdout == emit(search(SearchParams(6, 2, 3)).graph) + "\n"
     else:
         assert proc.stdout == "" and f"error: {message}" in proc.stderr
+
+
+@functools.cache
+def _seeded_stream(seed):
+    """graph6 text of random graphs, n = 8..64, from trees to dense, plus
+    graphs that are mostly disconnected."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(8, 65, 7):
+        for p in (0.0, 1.0 / n, 3.0 / n, 0.15, 0.6):  # 0.0: a random tree
+            graphs += [random_tree_plus(rng, n, p) for _ in range(3)]
+        graphs += [random_graph(rng, n, 1.0 / n) for _ in range(3)]
+    return "".join(emit(g) + "\n" for g in graphs)
+
+
+# sha256 of each command's output on _seeded_stream(seed), recorded before
+# diam and verify took their diameters from a double sweep and a far set.
+STREAM_SHA256 = {
+    ("transform", "--k", "2"): {
+        0: "ea98bcb32bc37d5fd8aff57d6a0a924e4bc17ef3e01b977b5e6cadc30f301347",
+        1: "62cfb674b1d0ddd87b14fef9e5e2436387dccf2c15fadd4951d959c62722b962",
+    },
+    ("verify",): {
+        0: "5a5c18fd827a073e313276b06f18c6c23ec461d6a58811e5366f91912deb99b9",
+        1: "87bbc3fc31e7d1d9522c0bf23eb2abf56007dc565d42fcf42fc471cf3fadc2d1",
+    },
+    ("diam",): {
+        0: "fab1ec109d8117bde847c1b09303f242f30164209ea841551884149c2ce25b84",
+        1: "5f3a032527c260c9d50343b42d23e5081350026819526f7ade639ad443cf3178",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("command", list(STREAM_SHA256), ids=" ".join)
+def test_stream_outputs_are_pinned(tmp_path, command, seed):
+    src = tmp_path / "in.g6"
+    src.write_text(_seeded_stream(seed))
+    out = tmp_path / "out"
+    assert main([*command, "--input", str(src), "--out", str(out)]) in (0, 1)
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == STREAM_SHA256[command][seed]

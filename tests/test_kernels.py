@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from distlab import _kernels
-from distlab.graph6 import emit
+from distlab.graph6 import emit, parse
 from distlab.bounds import family_graph
 from distlab.enumeration import enumerate_connected
 from distlab.graphs import (
@@ -25,6 +25,8 @@ from util import (
     path_graph,
     random_connected_graph,
     random_graph,
+    random_tree_plus,
+    reference_diameter,
     reference_distances,
 )
 
@@ -120,13 +122,14 @@ def test_bounded_levels_agree_with_unbounded_bfs_and_networkx():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """A list that grows by one for each all-sources BFS pass."""
+    """A list that grows, for each packed BFS pass, by the number of sources
+    the pass advances."""
     calls = []
     advance = _kernels._advance
 
-    def counted(*args):
-        calls.append(1)
-        return advance(*args)
+    def counted(rows, frontier, col):
+        calls.append(col.bit_count())
+        return advance(rows, frontier, col)
 
     monkeypatch.setattr(_kernels, "_advance", counted)
     return calls
@@ -138,29 +141,130 @@ def _passes_of(passes, fn, *args):
     return out, len(passes)
 
 
+def _ecc0(g):
+    """The eccentricity of vertex 0 in a connected g."""
+    return len(_kernels.layers(g.adj, 1)) - 1
+
+
 def test_bfs_runs_only_the_passes_its_answer_needs(passes):
     # Level 1 is the adjacency, so level k costs k - 1 passes.
     p = path_graph(12).adj
     for k in range(1, 12):
         assert _passes_of(passes, _kernels.ring_rows, p, k)[1] == k - 1
-    # A connected graph of diameter d stops at full coverage, after d - 1 passes.
+    # levels from every source stops at full coverage, after d - 1 passes,
+    # and so does diameter when vertex 0 lies within 3 of every vertex.
     rng = random.Random(41)
     graphs = [path_graph(1), complete_graph(5), cycle_graph(9), family_graph(4)]
     graphs += [random_connected_graph(rng, n, 3.0 / n) for n in (2, 8, 33, 64)]
     for g in graphs:
-        d, count = _passes_of(passes, _kernels.diameter, g.adj)
-        assert count == max(d - 1, 0)
+        d = reference_diameter(g)
         assert _passes_of(passes, _kernels.levels, g.adj)[1] == max(d - 1, 0)
-    # (4, 6): d - 1 passes for G, then d2 - 1 for G2.
+        if _ecc0(g) <= 3:
+            assert _passes_of(passes, _kernels.diameter, g.adj) == (d, max(d - 1, 0))
+    # Otherwise every pass runs from the far set only, and a tree of even
+    # diameter has an empty far set (its centre is u), so it runs no pass.
+    trees = [path_graph(n) for n in range(9, 65, 2)]
+    trees += [random_tree_plus(rng, n, 0.0) for n in range(20, 65) for _ in range(4)]
+    even = 0
+    for g in trees + [cycle_graph(n) for n in range(9, 65, 5)]:
+        d = reference_diameter(g)
+        if _ecc0(g) <= 3:
+            continue
+        assert _passes_of(passes, _kernels.diameter, g.adj)[0] == d
+        assert all(count < g.n for count in passes)
+        if g in trees and d % 2 == 0:
+            assert not passes
+            even += 1
+    assert even >= 40
+    # (4, 6) is not bipartite: d - 1 passes for G, then d2 - 1 for G2.
     assert _passes_of(passes, _kernels.diameter_pair, family_graph(4).adj) == ((4, 6), 8)
     # A disconnected G runs no pass at all.
     for g in (from_edge_list(2, []), from_edge_list(40, [(i, i + 1) for i in range(38)])):
         assert _passes_of(passes, _kernels.diameter, g.adj) == (-1, 0)
         assert _passes_of(passes, _kernels.diameter_pair, g.adj) == ((-1, -1), 0)
-    # A connected bipartite G runs no G2 pass.
-    for g in (path_graph(12), cycle_graph(10), from_edge_list(6, [(0, i) for i in range(1, 6)])):
-        d = _kernels.diameter(g.adj)
-        assert _passes_of(passes, _kernels.diameter_pair, g.adj) == ((d, -1), d - 1)
+    # A connected bipartite G runs no G2 pass, only the passes of diam G: none
+    # for a path, 4 from the far set {6, 7, 8, 9} of C10, 1 from every source
+    # for a star whose vertex 0 lies within 3 of every vertex.
+    star = from_edge_list(6, [(0, i) for i in range(1, 6)])
+    for g, d, want in ((path_graph(12), 11, []), (cycle_graph(10), 5, [4] * 4), (star, 2, [6])):
+        for fn, pair in ((_kernels.diameter, d), (_kernels.diameter_pair, (d, -1))):
+            assert _passes_of(passes, fn, g.adj)[0] == pair
+            assert passes == want
+
+
+def _sweep_bound(rows):
+    """ecc(b) of the double sweep: a is the lowest vertex farthest from
+    vertex 0, b the lowest farthest from a."""
+    far = _kernels.layers(rows, 1)[-1]
+    far = _kernels.layers(rows, far & -far)[-1]
+    return len(_kernels.layers(rows, far & -far)) - 1
+
+
+def _check_far_set(g):
+    """diameter, diameter_pair and the far-set diameter against the
+    all-sources BFS and networkx; the sweeps' bound when G is connected."""
+    lv, connected = _kernels.levels(g.adj)
+    d = len(lv) - 1 if connected else -1
+    pair = nx_diameter_pair(g.n, g.edges())
+    assert pair[0] == d
+    assert _kernels.diameter(g.adj) == d
+    assert _kernels.diameter_pair(g.adj) == pair
+    if not connected:
+        return None
+    assert _kernels._far_diameter(g.adj, _kernels.layers(g.adj, 1)) == d
+    return _sweep_bound(g.adj)
+
+
+def test_far_set_diameter_matches_every_source_bfs_on_random_graphs():
+    rng = random.Random(83)
+    below = 0
+    for n in range(1, 65):
+        graphs = [random_graph(rng, n, p) for p in (1.0 / n, 0.3)]
+        graphs += [random_tree_plus(rng, n, p) for p in (0.0, 1.0 / n, 3.0 / n)]
+        for g in graphs:
+            lb = _check_far_set(g)
+            below += lb is not None and lb < reference_diameter(g)
+    assert below >= 20
+
+
+def test_far_set_diameter_on_named_graphs():
+    graphs = [path_graph(n) for n in range(1, 65)]
+    graphs += [cycle_graph(n) for n in range(3, 65)]
+    graphs += [complete_graph(n) for n in (1, 2, 3, 17, 64)]
+    for n in (2, 3, 9, 33, 64):
+        graphs.append(from_edge_list(n, [(0, i) for i in range(1, n)]))  # star
+        graphs.append(from_edge_list(n, [(n - 1, i) for i in range(n - 1)]))  # star, centre n - 1
+        for a in {1, n // 2, n - 1}:
+            graphs.append(from_edge_list(n, [(i, j) for i in range(a) for j in range(a, n)]))
+    graphs += [family_graph(d) for d in range(4, 32, 2)]
+    graphs += [from_edge_list(n, [(i, i + 1) for i in range(n - 1) if i != n // 2])
+               for n in (2, 5, 40, 64)]  # two paths
+    for g in graphs:
+        _check_far_set(g)
+
+
+# Connected graphs whose double sweep from vertex 0 (a the lowest farthest
+# vertex, b the lowest farthest from a) bounds the diameter from below
+# strictly, so only the far set finds it: (graph6, sweep bound, diameter).
+# The first two have vertex 0 within 3 of every vertex; the rest do not,
+# so diameter itself takes the far set on them, the first three of those
+# bipartite.
+SWEEP_MISSES = [
+    ("C}", 1, 2),
+    ("EYIO", 2, 3),
+    ("HU@GASc", 4, 5),
+    ("I?h??_LW_", 4, 6),
+    ("L@oA?GAGC?CHS?", 4, 8),
+    ("IQG?K@TH?", 4, 5),
+    ("KaG?e?oAOG_O", 4, 7),
+]
+
+
+@pytest.mark.parametrize("text, lb, d", SWEEP_MISSES, ids=[t for t, _, _ in SWEEP_MISSES])
+def test_far_set_finds_what_the_sweeps_miss(text, lb, d):
+    g = parse(text)
+    assert _check_far_set(g) == lb
+    assert reference_diameter(g) == d
 
 
 def test_bounded_levels_flag_covers_only_the_levels_listed():

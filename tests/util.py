@@ -141,6 +141,12 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
         g = random_graph(rng, n, p)
         if reference_diameter(g) >= 0:
             return g
+    return random_tree_plus(rng, n, p)
+
+
+def random_tree_plus(rng: random.Random, n: int, p: float) -> Graph:
+    """A random spanning tree on shuffled labels, plus each other pair with
+    probability p."""
     order = list(range(n))
     rng.shuffle(order)
     edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]

@@ -13,6 +13,11 @@ Everything works on plain-int bitsets: rows, and ordered partitions as
 lists of bitset cells, the root one ``refine(rows, [full], [full])``.
 A vertex x splits a cell c with one ``&``, into ``c & ~rows[x]`` and
 ``c & rows[x]``, and a discrete partition reads as an order.
+
+``automorphism_mapping`` runs the same individualization and refinement
+on two vertices in step, and checks the pairing of the two discrete
+partitions it ends in: a certificate that one vertex maps onto the
+other, far cheaper than a canonical labeling.
 """
 from __future__ import annotations
 
@@ -79,6 +84,12 @@ def refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     return cells
 
 
+def _individualize(rows: Sequence[int], cells: list[int], i: int, x: int) -> list[int]:
+    """``cells`` with x split off its cell ``cells[i]`` in front, refined by {x}."""
+    c = cells[i]
+    return refine(rows, cells[:i] + [1 << x, c & ~(1 << x)] + cells[i + 1:], [1 << x])
+
+
 def _code_for_order(rows: Sequence[int], order: list[int]) -> int:
     code = 0
     for i in range(len(order)):
@@ -126,9 +137,8 @@ class _Search:
         for v in bitset_to_vertices(cell):
             if tried and self._in_tried_orbit(v, tried):
                 continue
-            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
             self.prefix.append(v)
-            self.run(refine(self.rows, child, [1 << v]))
+            self.run(_individualize(self.rows, cells, target, v))
             self.prefix.pop()
             tried.append(v)
 
@@ -167,6 +177,50 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     code = canonical_labeling_rows(g.adj).code
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+
+
+def automorphism_mapping(rows: Sequence[int], cells: list[int], u: int, v: int
+                         ) -> tuple[int, ...] | None:
+    """An automorphism that maps u to v, or None where this test finds none.
+
+    ``cells`` is an equitable partition, such as the root one, and u and
+    v lie in one of its cells.  Both are individualized in step: u on
+    one side, v on the other, then the lowest vertex of the first
+    non-singleton cell on both sides, each refined by that vertex, until
+    the partitions are discrete.  Their cell sizes must agree after every
+    step, and pairing the two discrete partitions cell by cell must map
+    every row onto a row.  None means only that these choices found no
+    automorphism, not that u and v lie in different orbits.
+    """
+    i = next(i for i, c in enumerate(cells) if c >> u & 1)
+    left, right = _individualize(rows, cells, i, u), _individualize(rows, cells, i, v)
+    while True:
+        if len(left) != len(right):
+            return None
+        i = -1
+        for j, (a, b) in enumerate(zip(left, right)):
+            size = a.bit_count()
+            if size != b.bit_count():
+                return None
+            if size > 1 and i < 0:
+                i = j
+        if i < 0:
+            break
+        a, b = left[i], right[i]
+        left = _individualize(rows, left, i, (a & -a).bit_length() - 1)
+        right = _individualize(rows, right, i, (b & -b).bit_length() - 1)
+    perm = [0] * len(rows)
+    for a, b in zip(left, right):
+        perm[a.bit_length() - 1] = b.bit_length() - 1
+    for x, r in enumerate(rows):
+        image = 0
+        while r:
+            low = r & -r
+            image |= 1 << perm[low.bit_length() - 1]
+            r ^= low
+        if image != rows[perm[x]]:
+            return None
+    return tuple(perm)
 
 
 def orbits_from_generators(gens: Sequence[Sequence[int]], n: int) -> list[int]:

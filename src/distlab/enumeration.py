@@ -20,6 +20,13 @@ cut vertex, and u's degree in the child is its parent degree plus one
 when u is in s.  So each child's non-cut vertices and degree classes
 are a few bitset operations, and no child runs a reach of its own.
 
+- Size bound.  A solid vertex, a non-cut vertex of the parent, stays
+  non-cut when |s| >= 2, since s then meets the one part of the parent
+  without it, and its degree does not fall.  So with kmin the largest
+  degree of a solid vertex, every s with 1 < |s| < kmin leaves m below
+  that vertex's degree and fails the degree test below: those sets are
+  never listed.  An orbit of attachment sets keeps their size, so the
+  other representatives and their order are unchanged.
 - Degree test, as in McKay's geng.  The root refinement of
   ``canon.refine`` splits by degree first, and every later split and
   individualization keeps cell order, so the canonical order never
@@ -32,15 +39,20 @@ are a few bitset operations, and no child runs a reach of its own.
   is the last with a non-cut vertex and m is its only one: the
   partition rule below would accept, and a child at the walk's final
   order is accepted unrefined.
-- Partition rule.  Any other child that passes is refined once from
-  the whole vertex set, ``canon.refine(child, [full], [full])``, into
-  bitset cells.  The canonical order keeps the refined partition's cell
-  order and every automorphism maps each cell onto itself, so v* and its
-  orbit lie in C, the last cell that holds a non-cut vertex: the last
-  cell c with ``c & noncut``.  The child is rejected when m is not in C
-  and accepted when m is the only non-cut vertex of C; the others,
-  ``C & noncut`` less m, are the rivals.  Only the rest are canonized,
-  from the refined cells, to compare m's orbit with v*'s.
+- Partition rule.  Any other child that passes is refined once into
+  bitset cells.  The refinement starts from the child's degree cells in
+  increasing degree, each also a splitter: the degree-d cell is
+  ``level[d] & ~s | level[d - 1] & s`` from the parent's degree classes,
+  plus m when d = |s|.  That is the state of
+  ``canon.refine(child, [full], [full])`` after it pops the whole vertex
+  set (one cell and no splitter for a regular child), so the result is
+  the same and one pass of degree counting is saved.  The canonical
+  order keeps the refined partition's cell order and every automorphism
+  maps each cell onto itself, so v* and its orbit lie in C, the last
+  cell that holds a non-cut vertex: the last cell c with
+  ``c & noncut``.  The child is rejected when m is not in C and accepted
+  when m is the only non-cut vertex of C; the others, ``C & noncut``
+  less m, are the rivals.
 - Twin accept.  A vertex v is a twin of m when N(m) less v equals N(v)
   less m; then the transposition (m v) maps every edge to an edge, so it
   is an automorphism and v shares m's orbit.  The degree test leaves v*
@@ -52,9 +64,21 @@ are a few bitset operations, and no child runs a reach of its own.
   in the first case and uncanonized in the second.  With no tie vertex
   this is the degree-class accept, and with no rival the partition
   rule's.
+- Automorphism certificates.  For each rival v that is not a twin of m,
+  ``canon.automorphism_mapping`` individualizes m on one side and v on
+  the other in the refined cells, then the lowest vertex of the first
+  non-singleton cell on both sides, refining after each step.  When the
+  two sides keep equal cell sizes down to discrete partitions and
+  pairing those cell by cell maps every row onto a row, that pairing is
+  an automorphism that maps m to v.  A child at the walk's final order
+  with such a certificate for every such rival has v* in m's orbit and
+  is accepted uncanonized.  The twin test stays first because it costs a
+  few bitset operations against a certificate's refinements.
 - Leaf shortcut.  Generators are needed only for the nodes the walk
-  grows further, so an accepted child at the walk's final order is not
-  canonized; any other accepted child is, for its generators.
+  grows further, so at the walk's final order a child is canonized only
+  when some rival is neither a twin of m nor certified, to compare m's
+  orbit with v*'s from the refined cells.  Every accepted child below
+  that order is canonized, for its generators.
 
 The degree test stays as a separate first step because it is far
 cheaper than a refinement: refining every child in its place made
@@ -85,14 +109,14 @@ from typing import Iterator, Sequence
 
 from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
-from .graphs import Graph
+from .graphs import Graph, bitset_to_vertices
 
-# The census runs 16,400 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds) and about 16,800 graphs/s in raw wall time at n = 10 (the
-# median of six runs on each of two sets of 100 random subtrees below order
-# 8, one core of a 2-core VM shared with other work; single runs spread from
-# 11,700 to 20,000).  So on one CPU n = 10 (11,716,571 classes) takes about
-# 0.2 h, n = 11 at least 16 h and n = 12 at least 0.3 years.  ``survey``
+# The census runs 18,600 graphs/s at n <= 8 (one core, in the benchmark's
+# scaled seconds) and about 20,400 graphs/s, also scaled, at n = 10 (six
+# runs on each of two sets of 100 random subtrees below order 8, one core of
+# a 2-core x86_64 VM shared with other work; the two sets' medians read
+# 19,900 and 20,700).  So on one CPU n = 10 (11,716,571 classes) takes about
+# 0.16 h, n = 11 at least 13 h and n = 12 at least 0.25 years.  ``survey``
 # spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
@@ -104,17 +128,19 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
 
 
-def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
+def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]], kmin: int = 0) -> Iterator[int]:
     """Nonempty subsets of 0..m-1, one per orbit of the parent's group,
-    each the least member of its orbit, in ascending order.
+    each the least member of its orbit, in ascending order, less every
+    subset s with 1 < |s| < kmin (kmin = 0 drops none).
 
     Each generator's action on subsets is tabulated once, in 2^m steps:
     a subset's image is the image of the subset without its lowest
-    member, plus that member's image.
+    member, plus that member's image.  An orbit keeps its subsets' size,
+    so the dropped sizes leave the other orbits and their order alone.
     """
     size = 1 << m
     if not gens:
-        yield from range(1, size)
+        yield from (s for s in range(1, size) if not 1 < s.bit_count() < kmin)
         return
     tables = []
     for g in gens:
@@ -125,7 +151,7 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
         tables.append(img)
     seen = bytearray(size)
     for s in range(1, size):
-        if seen[s]:
+        if seen[s] or 1 < s.bit_count() < kmin:
             continue
         orbit = [s]
         seen[s] = 1
@@ -152,26 +178,27 @@ def _cut_parts(rows: Sequence[int]) -> list[list[int]]:
     return parts
 
 
-def _all_twins_of(child: Sequence[int], m: int, vs: int) -> bool:
-    """Whether every vertex v in the bitset ``vs`` is a twin of m in
-    ``child``: N(m) less v equals N(v) less m, so (m v) is an automorphism."""
+def _non_twins(child: Sequence[int], m: int, vs: int) -> int:
+    """The vertices v of the bitset ``vs`` that are not twins of m in
+    ``child``.  v is a twin of m when N(m) less v equals N(v) less m; then
+    (m v) is an automorphism."""
+    out = 0
     while vs:
         low = vs & -vs
         if (child[m] ^ child[low.bit_length() - 1]) & ~(low | 1 << m):
-            return False
+            out |= low
         vs ^= low
-    return True
+    return out
 
 
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool):
     """Accepted one-vertex extensions with their automorphism generators.
 
     With ``leaf`` the caller needs no generators, and a child that the
-    degree classes, the partition rule or the twin accept decide comes
-    with none.
+    degree classes, the partition rule, the twin accept or the
+    automorphism certificates decide comes with none.
     """
     m = len(rows)
-    full = (1 << (m + 1)) - 1
     parts = _cut_parts(rows)
     # u < m is a non-cut vertex of the child iff s meets every part of the parent without u.
     # One part is missed only by s = {u}; the other vertices, the parent's cut vertices
@@ -184,7 +211,9 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
     above = [0] * (m + 1)  # above[d]: those of degree more than d
     for d in range(m - 1, -1, -1):
         above[d] = above[d + 1] | level[d + 1]
-    for s in _attachment_reps(m, gens):
+    # A solid vertex stays non-cut when |s| >= 2, so m's degree must reach the largest of theirs.
+    kmin = max((d for d in range(m) if level[d] & solid), default=0)
+    for s in _attachment_reps(m, gens, kmin):
         k = s.bit_count()
         noncut = 1 << m | (solid if k > 1 else solid & ~s)  # m is never a cut vertex
         for bit, comps in joints:
@@ -196,17 +225,24 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
         tie = noncut & (level[k] & ~s | level[k - 1] & s)
         child = [r | (s >> i & 1) << m for i, r in enumerate(rows)]
         child.append(s)
-        if leaf and _all_twins_of(child, m, tie):
+        if leaf and not _non_twins(child, m, tie):
             yield tuple(child), []  # v* is m or a tie vertex, and each is m's twin
             continue
+        # The degree cells, ascending, are what refine(child, [full], [full]) splits first.
+        cells = []
+        for d in range(1, m + 1):
+            c = level[d] & ~s | level[d - 1] & s | (d == k) << m
+            if c:
+                cells.append(c)
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
-        cells = canon.refine(child, [full], [full])
+        cells = canon.refine(child, cells, cells if len(cells) > 1 else [])
         last = next(c for c in reversed(cells) if c & noncut)
         if not last >> m & 1:
             continue  # v* and its orbit lie in that later cell
         rivals = noncut & last & ~(1 << m)
-        if leaf and _all_twins_of(child, m, rivals):
-            yield tuple(child), []  # v* is m or a rival, and each is m's twin
+        if leaf and all(canon.automorphism_mapping(child, cells, m, v)
+                        for v in bitset_to_vertices(_non_twins(child, m, rivals))):
+            yield tuple(child), []  # v* is m or a rival, and each shares m's orbit
             continue
         res = canonical_labeling_rows(child, cells)
         if rivals:

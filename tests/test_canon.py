@@ -5,6 +5,7 @@ import random
 import networkx as nx
 
 from distlab.canon import (
+    automorphism_mapping,
     canonical_form,
     canonical_labeling_rows,
     orbits_from_generators,
@@ -295,3 +296,92 @@ def test_canonical_order_keeps_the_root_cell_order():
         assert [sum(1 << v for v in order[a:b]) for a, b in zip([0] + ends, ends)] == cells
         checked += len(cells) < n
     assert checked > 1000  # graphs whose root partition is not discrete
+
+
+def _planted_symmetry_graphs(rng, count):
+    """Rows of random graphs on 9..20 vertices, each relabeled at random:
+    three kinds with planted automorphisms (a random graph grown by true
+    and false twins; a random graph with one random module substituted
+    for every vertex; two copies of a random graph, the second relabeled,
+    joined vertex to vertex, so that swapping the copies is an
+    automorphism) and random regular graphs, whose root partition is one
+    cell however few automorphisms they have."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            n = rng.randrange(9, 21)
+            rows = list(random_graph(rng, rng.randrange(4, 9), rng.random()).adj)
+            while len(rows) < n:
+                v, w = rng.randrange(len(rows)), len(rows)
+                nbrs = rows[v] | (1 << v if rng.random() < 0.5 else 0)
+                rows = [r | (nbrs >> u & 1) << w for u, r in enumerate(rows)] + [nbrs]
+        elif kind == 1:
+            base = random_graph(rng, rng.randrange(3, 6), rng.random()).adj
+            module = random_graph(rng, rng.randrange(3, 5), rng.random()).adj
+            t = len(module)
+            rows = [sum(1 << h * t + j for j in range(t) if module[i] >> j & 1)
+                    | sum(((1 << t) - 1) << g * t for g in range(len(base)) if base[h] >> g & 1)
+                    for h in range(len(base)) for i in range(t)]
+        elif kind == 2:
+            half = random_graph(rng, rng.randrange(5, 11), rng.random())
+            h = half.n
+            sigma = list(range(h))
+            rng.shuffle(sigma)
+            copy = relabeled(half, sigma).adj
+            rows = [r | 1 << h + sigma[u] for u, r in enumerate(half.adj)]
+            rows += [copy[u] << h for u in range(h)]
+            for u in range(h):
+                rows[h + sigma[u]] |= 1 << u
+        else:
+            n, d = rng.choice([(10, 3), (12, 3), (16, 3), (20, 3), (11, 4), (15, 4), (20, 5)])
+            g = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+            rows = [sum(1 << v for v in g[u]) for u in range(n)]
+        n = len(rows)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield relabeled(from_edge_list(n, [(u, v) for u in range(n) for v in range(u)
+                                          if rows[u] >> v & 1]), perm).adj
+
+
+def _nx_marked(rows, mark):
+    """The graph with only ``mark`` marked, and added first: GraphMatcher
+    pairs the first node of its second graph first, so the marked pair is
+    fixed before any twin is tried."""
+    g = nx.Graph()
+    g.add_node(mark, mark=True)
+    g.add_nodes_from((u, {"mark": False}) for u in range(len(rows)) if u != mark)
+    g.add_edges_from((u, v) for u in range(len(rows)) for v in range(u) if rows[u] >> v & 1)
+    return g
+
+
+def test_automorphism_certificates_hold_on_planted_symmetry():
+    """Whenever ``automorphism_mapping`` maps u to v, its map sends every
+    edge to an edge and networkx's GraphMatcher finds an automorphism
+    mapping u to v.  It maps most tried pairs of two vertices of a root
+    cell, and not all of them."""
+    rng = random.Random(97)
+    tried = found = 0
+    for rows in _planted_symmetry_graphs(rng, 80):
+        n = len(rows)
+        assert 9 <= n <= 20
+        cells = refine(rows, [(1 << n) - 1], [(1 << n) - 1])
+        for c in cells:
+            vs = bitset_to_vertices(c)
+            if len(vs) < 2:
+                continue
+            u = rng.choice(vs)
+            vs.remove(u)
+            for v in rng.sample(vs, min(len(vs), 4)):
+                tried += 1
+                perm = automorphism_mapping(rows, cells, u, v)
+                if perm is None:
+                    continue
+                found += 1
+                assert sorted(perm) == list(range(n)) and perm[u] == v
+                assert all(rows[perm[x]] >> perm[y] & 1 == rows[x] >> y & 1
+                           for x in range(n) for y in range(n))
+                matcher = nx.algorithms.isomorphism.GraphMatcher(
+                    _nx_marked(rows, u), _nx_marked(rows, v),
+                    node_match=lambda a, b: a["mark"] == b["mark"])
+                assert matcher.is_isomorphic(), (rows, u, v)
+    assert tried // 2 < found < tried

@@ -151,21 +151,42 @@ def _twin_of_m(child, m, v):
     return nbrs(m) - {v} == nbrs(v) - {m}
 
 
+def _degree_cells(rows):
+    """The vertices of each degree, as bitsets, in increasing degree."""
+    by_degree = collections.defaultdict(int)
+    for u, r in enumerate(rows):
+        by_degree[r.bit_count()] |= 1 << u
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
 def test_children_refine_through_the_canon_module(monkeypatch):
-    """A leaf child that passes the degree test is refined once, from the
-    whole vertex set, by a call that a wrapper on ``distlab.canon.refine``
-    sees (the benchmark's tracer counts ``canon.refine`` there), exactly
-    when another non-cut vertex has m's degree and is not a twin of m; the
-    others are not refined at all.  Without ``leaf`` every child that
-    passes is refined once."""
-    whole, seen = [], set()
+    """A leaf child that passes the degree test is refined once, from its
+    degree cells in increasing degree, each of them a splitter (none when
+    the child is regular), by a call that a wrapper on
+    ``distlab.canon.refine`` sees (the benchmark's tracer counts
+    ``canon.refine`` there), exactly when another non-cut vertex has m's
+    degree and is not a twin of m; the others are not refined at all.
+    That call returns what refining from the whole vertex set returns.
+    Without ``leaf`` every child that passes is refined once from its
+    degree cells.  Every other refine call on a child is the certificate's,
+    by one individualized vertex."""
+    seeded, seen = [], set()
+    regular = 0
     real = distlab.canon.refine
 
     def recording(rows, cells, splitters):
-        if cells == [(1 << len(rows)) - 1]:
-            whole.append(tuple(rows))
+        nonlocal regular
         seen.add(tuple(rows))
-        return real(rows, cells, splitters)
+        degree = _degree_cells(rows)
+        got = real(rows, cells, splitters)
+        if cells == degree and splitters == (degree if len(degree) > 1 else []):
+            full = (1 << len(rows)) - 1
+            assert got == real(rows, [full], [full])
+            seeded.append(tuple(rows))
+            regular += len(degree) == 1
+        else:
+            assert len(splitters) == 1 and splitters[0] & splitters[0] - 1 == 0
+        return got
 
     monkeypatch.setattr(distlab.canon, "refine", recording)
     skipped = 0
@@ -181,15 +202,32 @@ def test_children_refine_through_the_canon_module(monkeypatch):
             if any(child[u].bit_count() == s.bit_count() and not _twin_of_m(child, m, u)
                    for u in noncut):
                 tied.append(child)
-        whole.clear()
+        seeded.clear()
         seen.clear()
         list(_children(rows, gens, True))
-        assert whole == tied and seen == set(tied)
+        assert seeded == tied and seen == set(tied)
         skipped += len(survivors) - len(tied)
-        whole.clear()
+        seeded.clear()
         list(_children(rows, gens, False))
-        assert whole == survivors
-    assert skipped
+        assert seeded == survivors
+    assert skipped and regular
+
+
+def _refined_leaf_children(rows, gens):
+    """Each child of (rows, gens) that passes the degree test and the
+    partition rule, with m's refined cells and its rivals, the other
+    non-cut vertices of that cell, found with networkx's cut vertices."""
+    m = len(rows)
+    full = (1 << m + 1) - 1
+    for s in _attachment_reps(m, gens):
+        child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
+        noncut = set(range(m + 1)) - set(nx.articulation_points(_nx_graph(child)))
+        if any(child[u].bit_count() > s.bit_count() for u in noncut):
+            continue
+        cells = distlab.canon.refine(child, [full], [full])
+        last = next(c for c in reversed(cells) if any(c >> u & 1 for u in noncut))
+        if last >> m & 1:
+            yield child, cells, sorted(u for u in noncut if u != m and last >> u & 1)
 
 
 def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeypatch):
@@ -197,8 +235,10 @@ def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeyp
     ``distlab.enumeration.canonical_labeling_rows`` (where the benchmark's
     tracer counts ``canon.labeling``) sees exactly the children that pass
     the degree test and the partition rule and have a rival, another
-    non-cut vertex of m's refined cell, that is not a twin of m, in order.
-    A child whose rivals are all twins of m is accepted: (m v) is an
+    non-cut vertex of m's refined cell, that is not a twin of m and onto
+    which ``canon.automorphism_mapping`` from the refined cells maps no m,
+    in order.  A child whose rivals are all twins of m, or mapped onto by
+    that certificate, is accepted: (m v), or the certificate, is an
     automorphism for each of them, so v* shares m's orbit."""
     seen = []
     real = distlab.enumeration.canonical_labeling_rows
@@ -208,29 +248,68 @@ def test_leaf_children_are_canonized_only_for_a_rival_that_is_not_a_twin(monkeyp
         return real(rows, cells)
 
     monkeypatch.setattr(distlab.enumeration, "canonical_labeling_rows", recording)
-    twins_only = 0
+    twins_only = certified = 0
     for rows, gens in _nodes_up_to(6):
         m = len(rows)
         want = []
-        for s in _attachment_reps(m, gens):
-            child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
-            noncut = [u for u in range(m + 1) if _connected_without(child, u)]
-            if any(child[u].bit_count() > s.bit_count() for u in noncut):
-                continue
-            full = (1 << m + 1) - 1
-            cells = distlab.canon.refine(child, [full], [full])
-            last = next(c for c in reversed(cells) if any(c >> u & 1 for u in noncut))
-            if not last >> m & 1:
-                continue
-            rivals = [u for u in noncut if u != m and last >> u & 1]
-            if all(_twin_of_m(child, m, u) for u in rivals):
+        for child, cells, rivals in _refined_leaf_children(rows, gens):
+            others = [v for v in rivals if not _twin_of_m(child, m, v)]
+            if not others:
                 twins_only += bool(rivals)
+            elif all(distlab.canon.automorphism_mapping(child, cells, m, v) for v in others):
+                certified += 1
             else:
                 want.append(child)
         seen.clear()
         list(_children(rows, gens, True))
         assert seen == want, rows
-    assert twins_only
+    assert twins_only and certified
+
+
+def test_certificates_cover_every_leaf_whose_rivals_share_ms_orbit():
+    """At every node of order <= 6, on every child that the partition rule
+    leaves with rivals, all of them in m's orbit by the generators that
+    canonizing the child finds, the certificate maps m onto each rival,
+    twins of m included, by an automorphism."""
+    covered = 0
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        for child, cells, rivals in _refined_leaf_children(rows, gens):
+            orbit = orbits_from_generators(canonical_labeling_rows(child).generators, m + 1)
+            if not rivals or any(orbit[v] != orbit[m] for v in rivals):
+                continue
+            for v in rivals:
+                perm = distlab.canon.automorphism_mapping(child, cells, m, v)
+                assert perm is not None and perm[m] == v, (child, v)
+                assert all(child[perm[x]] == sum(1 << perm[y] for y in range(m + 1)
+                                                 if child[x] >> y & 1)
+                           for x in range(m + 1))
+            covered += 1
+    assert covered > 100
+
+
+def test_size_bound_drops_only_children_that_fail_the_degree_test():
+    """At every node of order <= 6, with kmin the largest degree of a
+    non-cut vertex of the parent (cut vertices from networkx), the bounded
+    representatives are the unbounded ones less the sizes 1 < |s| < kmin,
+    and each dropped set's child has a non-cut vertex of larger degree than
+    m.  Any bound filters the list the same way."""
+    dropped = 0
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        cut = set(nx.articulation_points(_nx_graph(rows)))
+        kmin = max((rows[u].bit_count() for u in range(m) if u not in cut), default=0)
+        unbounded = list(_attachment_reps(m, gens))
+        for bound in range(m + 2):
+            want = [s for s in unbounded if not 1 < s.bit_count() < bound]
+            assert list(_attachment_reps(m, gens, bound)) == want, (rows, bound)
+        for s in unbounded:
+            if 1 < s.bit_count() < kmin:
+                child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
+                noncut = set(range(m + 1)) - set(nx.articulation_points(_nx_graph(child)))
+                assert any(child[u].bit_count() > s.bit_count() for u in noncut), (rows, s)
+                dropped += 1
+    assert dropped
 
 
 def test_parent_cut_parts_give_each_childs_non_cut_vertices():
@@ -513,6 +592,25 @@ def test_census_support_grows_with_the_order():
         lost = {cell for cell in below.cells if cell[0] >= 2} - table.cells.keys()
         assert not lost, (n, lost)
         below = table
+
+
+def test_committed_n9_table_totals_a001349():
+    """``tests/data/survey_9.csv``, which the CI diffs against a one-CPU
+    ``distlab survey --n 9``, totals A001349(9) and holds the (3,5),
+    (4,6), (5,6) and (7,7) counts of the n = 9 census that ROADMAP.md
+    records."""
+    path = os.path.join(os.path.dirname(__file__), "data", "survey_9.csv")
+    with open(path) as f:
+        header, *lines = f.read().splitlines()
+    assert header == "n,d,d2,count"
+    cells = {}
+    for line in lines:
+        n, d, d2, count = line.split(",")
+        assert n == "9"
+        cells[int(d), d2] = int(count)
+    assert sum(cells.values()) == 261080
+    assert cells[3, "5"] == 2566 and cells[4, "6"] == 1
+    assert cells[5, "6"] == 109 and cells[7, "7"] == 2
 
 
 def test_survey_table_accessors():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -48,6 +49,33 @@ def test_agrees_with_networkx():
         assert from_edge_list(g.n, list(back.edges())) == g
 
 
+# sha256 over every emit string and over every repr(parse(...).adj), one per
+# line, of _pinned_graphs(); recorded before emit packed one triangle int and
+# parse checked bytes by deletion.
+EMIT_SHA256 = "1552fcab6f05431e69ac78ebab9405821ab1c7e19621762c92d2938dba983924"
+PARSE_SHA256 = "009a9794cc505063cb81883e8a2b506c05dcb77166ff462aa716b90c15d03c69"
+
+
+def _pinned_graphs():
+    rng = random.Random(43)
+    for n in range(1, 65):
+        for p in (0, 0.1, 0.5, 0.9, 1):
+            yield random_graph(rng, n, p)
+
+
+def test_codec_is_pinned():
+    """Every order 1..64 at five densities: n = 1 and 2, every amount of
+    padding and the long header of n = 63 and 64."""
+    emitted = hashlib.sha256()
+    parsed = hashlib.sha256()
+    for g in _pinned_graphs():
+        s = emit(g)
+        emitted.update(s.encode() + b"\n")
+        parsed.update(repr(parse(s).adj).encode() + b"\n")
+    assert emitted.hexdigest() == EMIT_SHA256
+    assert parsed.hexdigest() == PARSE_SHA256
+
+
 def test_header_prefix_accepted_once():
     s = HEADER + emit(cycle_graph(4))
     assert parse(s) == cycle_graph(4)
@@ -59,6 +87,7 @@ def test_header_prefix_accepted_once():
 # in the last of 316 bytes.  n = 63 takes the long form and leaves 3 of 1,953.
 _EMPTY_62 = "}" + "?" * 316
 _EMPTY_63 = "~??~" + "?" * 326
+_EMPTY_64 = "~?@?" + "?" * 336
 
 
 @pytest.mark.parametrize("text, message", [
@@ -70,6 +99,11 @@ _EMPTY_63 = "~??~" + "?" * 326
     ("Dh" + chr(20), "byte 20 at position 2 outside 63..126"),
     ("D" + chr(127) + "c", "byte 127 at position 1 outside 63..126"),
     ("~?" + chr(20) + "~" + "?" * 326, "byte 20 at position 2 outside 63..126"),
+    ("D" + chr(20) + chr(127), "byte 20 at position 1 outside 63..126"),
+    ("D" + chr(127) + chr(20), "byte 127 at position 1 outside 63..126"),
+    ("Dh" + chr(62) + chr(127), "byte 62 at position 2 outside 63..126"),
+    (_EMPTY_64[:-1] + chr(127), "byte 127 at position 339 outside 63..126"),
+    (_EMPTY_64[:-1] + chr(62), "byte 62 at position 339 outside 63..126"),
     ("~~", "vertex counts above 258047 are not supported"),
     ("~~??????", "vertex counts above 258047 are not supported"),
     ("~", "truncated long-form vertex count"),
@@ -88,7 +122,8 @@ _EMPTY_63 = "~??~" + "?" * 326
     (_EMPTY_63[:-1] + "C", "nonzero padding bits"),
     (HEADER + HEADER + "Dhc", "byte 62 at position 0 outside 63..126"),
 ], ids=["empty", "blank", "header-only", "non-ascii", "bad-first-byte", "bad-body-byte",
-        "del-byte", "bad-long-header-byte", "double-tilde", "double-tilde-long",
+        "del-byte", "bad-long-header-byte", "two-bad-bytes", "two-bad-bytes-del-first",
+        "bad-bytes-below-and-above", "del-byte-last-n-64", "low-byte-last-n-64", "double-tilde", "double-tilde-long",
         "tilde-only", "truncated-long-form", "n-0", "n-0-long-form", "n-65",
         "body-short", "body-long", "n-1-body", "n-63-short", "n-63-long",
         "padding-n-2", "padding-n-62", "padding-n-63", "padding-n-63-top-bit",

@@ -20,13 +20,19 @@ cut vertex, and u's degree in the child is its parent degree plus one
 when u is in s.  So each child's non-cut vertices and degree classes
 are a few bitset operations, and no child runs a reach of its own.
 
-- Size bound.  A solid vertex, a non-cut vertex of the parent, stays
+- Degree masks.  A solid vertex, a non-cut vertex of the parent, stays
   non-cut when |s| >= 2, since s then meets the one part of the parent
-  without it, and its degree does not fall.  So with kmin the largest
-  degree of a solid vertex, every s with 1 < |s| < kmin leaves m below
-  that vertex's degree and fails the degree test below: those sets are
-  never listed.  An orbit of attachment sets keeps their size, so the
-  other representatives and their order are unchanged.
+  without it, and s = {v} leaves every solid vertex but v non-cut.  Its
+  degree does not fall, so the degree test below rejects some children
+  for reasons of the parent alone, and each size k gets a mask bad[k]
+  of vertices that s must not meet.  bad[1] is all vertices when two or
+  more solid vertices have degree >= 2, all but w when w is the only
+  one, and otherwise empty.  For k >= 2, with kmin the largest degree of
+  a solid vertex, bad[k] is all vertices when k < kmin and otherwise
+  the solid vertices of degree k, which s would raise above m's degree
+  k.  Sets that meet their mask are never listed.  Automorphisms
+  keep solidity, degree and size, so each mask is a union of orbits and
+  the other representatives and their order are unchanged.
 - Degree test, as in McKay's geng.  The root refinement of
   ``canon.refine`` splits by degree first, and every later split and
   individualization keeps cell order, so the canonical order never
@@ -128,19 +134,24 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
 
 
-def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]], kmin: int = 0) -> Iterator[int]:
+def _attachment_reps(
+    m: int, gens: Sequence[tuple[int, ...]], bad: Sequence[int] | None = None
+) -> Iterator[int]:
     """Nonempty subsets of 0..m-1, one per orbit of the parent's group,
     each the least member of its orbit, in ascending order, less every
-    subset s with 1 < |s| < kmin (kmin = 0 drops none).
+    subset s that meets ``bad[|s|]`` (no ``bad`` drops none).
 
     Each generator's action on subsets is tabulated once, in 2^m steps:
     a subset's image is the image of the subset without its lowest
-    member, plus that member's image.  An orbit keeps its subsets' size,
-    so the dropped sizes leave the other orbits and their order alone.
+    member, plus that member's image.  When each mask is a union of
+    orbits, the dropped subsets leave the other orbits and their order
+    alone.
     """
     size = 1 << m
+    if bad is None:
+        bad = [0] * (m + 1)
     if not gens:
-        yield from (s for s in range(1, size) if not 1 < s.bit_count() < kmin)
+        yield from (s for s in range(1, size) if not s & bad[s.bit_count()])
         return
     tables = []
     for g in gens:
@@ -151,7 +162,7 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]], kmin: int = 0) -> 
         tables.append(img)
     seen = bytearray(size)
     for s in range(1, size):
-        if seen[s] or 1 < s.bit_count() < kmin:
+        if seen[s] or s & bad[s.bit_count()]:
             continue
         orbit = [s]
         seen[s] = 1
@@ -211,9 +222,13 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
     above = [0] * (m + 1)  # above[d]: those of degree more than d
     for d in range(m - 1, -1, -1):
         above[d] = above[d + 1] | level[d + 1]
-    # A solid vertex stays non-cut when |s| >= 2, so m's degree must reach the largest of theirs.
+    # The sets that give a solid vertex a larger degree than m, by size (the degree masks).
+    full = (1 << m) - 1
     kmin = max((d for d in range(m) if level[d] & solid), default=0)
-    for s in _attachment_reps(m, gens, kmin):
+    bad = [full if k < kmin else level[k] & solid for k in range(m + 1)]
+    strong = solid & above[1]  # solid vertices of degree >= 2
+    bad[1] = full if strong & (strong - 1) else full & ~strong if strong else 0
+    for s in _attachment_reps(m, gens, bad):
         k = s.bit_count()
         noncut = 1 << m | (solid if k > 1 else solid & ~s)  # m is never a cut vertex
         for bit, comps in joints:

@@ -6,24 +6,32 @@ three-byte long header introduced by ``~``.  Parsing is strict: stray
 bytes, truncation and nonzero padding are all rejected, with 1-based
 line numbers when decoding streams.
 
-Neither direction loops over bytes or edges in Python.  A 6-bit group is
-one base64 digit, so ``bytes.translate`` between the two alphabets and
-:mod:`binascii` turn a body into one int and back.  :func:`parse` writes
-that int as a bit string, left-justifies each column to ``N`` characters
-(``N`` a power of two, at least 8) and reverses the whole: read as one
-int, it sets bit ``j * N + i`` for each edge (i, j) with i < j, the lower
-triangle of an ``N`` x ``N`` bit matrix.  ``log2 N`` delta swaps
-transpose it, and the lower triangle ORed with its transpose, cut into
-``N``-bit words, gives the rows.  :func:`emit` joins each row's lower
-part as a reversed binary string.
+Neither direction loops over bytes or edges in Python, and each does its
+per-record work in a few C-level calls.  A 6-bit group is one base64
+digit, so ``bytes.translate`` between the two alphabets and
+:mod:`binascii` turn a body into one int and back.  :func:`parse` checks
+the byte range with one ``translate`` that deletes every byte in
+63..126: a record with anything left over is rejected, and only then is
+it scanned for the first bad position.  It writes the body int as a bit
+string, left-justifies each column to ``N`` characters (``N`` a power of
+two, at least 8) through one cached getter of the column slices, and
+reverses the whole: read as one int, it sets bit ``j * N + i`` for each
+edge (i, j) with i < j, the lower triangle of an ``N`` x ``N`` bit
+matrix.  ``log2 N`` delta swaps transpose it, and the lower triangle ORed
+with its transpose, cut into ``N``-bit words, gives the rows.
+:func:`emit` packs row j's bits below j into one triangle int at bit
+``j * (j - 1) / 2``, the graph6 bit order from the lowest bit up, and
+turns it into the body with one ``format``, one reversal, one ``int``
+and one base64 encoding.
 """
 from __future__ import annotations
 
 import binascii
 import functools
+import operator
 import struct
 import sys
-from itertools import pairwise
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .graphs import MAX_VERTICES, Graph
@@ -33,7 +41,6 @@ _GRAPH6 = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
 _FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
-_COLUMN_STARTS = [j * (j - 1) // 2 for j in range(MAX_VERTICES + 1)]
 _ROW_FORMAT = {8 * struct.calcsize(c): c for c in "BHIQ"}  # native unsigned, by bits
 
 
@@ -63,6 +70,15 @@ def _swap_masks(size: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@functools.cache
+def _columns(n: int) -> operator.itemgetter:
+    """Getter of the ``n`` column slices of an ``n``-vertex bit string, column
+    j the pairs (0, j) .. (j-1, j); a trailing empty slice makes it return a
+    tuple even for n = 1."""
+    columns = [slice(j * (j - 1) // 2, j * (j + 1) // 2) for j in range(n)]
+    return operator.itemgetter(*columns, slice(0, 0))
+
+
 def emit(g: Graph) -> str:
     """One graph6 line (no trailing newline) for ``g``."""
     n = g.n
@@ -70,16 +86,19 @@ def emit(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    # column j holds the pairs (0, j) .. (j-1, j): row j's bits below j,
-    # lowest first, after a guard bit at j that keeps the leading zeros
+    # row j's bits below j, the pairs (0, j) .. (j-1, j), start at bit
+    # j * (j - 1) / 2 of one triangle int: the graph6 bit order read from the
+    # lowest bit up
     adj = g.adj
-    bits = "".join(
-        [format(adj[j] & ((1 << j) - 1) | 1 << j, "b")[:0:-1] for j in range(1, n)]
-    )
-    need = (len(bits) + 5) // 6
-    width = len(bits) + -len(bits) % 24  # whole base64 quads of 24 bits
-    # the leading "0" makes the empty string of n = 1 a valid int
-    raw = int("0" + bits.ljust(width, "0"), 2).to_bytes(width // 8, "big")
+    tri = 0
+    for j in range(n - 1, 0, -1):
+        tri = tri << j | adj[j] & ((1 << j) - 1)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    width = nbits + -nbits % 24  # whole base64 quads of 24 bits
+    # reversed, the zeros that fill out width trail as padding; format of a
+    # zero width still writes "0", a valid int for the empty body of n = 1
+    raw = int(format(tri, f"0{width}b")[::-1], 2).to_bytes(width // 8, "big")
     return head + binascii.b2a_base64(raw, newline=False)[:need].translate(
         _FROM_BASE64).decode("ascii")
 
@@ -95,7 +114,7 @@ def parse(text: str, line: int | None = None) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise Graph6Error("non-ASCII bytes in graph6 record", line) from None
-    if min(data) < 63 or max(data) > 126:
+    if data.translate(None, _GRAPH6):  # what is left lies outside 63..126
         pos = next(pos for pos, byte in enumerate(data) if not 63 <= byte <= 126)
         raise Graph6Error(f"byte {data[pos]} at position {pos} outside 63..126", line)
     if data[0] == 126:
@@ -129,8 +148,7 @@ def parse(text: str, line: int | None = None) -> Graph:
     bits = format(acc, f"0{nbits}b")
     size = max(8, 1 << (n - 1).bit_length())  # whole bytes per row
     lower = int(
-        "".join([bits[a:b].ljust(size, "0") for a, b in pairwise(_COLUMN_STARTS[:n + 1])])[::-1],
-        2,
+        "".join(map(str.ljust, _columns(n)(bits), repeat(size, n), repeat("0", n)))[::-1], 2
     )
     upper = lower  # transposed in place: bit i * size + j for each edge
     for shift, mask in _swap_masks(size):

@@ -288,23 +288,44 @@ def test_certificates_cover_every_leaf_whose_rivals_share_ms_orbit():
     assert covered > 100
 
 
-def test_size_bound_drops_only_children_that_fail_the_degree_test():
-    """At every node of order <= 6, with kmin the largest degree of a
-    non-cut vertex of the parent (cut vertices from networkx), the bounded
-    representatives are the unbounded ones less the sizes 1 < |s| < kmin,
-    and each dropped set's child has a non-cut vertex of larger degree than
-    m.  Any bound filters the list the same way."""
+def test_size_bound_drops_only_children_that_fail_the_degree_test(monkeypatch):
+    """At every node of order <= 6, ``_children`` lists the attachment sets
+    through the degree masks built from the parent's non-cut vertices (cut
+    vertices from networkx), the masked representatives are the unmasked
+    ones less the sets that meet their mask, and each dropped set's child
+    has a non-cut vertex of larger degree than m.  A mask that drops one
+    whole size filters the list the same way."""
+    used = []
+
+    def recording(m, gens, bad=None):
+        used.append(bad)
+        return _attachment_reps(m, gens, bad)
+
+    nodes = _nodes_up_to(6)
+    monkeypatch.setattr(distlab.enumeration, "_attachment_reps", recording)
     dropped = 0
-    for rows, gens in _nodes_up_to(6):
+    for rows, gens in nodes:
         m = len(rows)
+        full = (1 << m) - 1
         cut = set(nx.articulation_points(_nx_graph(rows)))
-        kmin = max((rows[u].bit_count() for u in range(m) if u not in cut), default=0)
-        unbounded = list(_attachment_reps(m, gens))
-        for bound in range(m + 2):
-            want = [s for s in unbounded if not 1 < s.bit_count() < bound]
-            assert list(_attachment_reps(m, gens, bound)) == want, (rows, bound)
-        for s in unbounded:
-            if 1 < s.bit_count() < kmin:
+        solid = [u for u in range(m) if u not in cut]
+        kmin = max((rows[u].bit_count() for u in solid), default=0)
+        bad = [full if k < kmin else sum(1 << u for u in solid if rows[u].bit_count() == k)
+               for k in range(m + 1)]
+        strong = [u for u in solid if rows[u].bit_count() >= 2]
+        bad[1] = full if len(strong) >= 2 else full & ~(1 << strong[0]) if strong else 0
+        used.clear()
+        list(_children(rows, gens, False))
+        assert [b[1:] for b in used] == [bad[1:]], rows  # bad[0] is never read
+        unmasked = list(_attachment_reps(m, gens))
+        want = [s for s in unmasked if not s & bad[s.bit_count()]]
+        assert list(_attachment_reps(m, gens, bad)) == want, rows
+        for k in range(1, m + 1):
+            one_size = [full if j == k else 0 for j in range(m + 1)]
+            want = [s for s in unmasked if s.bit_count() != k]
+            assert list(_attachment_reps(m, gens, one_size)) == want, (rows, k)
+        for s in unmasked:
+            if s & bad[s.bit_count()]:
                 child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
                 noncut = set(range(m + 1)) - set(nx.articulation_points(_nx_graph(child)))
                 assert any(child[u].bit_count() > s.bit_count() for u in noncut), (rows, s)

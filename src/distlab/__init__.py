@@ -18,7 +18,6 @@ from .graphs import (
     diameter,
     diameter_pair,
     from_edge_list,
-    is_connected,
     k_distance,
 )
 from .sat.cnf import CnfFormula, VarMap
@@ -46,7 +45,6 @@ __all__ = [
     "diameter",
     "diameter_pair",
     "from_edge_list",
-    "is_connected",
     "k_distance",
     "BudgetExhausted",
     "CnfFormula",

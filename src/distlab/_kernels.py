@@ -1,17 +1,18 @@
-"""Breadth-first search on plain-int bitsets, from every source at once
-or from one.
+"""Breadth-first search on plain-int bitsets: ``levels`` from every
+source at once, ``layers`` from one vertex set.
 
 A graph on n <= 64 vertices is a sequence of n adjacency rows: bit ``j``
-of ``rows[i]`` is set iff ``{i, j}`` is an edge.  The BFS packs the
+of ``rows[i]`` is set iff ``{i, j}`` is an edge.  ``levels`` packs the
 whole n x n reach matrix into one int of n * n bits, row ``s`` in bits
 ``s*n .. s*n + n - 1``, and advances every source one level per pass.
 A pass costs n big-int steps: for each vertex ``v``, the sources whose
 frontier holds ``v`` (``(frontier >> v) & COL``, with bit ``s*n`` of
 ``COL`` set for each ``s``) each get a copy of ``rows[v]`` in their own
 row block (``sel * rows[v]``; the blocks do not overlap, so the product
-never carries).  ``levels(rows, sources=...)`` packs only the rows of
-the given sources.  ``layers`` is the single-source search: it reads the
-rows of one layer to find the next.
+never carries).  ``layers`` is the single-source search, optionally
+inside a vertex set: it reads the rows of one layer to find the next.
+It serves connectivity, eccentricities, the leaves' distances to their
+attachment sets, and the census's components of a parent less a vertex.
 
 Level ``k`` is the packed matrix of pairs at distance exactly ``k``;
 its n row slices are the rows of the k-distance graph.  Distance
@@ -30,14 +31,15 @@ level k takes k - 1 passes, and:
   ``layers`` from vertex 0, and run no pass for a disconnected G.
 
 ``diameter`` of a connected G whose vertex 0 lies 4 or more from some
-vertex runs its passes from a far set only (the README's far-set lemma).
-Three ``layers`` searches sweep from vertex 0 to a farthest vertex a,
-and from a to a farthest vertex b; the largest eccentricity they find,
+vertex runs no pass; it searches from a far set only (the README's
+far-set lemma, the fringe step of iFUB, Crescenzi et al. 2013).  Three
+``layers`` searches sweep from vertex 0 to a farthest vertex a, and from
+a to a farthest vertex b; the largest eccentricity they find,
 lb = ecc(b), is at most diam G.  A fourth searches from a vertex u
 halfway along a geodesic from a to b.  Every pair farther apart than
 lb has an end in the far set F = {w : d(u, w) > floor(lb / 2)}, so
-diam G is lb or the largest eccentricity over F, and one ``levels``
-call from the sources in F (less 0, a and b, whose eccentricities are
+diam G is lb or the largest eccentricity over F, and one ``layers``
+search from each vertex of F (less 0, a and b, whose eccentricities are
 at most lb) finds it.  F is empty for every tree of even diameter: u
 is then its centre.  When vertex 0 lies within 3 of every vertex,
 diam G <= 6 and one ``levels`` call from every source costs less.
@@ -96,11 +98,9 @@ def _consts(n: int) -> tuple[int, int, int]:
     return col, ident, (1 << (n * n)) - 1
 
 
-def pack(rows: Sequence[int], n: int | None = None) -> int:
-    """The rows as one packed int, row s in bits s*n .. s*n + n - 1;
-    ``n`` defaults to the number of rows."""
-    if n is None:
-        n = len(rows)
+def pack(rows: Sequence[int]) -> int:
+    """The rows as one packed int, row s in bits s*n .. s*n + n - 1."""
+    n = len(rows)
     out = 0
     for row in reversed(rows):
         out = (out << n) | row
@@ -128,10 +128,7 @@ def _advance(rows: Sequence[int], frontier: int, col: int) -> int:
 
 
 def levels(
-    rows: Sequence[int],
-    first: int | None = None,
-    last: int | None = None,
-    sources: int | None = None,
+    rows: Sequence[int], first: int | None = None, last: int | None = None
 ) -> tuple[list[int], bool]:
     """BFS levels from every source, packed, and whether they cover all pairs.
 
@@ -139,19 +136,10 @@ def levels(
     given, must be ``pack(rows)``); the list ends at the last non-empty
     level, so a connected graph's diameter is its length minus one.  With
     ``last`` the list also ends at level ``last``, and the flag tells only
-    whether the levels listed cover all pairs.  With ``sources``, a
-    non-empty bitset, the BFS runs from those vertices only, the i-th
-    lowest in row block i, so the length of the list of a connected graph,
-    minus one, is their largest eccentricity.
+    whether the levels listed cover all pairs.
     """
     n = len(rows)
     col, ident, full = _consts(n)
-    if sources is not None:
-        srcs = [s for s in range(n) if sources >> s & 1]
-        full = (1 << (len(srcs) * n)) - 1
-        col &= full
-        ident = pack([1 << s for s in srcs], n)
-        first = pack([rows[s] for s in srcs], n)
     if last is None:
         last = n  # no distance reaches n
     frontier = pack(rows) if first is None else first
@@ -167,16 +155,20 @@ def levels(
     return out, visited == full
 
 
-def layers(rows: Sequence[int], start: int) -> list[int]:
-    """Single-source BFS layers from the non-empty vertex set ``start``.
+def layers(rows: Sequence[int], start: int, within: int = -1) -> list[int]:
+    """Single-source BFS layers from the vertex set ``start`` inside the
+    vertex set ``within`` (by default every vertex).
 
-    Layer k is the bitset of vertices at distance k from ``start``; the
-    list ends at the last non-empty layer, so the layers cover the
-    component(s) of ``start``.  Each layer reads only the rows of the
-    layer before it.
+    ``start`` must lie in ``within``; both are bitsets.  Layer k is the
+    bitset of vertices of ``within`` at distance k from ``start`` in the
+    graph induced on ``within``; the list ends at the last non-empty
+    layer, so the layers cover the component(s) of ``start`` there.  Each
+    layer reads only the rows of the layer before it, so the whole search
+    reads each reached row once.
     """
     out = [start]
-    seen = frontier = start
+    frontier = start
+    seen = start | ~within  # a vertex outside ``within`` is never reached
     while True:
         nxt = 0
         while frontier:
@@ -188,31 +180,6 @@ def layers(rows: Sequence[int], start: int) -> list[int]:
             return out
         seen |= frontier
         out.append(frontier)
-
-
-def reach(rows: Sequence[int], start: int, within: int) -> int:
-    """The vertices of ``within`` reachable from the set ``start`` inside it.
-
-    ``start`` must lie in ``within``; both are bitsets.  Each round reads
-    the rows of the vertices reached in the round before only, so the
-    whole search reads each reached row once.
-    """
-    seen = frontier = start
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
-
-
-def connected(rows: Sequence[int]) -> bool:
-    """Whether the graph is connected, by one ``reach`` from vertex 0."""
-    full = (1 << len(rows)) - 1
-    return reach(rows, 1, full) == full
 
 
 def distances(rows: Sequence[int]) -> list[list[int]]:
@@ -260,11 +227,14 @@ def _far_diameter(rows: Sequence[int], zero: Sequence[int]) -> int:
     lb = len(from_b) - 1  # ecc(b) >= d(a, b) = ecc(a) >= d(0, a) = ecc(0)
     half = (len(from_a) - 1) // 2
     mid = from_a[half] & from_b[len(from_a) - 1 - half]  # on an a-b geodesic
-    # Vertices 0, a and b have eccentricity at most lb: no pass needs them.
+    # Vertices 0, a and b have eccentricity at most lb: no search needs them.
     far = sum(layers(rows, mid & -mid)[lb // 2 + 1:]) & ~(1 | a | b)
-    if not far:
-        return lb
-    return max(lb, len(levels(rows, sources=far)[0]) - 1)
+    d = lb
+    while far:
+        low = far & -far
+        d = max(d, len(layers(rows, low)) - 1)
+        far ^= low
+    return d
 
 
 def _bipartite(rows: Sequence[int], lv: Sequence[int]) -> int:

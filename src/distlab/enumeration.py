@@ -18,7 +18,7 @@ every one of them.  When there is one, only s = {u} misses it; at the
 root there are none, and both vertices of K2 are non-cut.  m is never a
 cut vertex, and u's degree in the child is its parent degree plus one
 when u is in s.  So each child's non-cut vertices and degree classes
-are a few bitset operations, and no child runs a reach of its own.
+are a few bitset operations, and no child runs a search of its own.
 
 - Degree masks.  A solid vertex, a non-cut vertex of the parent, stays
   non-cut when |s| >= 2, since s then meets the one part of the parent
@@ -134,12 +134,10 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration above n={ENUM_CAP} is refused")
 
 
-def _attachment_reps(
-    m: int, gens: Sequence[tuple[int, ...]], bad: Sequence[int] | None = None
-) -> Iterator[int]:
+def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]], bad: Sequence[int]) -> Iterator[int]:
     """Nonempty subsets of 0..m-1, one per orbit of the parent's group,
     each the least member of its orbit, in ascending order, less every
-    subset s that meets ``bad[|s|]`` (no ``bad`` drops none).
+    subset s that meets ``bad[|s|]`` (``[0] * (m + 1)`` drops none).
 
     Each generator's action on subsets is tabulated once, in 2^m steps:
     a subset's image is the image of the subset without its lowest
@@ -148,8 +146,6 @@ def _attachment_reps(
     alone.
     """
     size = 1 << m
-    if bad is None:
-        bad = [0] * (m + 1)
     if not gens:
         yield from (s for s in range(1, size) if not s & bad[s.bit_count()])
         return
@@ -182,7 +178,7 @@ def _cut_parts(rows: Sequence[int]) -> list[list[int]]:
         rest = (1 << len(rows)) - 1 & ~(1 << u)
         comps = []
         while rest:
-            c = _kernels.reach(rows, rest & -rest, rest)
+            c = sum(_kernels.layers(rows, rest & -rest, rest))
             comps.append(c)
             rest ^= c
         parts.append(comps)

@@ -115,10 +115,10 @@ def _inf(d: int) -> int | float:
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; ``math.inf`` when disconnected.
 
-    Single-source sweeps give a lower bound, and the all-sources BFS runs
-    only from the far set of vertices that could beat it (the README's
-    far-set lemma), or from every source when vertex 0 lies within 3 of
-    every vertex.
+    Single-source sweeps give a lower bound, and single-source searches
+    from the far set of vertices that could beat it finish the job (the
+    README's far-set lemma); the all-sources BFS runs only when vertex 0
+    lies within 3 of every vertex.
     """
     return _inf(_kernels.diameter(g.adj))
 
@@ -144,7 +144,3 @@ def k_distance(g: Graph, k: int) -> Graph:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return Graph(g.n, _kernels.ring_rows(g.adj, k), _validate=False)
-
-
-def is_connected(g: Graph) -> bool:
-    return _kernels.connected(g.adj)

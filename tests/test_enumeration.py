@@ -25,7 +25,7 @@ from distlab.enumeration import (
     survey,
 )
 from distlab.graph6 import emit
-from distlab.graphs import from_edge_list, is_connected
+from distlab.graphs import from_edge_list
 
 import brute
 from util import (
@@ -48,7 +48,7 @@ def test_output_is_connected_and_isomorph_free():
         forms = set()
         for g in enumerate_connected(n):
             assert g.n == n
-            assert is_connected(g)
+            assert nx.is_connected(_nx_graph(g.adj))
             forms.add(canonical_form(g))
         assert len(forms) == CLASS_COUNTS[n]
 
@@ -73,7 +73,7 @@ def _children_by_canonizing_all(rows, gens):
     order."""
     m = len(rows)
     out = []
-    for s in _attachment_reps(m, gens):
+    for s in _attachment_reps(m, gens, [0] * (m + 1)):
         child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
         res = canonical_labeling_rows(child)
         orbit = orbits_from_generators(res.generators, m + 1)
@@ -134,7 +134,8 @@ def test_attachment_reps_are_the_least_members_of_the_orbits():
     least members of the subset orbits of the node's automorphism group."""
     nodes = _nodes_up_to(6)
     for rows, gens in nodes:
-        assert list(_attachment_reps(len(rows), gens)) == _orbit_minima(len(rows), gens)
+        m = len(rows)
+        assert list(_attachment_reps(m, gens, [0] * (m + 1))) == _orbit_minima(m, gens)
     assert len(nodes) == sum(CLASS_COUNTS[n] for n in range(1, 7))
 
 
@@ -193,7 +194,7 @@ def test_children_refine_through_the_canon_module(monkeypatch):
     for rows, gens in _nodes_up_to(6):
         m = len(rows)
         survivors, tied = [], []
-        for s in _attachment_reps(m, gens):
+        for s in _attachment_reps(m, gens, [0] * (m + 1)):
             child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
             noncut = [u for u in range(m) if _connected_without(child, u)]
             if any(child[u].bit_count() > s.bit_count() for u in noncut):
@@ -219,7 +220,7 @@ def _refined_leaf_children(rows, gens):
     non-cut vertices of that cell, found with networkx's cut vertices."""
     m = len(rows)
     full = (1 << m + 1) - 1
-    for s in _attachment_reps(m, gens):
+    for s in _attachment_reps(m, gens, [0] * (m + 1)):
         child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
         noncut = set(range(m + 1)) - set(nx.articulation_points(_nx_graph(child)))
         if any(child[u].bit_count() > s.bit_count() for u in noncut):
@@ -297,7 +298,7 @@ def test_size_bound_drops_only_children_that_fail_the_degree_test(monkeypatch):
     whole size filters the list the same way."""
     used = []
 
-    def recording(m, gens, bad=None):
+    def recording(m, gens, bad):
         used.append(bad)
         return _attachment_reps(m, gens, bad)
 
@@ -317,7 +318,7 @@ def test_size_bound_drops_only_children_that_fail_the_degree_test(monkeypatch):
         used.clear()
         list(_children(rows, gens, False))
         assert [b[1:] for b in used] == [bad[1:]], rows  # bad[0] is never read
-        unmasked = list(_attachment_reps(m, gens))
+        unmasked = list(_attachment_reps(m, gens, [0] * (m + 1)))
         want = [s for s in unmasked if not s & bad[s.bit_count()]]
         assert list(_attachment_reps(m, gens, bad)) == want, rows
         for k in range(1, m + 1):
@@ -341,7 +342,7 @@ def test_parent_cut_parts_give_each_childs_non_cut_vertices():
     for rows, gens in _nodes_up_to(6):
         m = len(rows)
         parts = _cut_parts(rows)
-        for s in _attachment_reps(m, gens):
+        for s in _attachment_reps(m, gens, [0] * (m + 1)):
             child = [r | (s >> i & 1) << m for i, r in enumerate(rows)] + [s]
             derived = {u for u in range(m) if all(s & c for c in parts[u])} | {m}
             cut = set(nx.articulation_points(_nx_graph(child)))
@@ -351,16 +352,17 @@ def test_parent_cut_parts_give_each_childs_non_cut_vertices():
 
 
 def test_children_reach_once_per_component_of_the_parent_without_a_vertex(monkeypatch):
-    """One ``_children`` call makes one ``_kernels.reach`` per component of
-    parent - u, summed over u, however many attachment sets it tries."""
+    """One ``_children`` call makes one ``_kernels.layers`` search per
+    component of parent - u, summed over u, however many attachment sets
+    it tries."""
     calls = []
-    real = distlab._kernels.reach
+    real = distlab._kernels.layers
 
-    def counting(rows, start, within):
+    def counting(rows, start, within=-1):
         calls.append(1)
         return real(rows, start, within)
 
-    monkeypatch.setattr(distlab._kernels, "reach", counting)
+    monkeypatch.setattr(distlab._kernels, "layers", counting)
     for rows, gens in _nodes_up_to(6):
         m = len(rows)
         g = _nx_graph(rows)
@@ -475,7 +477,8 @@ def test_survey_cells_match_networkx(n):
 def test_census_measures_each_leaf_from_its_parent(monkeypatch):
     """A census makes one ``leaf_basis`` BFS per order-(n - 1) node and one
     ``leaf_pair`` per graph it counts, and no ``diameter_pair`` or
-    connectivity test: every graph it counts is connected."""
+    ``diameter``, which test connectivity: every graph it counts is
+    connected."""
     calls = collections.Counter()
 
     def counted(name):
@@ -487,7 +490,7 @@ def test_census_measures_each_leaf_from_its_parent(monkeypatch):
 
         monkeypatch.setattr(distlab._kernels, name, counting)
 
-    for name in ("diameter_pair", "connected", "leaf_basis", "leaf_pair"):
+    for name in ("diameter_pair", "diameter", "leaf_basis", "leaf_pair"):
         counted(name)
     monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 1)
     for n in range(3, 9):

@@ -12,7 +12,6 @@ from distlab.graphs import (
     diameter,
     diameter_pair,
     from_edge_list,
-    is_connected,
     k_distance,
 )
 
@@ -139,14 +138,14 @@ def test_k_distance_matches_reference():
 def test_even_cycle_halves_into_two_cycles():
     g2 = k_distance(cycle_graph(8), 2)
     assert g2 == from_edge_list(8, [(v, (v + 2) % 8) for v in range(8)])
-    assert not is_connected(g2)
+    assert diameter(g2) == math.inf
 
 
 def test_components_ordering_and_connectivity():
     g = from_edge_list(7, [(3, 5), (0, 6), (1, 2)])
-    assert not is_connected(g)
-    assert is_connected(cycle_graph(4))
-    assert is_connected(path_graph(1))
+    assert diameter(g) == math.inf
+    assert diameter(cycle_graph(4)) == 2
+    assert diameter(path_graph(1)) == 0
 
 
 def test_components_match_networkx_on_the_atlas():
@@ -158,7 +157,7 @@ def test_components_match_networkx_on_the_atlas():
         reached = {e for k in range(1, g.n) for e in k_distance(g, k).edges()}
         same = {(i, j) for c in nx.connected_components(h) for i in c for j in c if i < j}
         assert reached == same
-        assert is_connected(g) == nx.is_connected(h)
+        assert (diameter(g) < math.inf) == nx.is_connected(h)
 
 
 def test_bitset_round_trip():

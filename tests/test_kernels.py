@@ -135,6 +135,20 @@ def passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that grows, for each ``layers`` search, by its start set."""
+    calls = []
+    real = _kernels.layers
+
+    def counted(rows, start, within=-1):
+        calls.append(start)
+        return real(rows, start, within)
+
+    monkeypatch.setattr(_kernels, "layers", counted)
+    return calls
+
+
 def _passes_of(passes, fn, *args):
     passes.clear()
     out = fn(*args)
@@ -146,7 +160,7 @@ def _ecc0(g):
     return len(_kernels.layers(g.adj, 1)) - 1
 
 
-def test_bfs_runs_only_the_passes_its_answer_needs(passes):
+def test_bfs_runs_only_the_passes_its_answer_needs(passes, searches):
     # Level 1 is the adjacency, so level k costs k - 1 passes.
     p = path_graph(12).adj
     for k in range(1, 12):
@@ -161,8 +175,10 @@ def test_bfs_runs_only_the_passes_its_answer_needs(passes):
         assert _passes_of(passes, _kernels.levels, g.adj)[1] == max(d - 1, 0)
         if _ecc0(g) <= 3:
             assert _passes_of(passes, _kernels.diameter, g.adj) == (d, max(d - 1, 0))
-    # Otherwise every pass runs from the far set only, and a tree of even
-    # diameter has an empty far set (its centre is u), so it runs no pass.
+    # Otherwise no pass runs: four single-source searches (from vertex 0,
+    # the two sweeps and u), then one from each vertex of the far set.  A
+    # tree of even diameter has an empty far set (its centre is u), so it
+    # runs the four searches only.
     trees = [path_graph(n) for n in range(9, 65, 2)]
     trees += [random_tree_plus(rng, n, 0.0) for n in range(20, 65) for _ in range(4)]
     even = 0
@@ -170,10 +186,11 @@ def test_bfs_runs_only_the_passes_its_answer_needs(passes):
         d = reference_diameter(g)
         if _ecc0(g) <= 3:
             continue
-        assert _passes_of(passes, _kernels.diameter, g.adj)[0] == d
-        assert all(count < g.n for count in passes)
+        searches.clear()
+        assert _passes_of(passes, _kernels.diameter, g.adj) == (d, 0)
+        assert len(searches) >= 4
         if g in trees and d % 2 == 0:
-            assert not passes
+            assert len(searches) == 4
             even += 1
     assert even >= 40
     # (4, 6) is not bipartite: d - 1 passes for G, then d2 - 1 for G2.
@@ -182,14 +199,20 @@ def test_bfs_runs_only_the_passes_its_answer_needs(passes):
     for g in (from_edge_list(2, []), from_edge_list(40, [(i, i + 1) for i in range(38)])):
         assert _passes_of(passes, _kernels.diameter, g.adj) == (-1, 0)
         assert _passes_of(passes, _kernels.diameter_pair, g.adj) == ((-1, -1), 0)
-    # A connected bipartite G runs no G2 pass, only the passes of diam G: none
-    # for a path, 4 from the far set {6, 7, 8, 9} of C10, 1 from every source
-    # for a star whose vertex 0 lies within 3 of every vertex.
+    # A connected bipartite G runs no G2 pass, only the work of diam G.  A
+    # path runs the four searches and no pass.  C10 runs them, then one
+    # search from each vertex of its far set {6, 7, 8, 9}, and no pass.  A
+    # star whose vertex 0 lies within 3 of every vertex runs the search from
+    # vertex 0, then 1 pass from every source.
     star = from_edge_list(6, [(0, i) for i in range(1, 6)])
-    for g, d, want in ((path_graph(12), 11, []), (cycle_graph(10), 5, [4] * 4), (star, 2, [6])):
+    c10_far = [1 << v for v in (6, 7, 8, 9)]
+    cases = ((path_graph(12), 11, [], 4), (cycle_graph(10), 5, [], 8), (star, 2, [6], 1))
+    for g, d, want, count in cases:
         for fn, pair in ((_kernels.diameter, d), (_kernels.diameter_pair, (d, -1))):
+            searches.clear()
             assert _passes_of(passes, fn, g.adj)[0] == pair
-            assert passes == want
+            assert passes == want and len(searches) == count
+            assert searches[4:] == (c10_far if g.n == 10 else [])
 
 
 def _sweep_bound(rows):
@@ -403,23 +426,29 @@ def test_leaf_pair_matches_the_pair_kernel_on_every_small_leaf():
                 assert _kernels.leaf_pair(basis, s) == pair, (g.adj, s)
 
 
-def test_reach_matches_a_plain_fixpoint():
+def test_layers_within_a_set_match_a_plain_fixpoint():
+    """Layer k + 1 of ``layers(rows, start, within)`` is the vertices of
+    ``within`` next to layer k and in no earlier layer; the list ends
+    before the first empty layer (``[0]`` for an empty start), and without
+    ``within`` every vertex is allowed."""
     rng = random.Random(53)
     for n in range(1, 65):
         for p in (0.02, 0.08, 0.3):
             rows = random_graph(rng, n, p).adj
             within = rng.getrandbits(n) | 1
             start = rng.getrandbits(n) & within
-            want = start
-            while True:
-                grown = want
-                for v in range(n):
-                    if (want >> v) & 1:
-                        grown |= rows[v] & within
-                if grown == want:
-                    break
-                want = grown
-            assert _kernels.reach(rows, start, within) == want
+            for mask, args in ((within, (within,)), ((1 << n) - 1, ())):
+                want, seen = [start], start
+                while True:
+                    grown = 0
+                    for v in range(n):
+                        if (want[-1] >> v) & 1:
+                            grown |= rows[v] & mask & ~seen
+                    if not grown:
+                        break
+                    want.append(grown)
+                    seen |= grown
+                assert _kernels.layers(rows, start, *args) == want
 
 
 def test_distances_match_reference_bfs():

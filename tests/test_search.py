@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 import types
@@ -24,7 +25,14 @@ from distlab.sat.search import (
 )
 
 import brute
-from util import are_isomorphic, complete_graph, path_graph, reference_distances
+from util import (
+    are_isomorphic,
+    complete_graph,
+    path_graph,
+    random_graph,
+    reference_distances,
+    reference_k_distance_edges,
+)
 
 
 def test_each_clause_is_checked_once_on_its_way_to_the_solver(monkeypatch):
@@ -371,6 +379,85 @@ def test_rejection_kinds_name_the_failed_check():
     ]
     for g, params, text in cases:
         assert text in verify_witness(g, params)[3]
+
+
+def _reference_verdict(g, params):
+    """(ok, d, d2, reason) of ``verify_witness``, from deque BFS distances:
+    the same checks in the same order, with the same reason strings."""
+
+    def diam(dist):
+        return math.inf if any(-1 in row for row in dist) else max(map(max, dist))
+
+    dist = reference_distances(g)
+    dist2 = reference_distances(from_edge_list(g.n, reference_k_distance_edges(g, 2)))
+    d, d2 = diam(dist), diam(dist2)
+    p = params.p2_len
+    if params.forbid_diam_le_2 and d <= 2:
+        return False, d, d2, f"diameter {d} is not above 2"
+    for i in range(p):
+        if dist[i][i + 1] != 2:
+            return False, d, d2, f"pinned pair ({i}, {i + 1}) not at distance 2"
+    if p >= 1 and dist2[0][p] != p:
+        return False, d, d2, f"pinned path is not a geodesic: d2(0, {p}) = {dist2[0][p]}"
+    if params.min_d2 >= 1 and d2 == math.inf:
+        return False, d, d2, "2-distance graph is disconnected"
+    if params.min_d2 >= 1 and d2 < params.min_d2:
+        return False, d, d2, f"2-distance diameter {d2} below {params.min_d2}"
+    if params.require_sharp and (d == math.inf or d2 == math.inf or d2 < d + 2):
+        return False, d, d2, f"({d}, {d2}) misses the sharp gap diam G2 >= diam G + 2"
+    return True, d, d2, "ok"
+
+
+# (p2_len, min_d2, forbid_diam_le_2): the brute-force sets, then (9, 6, 6) and (13, 8, 8)
+VERDICT_PARAMS = [
+    (2, 3, True), (4, 4, True), (5, 5, True), (3, 6, True), (2, 3, False), (0, 4, False),
+    (6, 6, True), (8, 8, True),
+]
+
+# Each reason string by the words that name its check.
+REASON_KINDS = {
+    "not above 2": "shallow",
+    "not at distance 2": "pinned pair",
+    "not a geodesic": "geodesic",
+    "disconnected": "disconnected",
+    "below": "below",
+    "sharp gap": "sharp",
+    "ok": "ok",
+}
+
+
+def test_verify_witness_matches_reference_distances():
+    """The whole (ok, d, d2, reason) of ``verify_witness`` equals the one
+    from deque BFS, on seeded labeled graphs of 4..9 vertices, the family
+    witnesses, the planted rejection cases and the witnesses that search
+    finds, under every parameter set; every kind of reason occurs."""
+    rng = random.Random(20261020)
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(4, 10)
+        for p in (0.25, 0.35, 0.5)
+        for _ in range(60)
+    ]
+    graphs += [family_graph(4), family_graph(6), complete_graph(5), path_graph(4), FAMILY4_PINNED]
+    graphs += [search(SearchParams(*target)).graph for target in [(9, 6, 6), (13, 8, 8)]]
+    cases = [
+        (g, SearchParams(g.n, p2_len, min_d2, forbid))
+        for g in graphs
+        for p2_len, min_d2, forbid in VERDICT_PARAMS
+        if p2_len < g.n
+    ]
+    cases += [
+        (complete_graph(5), SearchParams(n=5, p2_len=0, min_d2=0)),
+        (path_graph(4), SearchParams(n=4, p2_len=0, min_d2=1, require_sharp=False)),
+        (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=7, require_sharp=False)),
+        (FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=6)),
+    ]
+    kinds = set()
+    for g, params in cases:
+        got = verify_witness(g, params)
+        assert got == _reference_verdict(g, params), (g.adj, params)
+        kinds |= {kind for words, kind in REASON_KINDS.items() if words in got[3]}
+    assert kinds == set(REASON_KINDS.values())
 
 
 def test_one_candidate_costs_two_bfs_runs(monkeypatch):

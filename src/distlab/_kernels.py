@@ -62,7 +62,9 @@ lemma):
 
 - d(x, y) = min(d_P(x, y), a_x + a_y + 2) for old x and y, and
   d(x, m) = a_x + 1, so diam G is the largest D with a_x + 1 >= D for
-  some x, or with d_P(x, y) >= D and a_x + a_y >= D - 2 for some pair;
+  some x, or with d_P(x, y) >= D and a_x + a_y >= D - 2 for some pair
+  (``leaf_basis`` keeps, as rows, P's pairs at distance at least D for
+  each D, and ``leaf_pair`` scans them from the largest D down);
 - the leaf is bipartite iff P is and S lies on one side of P, and then
   no G2 pass runs;
 - the leaf's G2 rows are P's distance-2 rows, plus S less N_P[x] for
@@ -283,11 +285,10 @@ def diameter_pair(rows: Sequence[int]) -> tuple[int, int]:
 def leaf_basis(rows: Sequence[int]) -> tuple:
     """What ``leaf_pair`` needs of a connected parent P, from one BFS.
 
-    A tuple of P's rows; ``far``, where ``far[D]`` for D = 2..diam P is
-    the pair (rows of the pairs at distance at least D, the bitset of
-    vertices with such a pair), and ``far[0]`` and ``far[1]`` are unused;
-    P's distance-2 rows; and P's side holding vertex 0 when P is
-    bipartite, else 0.
+    A tuple of P's rows; ``far``, where ``far[D]`` for D = 2..diam P
+    lists the rows of the pairs at distance at least D, and ``far[0]``
+    and ``far[1]`` are unused; P's distance-2 rows; and P's side holding
+    vertex 0 when P is bipartite, else 0.
     """
     n = len(rows)
     lv = levels(rows)[0]
@@ -295,8 +296,7 @@ def leaf_basis(rows: Sequence[int]) -> tuple:
     acc = 0
     for big in range(len(lv) - 1, 1, -1):
         acc |= lv[big]
-        far_rows = unpack(acc, n)
-        far[big] = far_rows, sum(1 << x for x, row in enumerate(far_rows) if row)
+        far[big] = unpack(acc, n)
     ring2 = unpack(lv[2], n) if len(lv) > 2 else [0] * n
     return rows, far, ring2, _bipartite(rows, lv)
 
@@ -342,18 +342,18 @@ def leaf_pair(basis: tuple, s: int) -> tuple[int, int]:
     return d, (len(lv2) - 1 if connected2 else UNREACHABLE)
 
 
-def _far_pair(far_big: tuple, around: Sequence[int], beyond: Sequence[int], big: int) -> bool:
+def _far_pair(far_rows: Sequence[int], around: Sequence[int], beyond: Sequence[int],
+              big: int) -> bool:
     """Whether a leaf has old vertices x and y at least ``big`` apart:
     d_P(x, y) >= big and a_x + a_y >= big - 2.
 
     Taking a_x >= a_y, x lies in a layer k >= (big - 2) / 2 and y has
     a_y >= big - 2 - k, which is never negative as big >= r + 2.
-    ``far_big`` is ``far[big]`` of ``leaf_basis``.
+    ``far_rows`` is ``far[big]`` of ``leaf_basis``.
     """
-    far_rows, ecc = far_big
     for k in range((big - 1) // 2, len(around)):
         want = beyond[big - 2 - k]
-        xs = around[k] & ecc
+        xs = around[k]
         while xs:
             low = xs & -xs
             if far_rows[low.bit_length() - 1] & want:

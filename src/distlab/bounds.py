@@ -46,6 +46,10 @@ def check_bounds(g: Graph) -> BoundReport:
     return BoundReport(d, d2, lower, upper, verdict)
 
 
+# The largest even k with 2k + 1 <= MAX_VERTICES.
+FAMILY_MAX_K = (MAX_VERTICES - 1) // 4 * 2
+
+
 def family_graph(k: int) -> Graph:
     """Extremal witness for even k >= 4: a 2k-cycle plus one apex vertex.
 
@@ -53,9 +57,8 @@ def family_graph(k: int) -> Graph:
     and 1, closing a single triangle.  The result has 2k + 1 vertices,
     diameter k, and 2-distance diameter k + 2.
     """
-    k_max = (MAX_VERTICES - 1) // 4 * 2  # largest even k with 2k + 1 <= MAX_VERTICES
-    if not isinstance(k, int) or not 4 <= k <= k_max or k % 2:
-        raise ValueError(f"family is defined for even k in 4..{k_max}, got {k!r}")
+    if not isinstance(k, int) or not 4 <= k <= FAMILY_MAX_K or k % 2:
+        raise ValueError(f"family is defined for even k in 4..{FAMILY_MAX_K}, got {k!r}")
     edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
     edges += [(2 * k, 0), (2 * k, 1)]
     return from_edge_list(2 * k + 1, edges)

@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("family", help="sharp even-k witness graph as graph6")
-    p.add_argument("--k", type=int, required=True, help="even diameter, 4..30")
+    p.add_argument("--k", type=int, required=True, help=f"even diameter, 4..{bounds.FAMILY_MAX_K}")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_family)
 

@@ -101,13 +101,15 @@ one BFS, ``_kernels.leaf_basis``, and each child it accepts gets its
 pair from that and its attachment set by ``_kernels.leaf_pair`` (the
 README's leaf lemma), with no ``diameter_pair`` and no connectivity
 test; only n = 1, whose root has no parent, is measured directly.
-Counts land in a :class:`SurveyTable`; infinite G2 diameters are kept
-under ``inf``.
+Each subtree's counts are a ``collections.Counter`` keyed by (d, d2),
+and the :class:`SurveyTable`'s ``cells`` is the Counter that sums them;
+infinite G2 diameters are kept under ``inf``.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -146,9 +148,6 @@ def _attachment_reps(m: int, gens: Sequence[tuple[int, ...]], bad: Sequence[int]
     alone.
     """
     size = 1 << m
-    if not gens:
-        yield from (s for s in range(1, size) if not s & bad[s.bit_count()])
-        return
     tables = []
     for g in gens:
         img = [0] * size
@@ -299,17 +298,16 @@ class SurveyTable:
     """Counts of connected isomorphism classes by (diam G, diam G2)."""
 
     n: int
-    cells: dict[tuple[int, int | float], int] = field(default_factory=dict)
+    cells: Counter[tuple[int, int | float]] = field(default_factory=Counter)
 
     def add(self, d: int, d2: int | float, count: int = 1) -> None:
-        key = (d, d2)
-        self.cells[key] = self.cells.get(key, 0) + count
+        self.cells[d, d2] += count
 
     def get(self, d: int, d2: int | float) -> int:
-        return self.cells.get((d, d2), 0)
+        return self.cells[d, d2]
 
     def total(self) -> int:
-        return sum(self.cells.values())
+        return self.cells.total()
 
     def sorted_items(self) -> list[tuple[tuple[int, int | float], int]]:
         def key(item):
@@ -336,17 +334,13 @@ def _leaf_pairs(n: int, root: tuple[int, ...], gens) -> Iterator[tuple[int, int]
             yield _kernels.leaf_pair(basis, child[-1])
 
 
-def _survey_subtree(n: int, node) -> dict[tuple[int, int | float], int]:
+def _survey_subtree(n: int, node) -> Counter[tuple[int, int | float]]:
     """(diam G, diam G2) counts over the order-n graphs below one node,
     given as its rows and its automorphism generators."""
     rows, gens = node
-    cells: dict[tuple[int, int | float], int] = {}
     # The order-1 root of n = 1 has no parent.
     pairs = [_kernels.diameter_pair(rows)] if len(rows) == n else _leaf_pairs(n, rows, gens)
-    for d, d2 in pairs:
-        key = (d, math.inf if d2 < 0 else d2)
-        cells[key] = cells.get(key, 0) + 1
-    return cells
+    return Counter((d, math.inf if d2 < 0 else d2) for d, d2 in pairs)
 
 
 # Subtrees a worker takes at a time; a pool pays once it has more than one
@@ -385,6 +379,5 @@ def survey(n: int) -> SurveyTable:
     with fan_out as pool:
         parts = map(count, roots) if pool is None else pool.map(count, roots, chunksize=_CHUNK)
         for cells in parts:
-            for (d, d2), c in cells.items():
-                table.add(d, d2, c)
+            table.cells.update(cells)
     return table

@@ -4,7 +4,9 @@ A :class:`Graph` is an undirected simple graph on ``1..64`` vertices,
 stored as a tuple of plain-int adjacency bitsets, one per vertex.  All
 distance work is exact integer BFS (:mod:`distlab._kernels`); "infinite"
 shows up as ``math.inf`` in diameters and as :data:`UNREACHABLE` entries
-in distance matrices, which are lists of rows.
+in distance matrices, which are lists of rows.  Only
+:func:`all_pairs_distances` builds a matrix: :func:`diameter` and
+:func:`diameter_pair` read BFS levels and layers and build none.
 """
 from __future__ import annotations
 
@@ -121,13 +123,6 @@ def diameter(g: Graph) -> int | float:
     lies within 3 of every vertex.
     """
     return _inf(_kernels.diameter(g.adj))
-
-
-def matrix_diameter(dist: Sequence[Sequence[int]]) -> int | float:
-    """Largest entry of a distance matrix; ``math.inf`` if any is ``UNREACHABLE``."""
-    if any(UNREACHABLE in row for row in dist):
-        return math.inf
-    return max(max(row) for row in dist)
 
 
 def diameter_pair(g: Graph) -> tuple[int | float, int | float]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..graphs import MAX_VERTICES
+
 
 class CnfFormula:
     """Clause list with a declared variable count; every clause is checked.
@@ -150,8 +152,8 @@ class VarMap:
     """
 
     def __init__(self, n: int):
-        if not 2 <= n <= 64:
-            raise ValueError(f"need 2 <= n <= 64, got {n!r}")
+        if not 2 <= n <= MAX_VERTICES:
+            raise ValueError(f"need 2 <= n <= {MAX_VERTICES}, got {n!r}")
         self.n = n
         self._npairs = n * (n - 1) // 2
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

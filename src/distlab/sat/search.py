@@ -13,7 +13,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..graphs import Graph, all_pairs_distances, k_distance, matrix_diameter
+from .. import _kernels
+from ..graphs import MAX_VERTICES, Graph, diameter_pair, k_distance
 from .dpll import SAT, UNSAT, DpllSolver
 from .encode import build_formula, decode_model, geodesic_length, model_b_edges
 
@@ -46,8 +47,8 @@ class SearchParams:
     budget_seconds: float | None = None
 
     def __post_init__(self):
-        if not 2 <= self.n <= 64:
-            raise ValueError(f"n must be in 2..64, got {self.n}")
+        if not 2 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {self.n}")
         if not 0 <= self.p2_len < self.n:
             raise ValueError(f"path with {self.p2_len} edges does not fit in n={self.n}")
         if self.min_d2 < 0:
@@ -159,22 +160,23 @@ def verify_witness(
     Checks, independently of the encoding: diameter above 2 when
     demanded, the pinned path is a geodesic of the 2-distance graph, and
     the 2-distance diameter is finite and at least ``min_d2`` (when
-    ``min_d2 >= 1``).  It computes every distance itself, from ``g``.
+    ``min_d2 >= 1``).  It computes every distance itself, from ``g``:
+    (d, d2) by ``diameter_pair``, and the pinned pairs and d2(0, p2_len)
+    on the rows of G2, which join the pairs at distance 2.
     """
-    dist = all_pairs_distances(g)
-    d = matrix_diameter(dist)
-    dist2 = all_pairs_distances(k_distance(g, 2))
-    d2 = matrix_diameter(dist2)
+    d, d2 = diameter_pair(g)
+    rows2 = k_distance(g, 2).adj
+    p = params.p2_len
     if params.forbid_diam_le_2 and not (math.isinf(d) or d > 2):
         return False, d, d2, f"diameter {d} is not above 2"
-    for i in range(params.p2_len):
-        if dist[i][i + 1] != 2:
+    for i in range(p):
+        if not rows2[i] >> (i + 1) & 1:
             return False, d, d2, f"pinned pair ({i}, {i + 1}) not at distance 2"
-    if params.p2_len >= 1 and dist2[0][params.p2_len] != params.p2_len:
-        return False, d, d2, (
-            f"pinned path is not a geodesic: d2(0, {params.p2_len}) = "
-            f"{dist2[0][params.p2_len]}"
-        )
+    if p >= 1:
+        # d2(0, p): the index of the BFS layer of G2 from vertex 0 that holds p
+        d2p = next((k for k, layer in enumerate(_kernels.layers(rows2, 1)) if layer >> p & 1), -1)
+        if d2p != p:
+            return False, d, d2, f"pinned path is not a geodesic: d2(0, {p}) = {d2p}"
     if params.min_d2 >= 1:
         if math.isinf(d2):
             return False, d, d2, "2-distance graph is disconnected"

@@ -460,18 +460,21 @@ def test_verify_witness_matches_reference_distances():
     assert kinds == set(REASON_KINDS.values())
 
 
-def test_one_candidate_costs_two_bfs_runs(monkeypatch):
-    calls = []
-    real = distlab._kernels.distances
+def test_one_witness_check_costs_one_pair_kernel_call_and_no_distance_matrix(monkeypatch):
+    """``verify_witness``, alone and inside ``search``, calls
+    ``_kernels.diameter_pair`` once, on the witness's rows, and builds no
+    distance matrix."""
+    calls = {"distances": [], "diameter_pair": []}
+    for name, log in calls.items():
+        def counting(adj, _real=getattr(distlab._kernels, name), _log=log):
+            _log.append(tuple(adj))
+            return _real(adj)
 
-    def counting(adj):
-        calls.append(len(adj))
-        return real(adj)
-
-    monkeypatch.setattr(distlab._kernels, "distances", counting)
-    out = search(SearchParams(n=9, p2_len=6, min_d2=6))
-    assert isinstance(out, Witness) and out.solve_calls == 1
-    assert len(calls) == 2
-    calls.clear()
+        monkeypatch.setattr(distlab._kernels, name, counting)
+    for target in [(9, 6, 6), (13, 8, 8)]:
+        out = search(SearchParams(*target))
+        assert isinstance(out, Witness) and out.solve_calls == 1
+        assert calls == {"distances": [], "diameter_pair": [out.graph.adj]}
+        calls["diameter_pair"].clear()
     verify_witness(FAMILY4_PINNED, SearchParams(n=9, p2_len=6, min_d2=6))
-    assert len(calls) == 2
+    assert calls == {"distances": [], "diameter_pair": [FAMILY4_PINNED.adj]}

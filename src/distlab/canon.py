@@ -21,14 +21,12 @@ other, far cheaper than a canonical labeling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, bitset_to_vertices
 
 
-@dataclass
-class CanonResult:
+class CanonResult(NamedTuple):
     code: int                      # packed upper triangle in canonical order
     order: list[int]               # position p holds vertex order[p]
     generators: list[tuple[int, ...]]  # automorphism generators (vertex maps)

@@ -111,7 +111,6 @@ import math
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -119,11 +118,12 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph, bitset_to_vertices
 
-# The census runs 18,600 graphs/s at n <= 8 (one core, in the benchmark's
-# scaled seconds) and about 20,400 graphs/s, also scaled, at n = 10 (six
-# runs on each of two sets of 100 random subtrees below order 8, one core of
-# a 2-core x86_64 VM shared with other work; the two sets' medians read
-# 19,900 and 20,700).  So on one CPU n = 10 (11,716,571 classes) takes about
+# The census runs about 18,000 graphs/s at n <= 8 (the benchmark's census
+# items_per_s on one core, in its scaled seconds: 17,750-18,650 over 20
+# runs) and about 20,400 graphs/s, also scaled, at n = 10 (six runs on each
+# of two sets of 100 random subtrees below order 8, one core of a 2-core
+# x86_64 VM shared with other work; the two sets' medians read 19,600 and
+# 21,200).  So on one CPU n = 10 (11,716,571 classes) takes about
 # 0.16 h, n = 11 at least 13 h and n = 12 at least 0.25 years.  ``survey``
 # spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
@@ -293,12 +293,20 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         yield Graph(n, rows, _validate=False)
 
 
-@dataclass
 class SurveyTable:
     """Counts of connected isomorphism classes by (diam G, diam G2)."""
 
-    n: int
-    cells: Counter[tuple[int, int | float]] = field(default_factory=Counter)
+    def __init__(self, n: int, cells: Counter[tuple[int, int | float]] | None = None) -> None:
+        self.n = n
+        self.cells = Counter() if cells is None else cells
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.cells) == (other.n, other.cells)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, cells={self.cells!r})"
 
     def add(self, d: int, d2: int | float, count: int = 1) -> None:
         self.cells[d, d2] += count
@@ -371,8 +379,9 @@ def survey(n: int) -> SurveyTable:
     workers = min(_usable_cpus(), math.ceil(len(roots) / _CHUNK))
     fan_out = nullcontext()
     if workers > 1:
-        # Imported here: concurrent.futures.process is 14-20 ms of a 45-60 ms
-        # ``import distlab``, and a serial census never needs it.
+        # Imported here: compiled from source, concurrent.futures.process
+        # takes 20-28 ms, twice ``import distlab.enumeration``, and a serial
+        # census never needs it.
         from concurrent.futures import ProcessPoolExecutor
 
         fan_out = ProcessPoolExecutor(workers)

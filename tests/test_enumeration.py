@@ -648,6 +648,19 @@ def test_survey_table_accessors():
     assert t.total() == 9
     keys = [k for k, _ in t.sorted_items()]
     assert keys == [(1, 1), (2, 3), (2, math.inf)]
+    # Equality and repr by (n, cells), and a Counter of its own per table.
+    same = SurveyTable(5)
+    for d, d2, count in ((2, math.inf, 4), (1, 1, 2), (2, 3, 3)):
+        same.add(d, d2, count)
+    assert t == same
+    assert t != SurveyTable(6, same.cells)
+    assert t != SurveyTable(5)
+    assert t != (5, t.cells)
+    assert repr(t) == f"SurveyTable(n=5, cells={t.cells!r})"
+    a, b = SurveyTable(3), SurveyTable(3)
+    a.add(1, 1)
+    assert a.cells is not b.cells
+    assert b.total() == 0
 
 
 def test_survey_csv_round_trip():

@@ -15,6 +15,9 @@ def test_every_name_in_all_resolves_and_is_listed_once():
     counts = collections.Counter(distlab.__all__)
     assert [name for name, count in counts.items() if count > 1] == []
     assert [name for name in counts if not hasattr(distlab, name)] == []
+    namespace = {}
+    exec("from distlab import *", namespace)
+    assert all(namespace[name] is getattr(distlab, name) for name in distlab.__all__)
 
 
 def test_each_export_is_its_defining_submodules_object():
@@ -27,13 +30,6 @@ def test_each_export_is_its_defining_submodules_object():
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
         assert vars(distlab)[name] is value, name
     assert set(distlab.__all__) == {*distlab._OWNER, "__version__"}
-
-
-def test_star_import_binds_every_name():
-    namespace = {}
-    exec("from distlab import *", namespace)
-    assert [name for name in distlab.__all__ if name not in namespace] == []
-    assert all(namespace[name] is getattr(distlab, name) for name in distlab.__all__)
 
 
 def test_unknown_name_raises_attribute_error_naming_the_module():

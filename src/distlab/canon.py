@@ -14,6 +14,14 @@ lists of bitset cells, the root one ``refine(rows, [full], [full])``.
 A vertex x splits a cell c with one ``&``, into ``c & ~rows[x]`` and
 ``c & rows[x]``, and a discrete partition reads as an order.
 
+``refine`` can stop before its cells are equitable, at a question
+about them: given bitsets ``watch`` and ``mark``, does the last cell
+that meets ``watch`` miss ``mark``, or meet ``watch`` in ``mark``
+alone?  Refinement only ever splits a cell into consecutive pieces in
+its place, so once either answer is yes it stays yes down to the
+equitable partition, and the census's partition rule asks no more than
+that of a child at its final order.
+
 ``automorphism_mapping`` runs the same individualization and refinement
 on two vertices in step, and checks the pairing of the two discrete
 partitions it ends in: a certificate that one vertex maps onto the
@@ -32,7 +40,8 @@ class CanonResult(NamedTuple):
     generators: list[tuple[int, ...]]  # automorphism generators (vertex maps)
 
 
-def refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+def refine(rows: Sequence[int], cells: list[int], splitters: list[int],
+           watch: int = 0, mark: int = 0) -> list[int]:
     """Split the bitset ``cells`` until they are equitable, one splitter at a time.
 
     ``splitters`` are bitsets that cover what changed since ``cells`` was
@@ -41,10 +50,19 @@ def refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     popped splitter w splits every cell by the count
     ``(rows[v] & w).bit_count()``; a cell's sub-cells take its place in
     increasing count, and each new sub-cell is pushed as a splitter.  A
+    cell whose vertices all have one count is kept as it is.  A
     singleton splitter {x} needs no count: it splits each cell c into
     ``c & ~rows[x]`` and then ``c & rows[x]``.  The result depends only on
     cell positions and counts, never on vertex labels, so it commutes
     with relabeling.
+
+    A nonzero ``watch`` is a stop condition, with the bitset ``mark``:
+    after each pass that splits a cell, C is the last cell that meets
+    ``watch``, and the cells are returned as they stand, not yet
+    equitable, once C misses ``mark`` or meets ``watch`` in ``mark``
+    alone.  Every later split cuts a cell into consecutive pieces in its
+    place, so the last cell that meets ``watch`` stays a piece of C, and
+    either answer holds for the equitable partition too.
     """
     stack = list(splitters)
     n = len(rows)
@@ -65,19 +83,32 @@ def refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[
                 if c & (c - 1) == 0:
                     new_cells.append(c)
                     continue
-                buckets: dict[int, int] = {}
-                rest = c
+                low = c & -c
+                k = (rows[low.bit_length() - 1] & w).bit_count()
+                rest = c ^ low
+                while rest:  # rest: the vertices not yet seen to have count k
+                    low = rest & -rest
+                    if (rows[low.bit_length() - 1] & w).bit_count() != k:
+                        break
+                    rest ^= low
+                if not rest:
+                    new_cells.append(c)
+                    continue
+                buckets = {k: c ^ rest}
                 while rest:
                     low = rest & -rest
                     k = (rows[low.bit_length() - 1] & w).bit_count()
                     buckets[k] = buckets.get(k, 0) | low
                     rest ^= low
-                if len(buckets) < 2:
-                    new_cells.append(c)
-                    continue
                 for key in sorted(buckets):
                     new_cells.append(buckets[key])
                     stack.append(buckets[key])
+        if watch and len(new_cells) > len(cells):
+            for last in reversed(new_cells):
+                if last & watch:
+                    break
+            if not last & mark or not last & watch & ~mark:
+                return new_cells
         cells = new_cells
     return cells
 

@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="joint (d, d2) census over connected graphs")
     p.add_argument("--n", type=int, required=True,
                    help=f"vertex count, at most {ENUM_CAP} "
-                        f"(n = {ENUM_CAP} takes about 0.16 h on one core; "
+                        f"(n = {ENUM_CAP} takes about 0.15 h on one core; "
                         f"from n = 7 the census spreads over the usable CPUs)")
     p.add_argument("--out", required=True, help="CSV path, - for stdout")
     p.set_defaults(func=cmd_survey)

@@ -58,7 +58,14 @@ are a few bitset operations, and no child runs a search of its own.
   cell that holds a non-cut vertex: the last cell c with
   ``c & noncut``.  The child is rejected when m is not in C and accepted
   when m is the only non-cut vertex of C; the others, ``C & noncut``
-  less m, are the rivals.
+  less m, are the rivals.  A child at the walk's final order is refined
+  with the stop ``watch = noncut``, ``mark = 1 << m``: the refinement
+  ends after the first splitter pass whose last cell with a non-cut
+  vertex lacks m, or holds m as its only non-cut vertex.  Every later
+  split cuts a cell into consecutive pieces in its place, so the last
+  cell with a non-cut vertex would stay a piece of that cell, and the
+  equitable partition gives the same verdict.  A child left with
+  rivals is refined to the end.
 - Twin accept.  A vertex v is a twin of m when N(m) less v equals N(v)
   less m; then the transposition (m v) maps every edge to an edge, so it
   is an automorphism and v shares m's orbit.  The degree test leaves v*
@@ -83,8 +90,11 @@ are a few bitset operations, and no child runs a search of its own.
 - Leaf shortcut.  Generators are needed only for the nodes the walk
   grows further, so at the walk's final order a child is canonized only
   when some rival is neither a twin of m nor certified, to compare m's
-  orbit with v*'s from the refined cells.  Every accepted child below
-  that order is canonized, for its generators.
+  orbit with v*'s from the refined cells, and the partition rule's stop
+  applies only there.  Every accepted child below that order is
+  canonized, for its generators, from the whole equitable partition:
+  ``canonical_labeling_rows`` needs it, and a stop that depends on m,
+  which is not an invariant of the child, would break its canonical form.
 
 The degree test stays as a separate first step because it is far
 cheaper than a refinement: refining every child in its place made
@@ -118,14 +128,14 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph, bitset_to_vertices
 
-# The census runs about 18,000 graphs/s at n <= 8 (the benchmark's census
-# items_per_s on one core, in its scaled seconds: 17,750-18,650 over 20
-# runs) and about 20,400 graphs/s, also scaled, at n = 10 (six runs on each
-# of two sets of 100 random subtrees below order 8, one core of a 2-core
-# x86_64 VM shared with other work; the two sets' medians read 19,600 and
-# 21,200).  So on one CPU n = 10 (11,716,571 classes) takes about
-# 0.16 h, n = 11 at least 13 h and n = 12 at least 0.25 years.  ``survey``
-# spreads its subtrees over the usable CPUs from n = 7 on.
+# The census runs about 19,600 graphs/s at n <= 8 (the benchmark's census
+# items_per_s on one core, in its scaled seconds: quartiles 19,290-19,830
+# over 10 runs) and about 22,400 graphs/s, also scaled, at n = 10 (six runs
+# on each of two sets of 100 random subtrees below order 8, one core of a
+# 2-core x86_64 VM shared with other work; the two sets' medians read
+# 22,300 and 22,500).  So on one CPU n = 10 (11,716,571 classes) takes
+# about 0.15 h, n = 11 at least 12 h and n = 12 at least 0.23 years.
+# ``survey`` spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
 
@@ -245,7 +255,9 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
             if c:
                 cells.append(c)
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
-        cells = canon.refine(child, cells, cells if len(cells) > 1 else [])
+        # A leaf child stops refining once the partition rule's verdict is fixed.
+        cells = canon.refine(child, cells, cells if len(cells) > 1 else [],
+                             noncut if leaf else 0, 1 << m)
         last = next(c for c in reversed(cells) if c & noncut)
         if not last >> m & 1:
             continue  # v* and its orbit lie in that later cell

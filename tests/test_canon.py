@@ -25,6 +25,7 @@ from util import (
     random_graph,
     reference_refine,
     relabeled,
+    split_in_place,
 )
 
 
@@ -233,6 +234,37 @@ def test_refine_keeps_the_cell_order_of_list_cells():
             assert [bitset_to_vertices(c) for c in refine(rows, cells, splitters)] == want
             checked += 1
     assert checked > 5000
+
+
+def test_stopped_refinement_is_split_in_place_and_commutes_with_relabeling():
+    """With a stop condition (random ``watch`` and ``mark``), refine returns
+    cells that the full refinement splits in place, each a union of a
+    consecutive run of its cells, in order; at return, the last cell that
+    meets ``watch`` misses ``mark`` or meets ``watch`` in ``mark`` alone,
+    or else the cells are equitable.  The result commutes with
+    relabeling, ``watch`` and ``mark`` relabeled too."""
+    rng = random.Random(89)
+    checked = stopped = 0
+    for g in _atlas_and_random_graphs():
+        rows, n = g.adj, g.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = relabeled(g, perm).adj
+        image = lambda w: sum(1 << perm[v] for v in bitset_to_vertices(w))
+        for cells, splitters in _refinement_inputs(rows, n):
+            watch = rng.randrange(1, 1 << n)
+            mark = 1 << rng.randrange(n) if rng.random() < 0.5 else rng.randrange(1 << n)
+            got = refine(rows, cells, splitters, watch, mark)
+            full = refine(rows, cells, splitters)
+            assert split_in_place(got, full)
+            last = next(c for c in reversed(got) if c & watch)
+            assert not last & mark or not last & watch & ~mark or _is_equitable(rows, got)
+            moved_got = refine(moved, [image(c) for c in cells], [image(w) for w in splitters],
+                               image(watch), image(mark))
+            assert moved_got == [image(c) for c in got]
+            checked += 1
+            stopped += got != full
+    assert checked > 5000 and stopped > 1000  # 7,045 and 1,198
 
 
 def _root_cells(rows, n):

@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -33,6 +34,7 @@ from util import (
     reference_diameter,
     reference_k_distance_edges,
     relabeled,
+    split_in_place,
 )
 
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
@@ -160,6 +162,14 @@ def _degree_cells(rows):
     return [by_degree[d] for d in sorted(by_degree)]
 
 
+def _rule_verdict(cells, noncut, m):
+    """The partition rule on ``cells``: "reject" when m is not in the last
+    cell that holds a non-cut vertex, else the rivals, that cell's other
+    non-cut vertices (0 accepts)."""
+    last = next(c for c in reversed(cells) if c & noncut)
+    return noncut & last & ~(1 << m) if last >> m & 1 else "reject"
+
+
 def test_children_refine_through_the_canon_module(monkeypatch):
     """A leaf child that passes the degree test is refined once, from its
     degree cells in increasing degree, each of them a splitter (none when
@@ -167,26 +177,43 @@ def test_children_refine_through_the_canon_module(monkeypatch):
     ``distlab.canon.refine`` sees (the benchmark's tracer counts
     ``canon.refine`` there), exactly when another non-cut vertex has m's
     degree and is not a twin of m; the others are not refined at all.
-    That call returns what refining from the whole vertex set returns.
-    Without ``leaf`` every child that passes is refined once from its
-    degree cells.  Every other refine call on a child is the certificate's,
-    by one individualized vertex."""
+    That call stops at the partition rule's verdict: it watches the
+    child's non-cut vertices and marks m, its cells give the verdict that
+    refining from the whole vertex set gives, and that full refinement
+    splits them in place; a child left with rivals gets the full
+    refinement, which the certificates start from.  Without ``leaf``
+    every child that passes is refined once from its degree cells, with
+    no stop, to the full refinement.  Every other refine call on a child
+    is the certificate's, by one individualized vertex, with no stop."""
     seeded, seen = [], set()
-    regular = 0
+    regular = stopped = 0
+    leaf = False  # _nodes_up_to grows the nodes below with no stop
     real = distlab.canon.refine
 
-    def recording(rows, cells, splitters):
-        nonlocal regular
+    def recording(rows, cells, splitters, watch=0, mark=0):
+        nonlocal regular, stopped
         seen.add(tuple(rows))
         degree = _degree_cells(rows)
-        got = real(rows, cells, splitters)
+        got = real(rows, cells, splitters, watch, mark)
         if cells == degree and splitters == (degree if len(degree) > 1 else []):
             full = (1 << len(rows)) - 1
-            assert got == real(rows, [full], [full])
+            want = real(rows, [full], [full])
+            if leaf:
+                m = len(rows) - 1
+                assert watch == sum(1 << u for u in range(m + 1) if _connected_without(rows, u))
+                assert mark == 1 << m
+                verdict = _rule_verdict(got, watch, m)
+                assert verdict == _rule_verdict(want, watch, m)
+                assert split_in_place(got, want)
+                if verdict not in ("reject", 0):
+                    assert got == want
+                stopped += got != want
+            else:
+                assert got == want and not watch
             seeded.append(tuple(rows))
             regular += len(degree) == 1
         else:
-            assert len(splitters) == 1 and splitters[0] & splitters[0] - 1 == 0
+            assert len(splitters) == 1 and splitters[0] & splitters[0] - 1 == 0 and not watch
         return got
 
     monkeypatch.setattr(distlab.canon, "refine", recording)
@@ -205,13 +232,15 @@ def test_children_refine_through_the_canon_module(monkeypatch):
                 tied.append(child)
         seeded.clear()
         seen.clear()
+        leaf = True
         list(_children(rows, gens, True))
         assert seeded == tied and seen == set(tied)
         skipped += len(survivors) - len(tied)
         seeded.clear()
+        leaf = False
         list(_children(rows, gens, False))
         assert seeded == survivors
-    assert skipped and regular
+    assert skipped and regular and stopped
 
 
 def _refined_leaf_children(rows, gens):
@@ -516,6 +545,52 @@ def test_census_canonizes_each_root_once(monkeypatch):
     for n in range(1, 9):
         assert survey(n).total() == CLASS_COUNTS[n]
     assert fresh == []
+
+
+def test_census_round_work_is_pinned(monkeypatch):
+    """One census round, survey(7) then survey(8) in this process, lists
+    23,082 attachment sets and makes 1,183 canonical labelings, and the
+    refinements of children at the walk's final order, which stop at the
+    partition rule's verdict, run 34,814 splitter passes (72,385 when
+    each ran to an equitable partition).  A pass is one execution of the
+    ``stack.pop()`` line of ``canon.refine``, counted by a line tracer."""
+    counts = collections.Counter()
+    reps = distlab.enumeration._attachment_reps
+    labeling = distlab.enumeration.canonical_labeling_rows
+    real = distlab.canon.refine
+    lines, first = inspect.getsourcelines(real)
+    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
+
+    def counting_reps(m, gens, bad):
+        for s in reps(m, gens, bad):
+            counts["sets"] += 1
+            yield s
+
+    def counting_labeling(rows, cells=None):
+        counts["labelings"] += 1
+        return labeling(rows, cells)
+
+    def passes(frame, event, arg):
+        if event == "line" and frame.f_lineno == pop_line:
+            counts["leaf passes"] += 1
+        return passes
+
+    def counting_refine(rows, cells, splitters, watch=0, mark=0):
+        if not watch:
+            return real(rows, cells, splitters)
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: passes if frame.f_code is real.__code__ else None)
+        try:
+            return real(rows, cells, splitters, watch, mark)
+        finally:
+            sys.settrace(outer)
+
+    monkeypatch.setattr(distlab.enumeration, "_attachment_reps", counting_reps)
+    monkeypatch.setattr(distlab.enumeration, "canonical_labeling_rows", counting_labeling)
+    monkeypatch.setattr(distlab.canon, "refine", counting_refine)
+    monkeypatch.setattr(distlab.enumeration, "_usable_cpus", lambda: 1)
+    assert survey(7).total() + survey(8).total() == 11970
+    assert counts == {"sets": 23082, "labelings": 1183, "leaf passes": 34814}
 
 
 def test_survey_parallel_merge_is_identical(monkeypatch):

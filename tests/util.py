@@ -201,6 +201,20 @@ def list_cell_refine(rows, cells, splitters):
     return cells
 
 
+def split_in_place(coarse, fine):
+    """Whether each bitset cell of ``coarse`` is the union of a consecutive
+    run of ``fine``'s cells, in order, the runs covering all of ``fine``."""
+    i = 0
+    for c in coarse:
+        union = 0
+        while union != c:
+            if i == len(fine) or fine[i] & ~c:
+                return False
+            union |= fine[i]
+            i += 1
+    return i == len(fine)
+
+
 def sidecar_entries(vm) -> list[tuple]:
     """``(kind, vertices...)`` of every variable, read off ``vm.sidecar()``;
     entry v - 1 belongs to variable v."""

@@ -68,7 +68,11 @@ are a few bitset operations, and no child runs a search of its own.
   rivals is refined to the end.
 - Twin accept.  A vertex v is a twin of m when N(m) less v equals N(v)
   less m; then the transposition (m v) maps every edge to an edge, so it
-  is an automorphism and v shares m's orbit.  The degree test leaves v*
+  is an automorphism and v shares m's orbit.  N(m) is s and N(v) less m
+  is the parent's ``rows[v]``, so v < m is a twin of m iff ``rows[v]`` is
+  s less v: a true twin when v is in s, a false twin when it is not.
+  The test reads the parent's rows alone, and a child's rows are built
+  only when it is yielded or refined.  The degree test leaves v*
   among m and the tie vertices, the other non-cut vertices of m's
   degree, and the partition rule leaves it among m and the rivals, the
   other non-cut vertices of C.  So when every tie vertex, or every
@@ -128,13 +132,13 @@ from . import _kernels, canon
 from .canon import canonical_labeling_rows, orbits_from_generators
 from .graphs import Graph, bitset_to_vertices
 
-# The census runs about 19,600 graphs/s at n <= 8 (the benchmark's census
-# items_per_s on one core, in its scaled seconds: quartiles 19,290-19,830
-# over 10 runs) and about 22,400 graphs/s, also scaled, at n = 10 (six runs
+# The census runs about 22,700 graphs/s at n <= 8 (the benchmark's census
+# items_per_s on one core, in its scaled seconds: quartiles 22,480-22,910
+# over 10 runs) and about 26,900 graphs/s, also scaled, at n = 10 (six runs
 # on each of two sets of 100 random subtrees below order 8, one core of a
 # 2-core x86_64 VM shared with other work; the two sets' medians read
-# 22,300 and 22,500).  So on one CPU n = 10 (11,716,571 classes) takes
-# about 0.15 h, n = 11 at least 12 h and n = 12 at least 0.23 years.
+# 26,200 and 27,500).  So on one CPU n = 10 (11,716,571 classes) takes
+# about 0.12 h, n = 11 at least 10 h and n = 12 at least 0.19 years.
 # ``survey`` spreads its subtrees over the usable CPUs from n = 7 on.
 ENUM_CAP = 10
 
@@ -194,27 +198,19 @@ def _cut_parts(rows: Sequence[int]) -> list[list[int]]:
     return parts
 
 
-def _non_twins(child: Sequence[int], m: int, vs: int) -> int:
-    """The vertices v of the bitset ``vs`` that are not twins of m in
-    ``child``.  v is a twin of m when N(m) less v equals N(v) less m; then
-    (m v) is an automorphism."""
-    out = 0
-    while vs:
-        low = vs & -vs
-        if (child[m] ^ child[low.bit_length() - 1]) & ~(low | 1 << m):
-            out |= low
-        vs ^= low
-    return out
-
-
 def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool):
     """Accepted one-vertex extensions with their automorphism generators.
 
-    With ``leaf`` the caller needs no generators, and a child that the
-    degree classes, the partition rule, the twin accept or the
-    automorphism certificates decide comes with none.
+    Each attachment set s is decided from the parent's rows: v < m is a
+    twin of m in the child iff ``rows[v]`` is s less v, so the twin tests
+    read no row of the child, and a child's rows are built, once, only
+    when it is yielded or refined.  With ``leaf`` the caller needs no
+    generators, and a child that the degree classes, the partition rule,
+    the twin accept or the automorphism certificates decide comes with
+    none.
     """
     m = len(rows)
+    bit = 1 << m
     parts = _cut_parts(rows)
     # u < m is a non-cut vertex of the child iff s meets every part of the parent without u.
     # One part is missed only by s = {u}; the other vertices, the parent's cut vertices
@@ -227,45 +223,68 @@ def _children(rows: tuple[int, ...], gens: Sequence[tuple[int, ...]], leaf: bool
     above = [0] * (m + 1)  # above[d]: those of degree more than d
     for d in range(m - 1, -1, -1):
         above[d] = above[d + 1] | level[d + 1]
+    # The child's degree-d cell is level[d] less s plus level[d - 1] in s, and m when d = |s|.
+    by_degree = [(d, level[d], level[d - 1]) for d in range(1, m + 1)]
     # The sets that give a solid vertex a larger degree than m, by size (the degree masks).
     full = (1 << m) - 1
     kmin = max((d for d in range(m) if level[d] & solid), default=0)
     bad = [full if k < kmin else level[k] & solid for k in range(m + 1)]
     strong = solid & above[1]  # solid vertices of degree >= 2
     bad[1] = full if strong & (strong - 1) else full & ~strong if strong else 0
+    # twin_of[s]: the v with rows[v] == s less v, the twins of m in the child of s.
+    twin_of = {}
+    for v, r in enumerate(rows):
+        for t in (r, r | 1 << v):
+            twin_of[t] = twin_of.get(t, 0) | 1 << v
     for s in _attachment_reps(m, gens, bad):
         k = s.bit_count()
-        noncut = 1 << m | (solid if k > 1 else solid & ~s)  # m is never a cut vertex
-        for bit, comps in joints:
-            if all(s & c for c in comps):
-                noncut |= bit
+        noncut = bit | (solid if k > 1 else solid & ~s)  # m is never a cut vertex
+        for ubit, comps in joints:
+            for c in comps:
+                if not s & c:
+                    break
+            else:
+                noncut |= ubit
         if noncut & (above[k] | level[k] & s):
             continue  # v* would have a larger degree than m, so m cannot share its orbit
-        # the non-cut vertices other than m of m's degree
+        twins = twin_of.get(s, 0)
+        # the tie vertices, the non-cut vertices other than m of m's degree
         tie = noncut & (level[k] & ~s | level[k - 1] & s)
-        child = [r | (s >> i & 1) << m for i, r in enumerate(rows)]
+        child = list(rows)
+        t = s
+        while t:
+            low = t & -t
+            child[low.bit_length() - 1] |= bit
+            t ^= low
         child.append(s)
-        if leaf and not _non_twins(child, m, tie):
+        if leaf and not tie & ~twins:
             yield tuple(child), []  # v* is m or a tie vertex, and each is m's twin
             continue
         # The degree cells, ascending, are what refine(child, [full], [full]) splits first.
         cells = []
-        for d in range(1, m + 1):
-            c = level[d] & ~s | level[d - 1] & s | (d == k) << m
+        for d, here, below in by_degree:
+            c = here & ~s | below & s
+            if d == k:
+                c |= bit
             if c:
                 cells.append(c)
         # canon.refine is looked up at each call, where the benchmark's tracer wraps it.
         # A leaf child stops refining once the partition rule's verdict is fixed.
         cells = canon.refine(child, cells, cells if len(cells) > 1 else [],
-                             noncut if leaf else 0, 1 << m)
-        last = next(c for c in reversed(cells) if c & noncut)
-        if not last >> m & 1:
+                             noncut if leaf else 0, bit)
+        for last in reversed(cells):
+            if last & noncut:
+                break
+        if not last & bit:
             continue  # v* and its orbit lie in that later cell
-        rivals = noncut & last & ~(1 << m)
-        if leaf and all(canon.automorphism_mapping(child, cells, m, v)
-                        for v in bitset_to_vertices(_non_twins(child, m, rivals))):
-            yield tuple(child), []  # v* is m or a rival, and each shares m's orbit
-            continue
+        rivals = noncut & last & ~bit
+        if leaf:
+            for v in bitset_to_vertices(rivals & ~twins):
+                if not canon.automorphism_mapping(child, cells, m, v):
+                    break
+            else:
+                yield tuple(child), []  # v* is m or a rival, and each shares m's orbit
+                continue
         res = canonical_labeling_rows(child, cells)
         if rivals:
             orbit = orbits_from_generators(res.generators, m + 1)

@@ -154,6 +154,25 @@ def _twin_of_m(child, m, v):
     return nbrs(m) - {v} == nbrs(v) - {m}
 
 
+def test_twins_of_m_are_read_from_the_parent_rows():
+    """At every node of order <= 6, for every attachment representative s
+    (unmasked) and every v < m: v is a twin of m in the child iff the
+    parent's row of v is s less v, the test ``_children`` runs before it
+    builds the child.  Both kinds occur: true twins (v in s, so v and m
+    are adjacent) and false twins (v not in s)."""
+    kinds = collections.Counter()
+    for rows, gens in _nodes_up_to(6):
+        m = len(rows)
+        for s in _attachment_reps(m, gens, [0] * (m + 1)):
+            child = tuple(r | (s >> i & 1) << m for i, r in enumerate(rows)) + (s,)
+            for v in range(m):
+                twin = _twin_of_m(child, m, v)
+                assert (rows[v] == s & ~(1 << v)) == twin, (rows, s, v)
+                if twin:
+                    kinds["true" if s >> v & 1 else "false"] += 1
+    assert kinds == {"true": 579, "false": 573}
+
+
 def _degree_cells(rows):
     """The vertices of each degree, as bitsets, in increasing degree."""
     by_degree = collections.defaultdict(int)

@@ -9,7 +9,7 @@ every even d >= 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import MAX_VERTICES, Graph, diameter_pair, from_edge_list
 
@@ -19,8 +19,7 @@ NOT_APPLICABLE = "NotApplicable"
 VIOLATION = "VIOLATION"
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     d: int | float
     d2: int | float
     lower: int | None

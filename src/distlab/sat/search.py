@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import _kernels
 from ..graphs import MAX_VERTICES, Graph, diameter_pair, k_distance
@@ -19,7 +20,6 @@ from .dpll import SAT, UNSAT, DpllSolver
 from .encode import build_formula, decode_model, geodesic_length, model_b_edges
 
 
-@dataclass
 class SearchParams:
     """Knobs for the witness search.
 
@@ -34,33 +34,38 @@ class SearchParams:
     pins a geodesic of length max(p2_len, min_d2, D + 2).  The staircase
     is complete without assuming the theorem: a sharp witness with
     d = diam G satisfies level d, or the lowest level if d is below it.
-    Each level is solved by the built-in DPLL.  An ``n`` outside 2..64, a
-    ``p2_len`` outside 0..n-1, a negative ``min_d2`` or a NaN budget is a
-    ``ValueError`` here, the one check of a search's inputs.
+    Each level is solved by the built-in DPLL.  An ``n``, ``p2_len`` or
+    ``min_d2`` that is not an int (or is a bool), an ``n`` outside 2..64,
+    a ``p2_len`` outside 0..n-1, a negative ``min_d2`` or a NaN budget is
+    a ``ValueError`` here, the one check of a search's inputs.
     """
 
-    n: int
-    p2_len: int
-    min_d2: int
-    forbid_diam_le_2: bool = True
-    require_sharp: bool = True
-    budget_seconds: float | None = None
+    __slots__ = ("n", "p2_len", "min_d2", "forbid_diam_le_2", "require_sharp", "budget_seconds")
 
-    def __post_init__(self):
-        if not 2 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {self.n}")
-        if not 0 <= self.p2_len < self.n:
-            raise ValueError(f"path with {self.p2_len} edges does not fit in n={self.n}")
-        if self.min_d2 < 0:
-            raise ValueError(f"min_d2 must be at least 0, got {self.min_d2}")
-        if self.budget_seconds is not None and math.isnan(self.budget_seconds):
+    def __init__(self, n: int, p2_len: int, min_d2: int, forbid_diam_le_2: bool = True,
+                 require_sharp: bool = True, budget_seconds: float | None = None):
+        for name, value in (("n", n), ("p2_len", p2_len), ("min_d2", min_d2)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 2 <= n <= MAX_VERTICES:
+            raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
+        if not 0 <= p2_len < n:
+            raise ValueError(f"path with {p2_len} edges does not fit in n={n}")
+        if min_d2 < 0:
+            raise ValueError(f"min_d2 must be at least 0, got {min_d2}")
+        if budget_seconds is not None and math.isnan(budget_seconds):
             raise ValueError("budget_seconds must be a number, got nan")
+        self.n = n
+        self.p2_len = p2_len
+        self.min_d2 = min_d2
+        self.forbid_diam_le_2 = forbid_diam_le_2
+        self.require_sharp = require_sharp
+        self.budget_seconds = budget_seconds
 
 
 PHASES = ("encode", "solve", "decode", "verify")
 
 
-@dataclass
 class SearchStats:
     """What a search did on the way to its outcome.
 
@@ -68,16 +73,14 @@ class SearchStats:
     (``[None]`` when no cap applies), or every cap level, none solved,
     when no geodesic fits in n vertices; ``phase_seconds``
     splits the time into encode (formula and solver set-up), solve,
-    decode and verify;
-    ``solver_runs`` holds the solver ``stats`` of each level solved,
-    and ``solver`` sums them.
+    decode and verify; ``solver`` tallies the ``stats`` of each level's
+    solver once its ``solve`` returns, so it covers the ``solve_calls``.
     """
 
-    cap_levels: list[int | None] = field(default_factory=list)
-    phase_seconds: dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(PHASES, 0.0)
-    )
-    solver_runs: list[dict[str, int]] = field(default_factory=list)
+    def __init__(self):
+        self.cap_levels: list[int | None] = []
+        self.phase_seconds = dict.fromkeys(PHASES, 0.0)
+        self.solver: Counter[str] = Counter()
 
     @contextmanager
     def phase(self, name: str):
@@ -87,43 +90,36 @@ class SearchStats:
         finally:
             self.phase_seconds[name] += time.perf_counter() - t0
 
-    @property
-    def solver(self) -> dict[str, int]:
-        total: dict[str, int] = {}
-        for run in self.solver_runs:
-            for key, value in run.items():
-                total[key] = total.get(key, 0) + value
-        return total
 
-
-@dataclass(kw_only=True)
-class SearchOutcome:
-    """What every outcome of :func:`search` reports: the solve calls made,
-    the wall time and the :class:`SearchStats`."""
-
+# Each outcome of :func:`search` reports its solve calls, wall time and stats.
+# ``candidates_rejected``: always 0, since every model is a witness; the field
+# stays because the benchmark's tracer reads it (perfbench/spans.py::_outcome_after).
+class Witness(NamedTuple):
     solve_calls: int
     elapsed: float
-    stats: SearchStats = field(default_factory=SearchStats)
-    # Always 0, since every model is a witness; the field stays because the
-    # benchmark's tracer reads it (perfbench/spans.py::_outcome_after).
-    candidates_rejected: int = 0
-
-
-@dataclass(kw_only=True)
-class Witness(SearchOutcome):
+    stats: SearchStats
     graph: Graph
     d: int | float
     d2: int | float
+    candidates_rejected: int = 0
 
 
-@dataclass(kw_only=True)
-class Unsat(SearchOutcome):
-    pass
+class Unsat(NamedTuple):
+    solve_calls: int
+    elapsed: float
+    stats: SearchStats
+    candidates_rejected: int = 0
 
 
-@dataclass(kw_only=True)
-class BudgetExhausted(SearchOutcome):
-    reason: str = "budget"
+class BudgetExhausted(NamedTuple):
+    solve_calls: int
+    elapsed: float
+    stats: SearchStats
+    reason: str
+    candidates_rejected: int = 0
+
+
+SearchOutcome = Witness | Unsat | BudgetExhausted
 
 
 def cap_levels(params: SearchParams) -> list[int | None]:
@@ -207,8 +203,8 @@ def search(params: SearchParams) -> SearchOutcome:
     stats = SearchStats()
     calls = 0
 
-    def outcome(cls, **fields) -> SearchOutcome:
-        return cls(solve_calls=calls, elapsed=time.monotonic() - start, stats=stats, **fields)
+    def outcome(cls, *fields) -> SearchOutcome:
+        return cls(calls, time.monotonic() - start, stats, *fields)
 
     levels = solved_levels(params)
     if not levels:
@@ -219,19 +215,19 @@ def search(params: SearchParams) -> SearchOutcome:
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)
             solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))
-            stats.solver_runs.append(solver.stats)
         remaining: float | None = None
         if params.budget_seconds is not None:
             remaining = params.budget_seconds - (time.monotonic() - start)
             if remaining <= 0:
-                return outcome(BudgetExhausted, reason="time budget")
+                return outcome(BudgetExhausted, "time budget")
         calls += 1
         with stats.phase("solve"):
             status, model = solver.solve(time_budget=remaining)
+        stats.solver.update(solver.stats)
         if status == UNSAT:
             continue
         if status != SAT:
-            return outcome(BudgetExhausted, reason="solver budget")
+            return outcome(BudgetExhausted, "solver budget")
         with stats.phase("decode"):
             g = decode_model(vm, model)
             claimed = model_b_edges(vm, model)
@@ -246,5 +242,5 @@ def search(params: SearchParams) -> SearchOutcome:
             ok, d, d2, reason = verify_witness(g, params)
         if not ok:
             raise EncodingMismatch(f"model at cap level {max_d} fails verification: {reason}")
-        return outcome(Witness, graph=g, d=d, d2=d2)
+        return outcome(Witness, g, d, d2)
     return outcome(Unsat)

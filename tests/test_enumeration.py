@@ -712,23 +712,48 @@ def test_census_support_grows_with_the_order():
         below = table
 
 
+def _committed_table(n: int, *path: str) -> dict[tuple[int, str], int]:
+    """The census CSV at ``path`` below the repository root, checked to be
+    order n, as {(d, d2): count} with d2 as written ("inf" or a number)."""
+    with open(os.path.join(os.path.dirname(__file__), "..", *path)) as f:
+        header, *lines = f.read().splitlines()
+    assert header == "n,d,d2,count"
+    cells = {}
+    for line in lines:
+        order, d, d2, count = line.split(",")
+        assert order == str(n)
+        cells[int(d), d2] = int(count)
+    return cells
+
+
 def test_committed_n9_table_totals_a001349():
     """``tests/data/survey_9.csv``, which the CI diffs against a one-CPU
     ``distlab survey --n 9``, totals A001349(9) and holds the (3,5),
     (4,6), (5,6) and (7,7) counts of the n = 9 census that ROADMAP.md
     records."""
-    path = os.path.join(os.path.dirname(__file__), "data", "survey_9.csv")
-    with open(path) as f:
-        header, *lines = f.read().splitlines()
-    assert header == "n,d,d2,count"
-    cells = {}
-    for line in lines:
-        n, d, d2, count = line.split(",")
-        assert n == "9"
-        cells[int(d), d2] = int(count)
+    cells = _committed_table(9, "tests", "data", "survey_9.csv")
     assert sum(cells.values()) == 261080
     assert cells[3, "5"] == 2566 and cells[4, "6"] == 1
     assert cells[5, "6"] == 109 and cells[7, "7"] == 2
+
+
+def test_committed_n10_table_holds_the_census_oracles():
+    """``results/census_10.csv``, which the CI diffs against an all-CPU
+    ``distlab survey --n 10``, read without rerunning the census: it totals
+    A001349(10), every finite cell with d >= 3 lies in the theorem's window
+    ceil(d/2) <= d2 <= d + 2, the (4,6) cell holds the 10 classes that the
+    SAT enumeration of (4,6) graphs found, and every cell with d >= 2 that
+    is filled at n = 9 is filled here (twin lemma), with the new ones."""
+    cells = _committed_table(10, "results", "census_10.csv")
+    assert sum(cells.values()) == 11716571
+    outside = [(d, d2) for d, d2 in cells
+               if d >= 3 and d2 != "inf" and not -(-d // 2) <= int(d2) <= d + 2]
+    assert outside == []
+    assert cells[4, "6"] == 10
+    below = {cell for cell in _committed_table(9, "tests", "data", "survey_9.csv") if cell[0] >= 2}
+    assert below - cells.keys() == set()
+    new = {(2, "9"), (6, "3"), (7, "5"), (8, "7"), (8, "8"), (9, "inf")}
+    assert new <= cells.keys() - below
 
 
 def test_survey_table_accessors():

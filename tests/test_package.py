@@ -77,3 +77,10 @@ def test_search_import_loads_no_census_or_stream_layer():
     loaded = _submodules(_newly_loaded("import distlab.sat.search"))
     assert "sat.search" in loaded
     assert loaded.isdisjoint({"enumeration", "canon", "bounds", "graph6", "cli"})
+
+
+@pytest.mark.parametrize("module", ["distlab.sat.search", "distlab.bounds", "distlab.cli"])
+def test_search_bounds_and_cli_load_no_dataclass(module):
+    """The outcomes, params and bound report are plain records, so no entry
+    point pays for ``dataclasses`` and the ``inspect`` it pulls in."""
+    assert _newly_loaded(f"import {module}").isdisjoint({"dataclasses", "inspect"})

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ from distlab.bounds import family_graph
 from distlab.graphs import all_pairs_distances, from_edge_list
 from distlab.sat.cnf import CnfFormula
 from distlab.sat.dpll import UNKNOWN, DpllSolver
-from distlab.sat.encode import geodesic_length
+from distlab.sat.encode import build_formula, geodesic_length
 from distlab.sat.search import (
     BudgetExhausted,
     EncodingMismatch,
@@ -149,6 +150,23 @@ def test_time_budget_zero():
     assert out.solve_calls == 0
 
 
+def test_solver_tally_covers_exactly_the_levels_solved():
+    """``stats.solver`` adds each solved level's solver stats once, so a
+    level built but never solved adds nothing."""
+    out = search(SearchParams(n=9, p2_len=6, min_d2=3, budget_seconds=0.0))
+    assert out.solve_calls == 0 and out.stats.solver == {}
+    params = SearchParams(9, 6, 3)
+    out = search(params)
+    assert out.stats.cap_levels == [3, 4] and out.solve_calls == 2
+    expected = collections.Counter()
+    for max_d in (3, 4):
+        formula = build_formula(params, max_d)[1]
+        solver = DpllSolver(formula.var_count, formula.clauses)
+        solver.solve()
+        expected.update(solver.stats)
+    assert dict(out.stats.solver) == dict(expected)
+
+
 def test_nan_budget_is_refused():
     with pytest.raises(ValueError, match="nan"):
         search(SearchParams(n=6, p2_len=2, min_d2=3, budget_seconds=math.nan))
@@ -263,7 +281,12 @@ def test_the_geodesic_fits_at_every_level_or_at_none():
     ((65, 2, 3), "n must be in 2..64, got 65"),
     ((5, 5, 3), "path with 5 edges does not fit in n=5"),
     ((5, -1, 3, True, False), "path with -1 edges does not fit in n=5"),
-], ids=["n-1", "n-1-non-sharp", "n-65", "p2-len-n", "p2-len-negative"])
+    ((9.5, 6, 6), "n must be an integer, got 9.5"),
+    ((9, 6.0, 6), "p2_len must be an integer, got 6.0"),
+    ((9, 6, 6.0), "min_d2 must be an integer, got 6.0"),
+    ((9, True, 6), "p2_len must be an integer, got True"),
+], ids=["n-1", "n-1-non-sharp", "n-65", "p2-len-n", "p2-len-negative",
+        "n-float", "p2-len-float", "min-d2-float", "p2-len-bool"])
 def test_search_params_refuse_what_no_search_can_take(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SearchParams(*fields)

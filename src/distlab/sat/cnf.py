@@ -34,9 +34,25 @@ class CnfFormula:
 
     def add(self, clause: Iterable[int]) -> None:
         lits = clause if type(clause) is list else list(clause)
+        top = self.var_count
+        # Most clauses have 2 or 3 literals, and comparisons alone accept
+        # those that are exact ints, non-zero, in range and of distinct
+        # variables; anything else takes the full check below.
+        if len(lits) == 3:
+            a, b, c = lits
+            if (type(a) is int and type(b) is int and type(c) is int
+                    and 0 < abs(a) <= top and 0 < abs(b) <= top and 0 < abs(c) <= top
+                    and abs(a) != abs(b) and abs(a) != abs(c) and abs(b) != abs(c)):
+                self.clauses.append(lits)
+                return
+        elif len(lits) == 2:
+            a, b = lits
+            if (type(a) is int and type(b) is int
+                    and 0 < abs(a) <= top and 0 < abs(b) <= top and abs(a) != abs(b)):
+                self.clauses.append(lits)
+                return
         if not lits:
             raise ValueError("empty clause")
-        top = self.var_count
         for lit in lits:
             if not isinstance(lit, int) or lit == 0:
                 raise ValueError(f"bad literal {lit!r}")

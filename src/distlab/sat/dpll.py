@@ -22,9 +22,16 @@ first.  A binary clause (a or b) lives in two implication lists:
 ``implied[a]`` holds b and ``implied[b]`` holds a, the literals that must
 be true once the list's own literal is false.  A clause of three or more
 literals is watched on its first two: ``watches[lit]`` holds the clause
-lists watched on ``lit``.  Propagation takes each literal off the trail
+lists watched on ``lit``.  The constructor and ``add_clause`` store
+clauses through one loop, which encodes a binary clause's two literals
+without building a list, and the lists grow only when a literal passes
+``top``.  Propagation takes each literal off the trail
 and, for its negation, walks the implication list, enqueueing each
 implied literal or stopping at a conflict, then the watched clauses.
+A watched clause whose other watch is not true looks for a replacement
+from its third literal on; the third is tested inline, since most
+clauses the encoder makes have three literals, and only a longer clause
+whose third literal is false goes on to scan the rest.
 
 Each decision is remembered by its position ``p`` on the trail, as in
 MiniSat (Eén & Sörensson, SAT 2003): its literal is ``trail[p]`` and
@@ -59,28 +66,47 @@ class DpllSolver:
         self.implied: list[list[int]] = [[], []]
         self.watches: list[list[list[int]]] = [[], []]
         self.stats = {"decisions": 0, "conflicts": 0, "propagations": 0}
-        for c in clauses:
-            self.add_clause(c)
+        self._load(clauses)
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Store one checked clause (see the module docstring)."""
-        enc = [lit << 1 if lit > 0 else -lit << 1 | 1 for lit in lits]
-        top = max(enc) | 1
-        if top > self.top:
-            self.top = top
-            if top >= len(self.implied):  # at least double, up to the declared count
-                extra = min(top + len(self.implied), 2 * self.var_count + 2) - len(self.implied)
-                self.implied += [[] for _ in range(extra)]
-                self.watches += [[] for _ in range(extra)]
-        if len(enc) == 1:
-            self.units.append(enc[0])
-        elif len(enc) == 2:
-            a, b = enc
-            self.implied[a].append(b)
-            self.implied[b].append(a)
-        else:
-            self.watches[enc[0]].append(enc)
-            self.watches[enc[1]].append(enc)
+        self._load((lits,))
+
+    def _load(self, clauses: Iterable[Sequence[int]]) -> None:
+        units = self.units
+        implied = self.implied
+        watches = self.watches
+        top = self.top
+        for lits in clauses:
+            if len(lits) == 2:
+                a, b = lits
+                a = a << 1 if a > 0 else -a << 1 | 1
+                b = b << 1 if b > 0 else -b << 1 | 1
+                if a > top or b > top:
+                    top = self._cover(a if a > b else b)
+                implied[a].append(b)
+                implied[b].append(a)
+                continue
+            enc = [lit << 1 if lit > 0 else -lit << 1 | 1 for lit in lits]
+            big = max(enc)
+            if big > top:
+                top = self._cover(big)
+            if len(enc) == 1:
+                units.append(big)
+            else:
+                watches[enc[0]].append(enc)
+                watches[enc[1]].append(enc)
+
+    def _cover(self, lit: int) -> int:
+        """Raise ``top`` to ``lit`` with its sign bit set, growing the lists
+        to at least double, up to the declared count, if they end below it."""
+        top = self.top = lit | 1
+        have = len(self.implied)
+        if top >= have:
+            extra = min(top + have, 2 * self.var_count + 2) - have
+            self.implied += [[] for _ in range(extra)]
+            self.watches += [[] for _ in range(extra)]
+        return top
 
     def solve(self, time_budget: float | None = None) -> tuple[str, dict[int, bool] | None]:
         """Returns (status, model); model maps every variable to a bool."""
@@ -123,19 +149,27 @@ class DpllSolver:
                     if true[first]:
                         kept.append(cl)
                         continue
-                    for t in range(2, len(cl)):
-                        if not true[cl[t] ^ 1]:
-                            cl[1], cl[t] = cl[t], cl[1]
-                            watches[cl[1]].append(cl)
-                            break
-                    else:
-                        kept.append(cl)
-                        if true[first ^ 1]:
-                            kept.extend(unvisited)
-                            ok = False
-                            break
-                        true[first] = 1
-                        trail.append(first)
+                    # cl[1] is falsified: watch the first literal from
+                    # cl[2] on that is not false in its place
+                    lit = cl[2]
+                    t = 2
+                    if true[lit ^ 1]:
+                        for t in range(3, len(cl)):
+                            lit = cl[t]
+                            if not true[lit ^ 1]:
+                                break
+                        else:
+                            kept.append(cl)
+                            if true[first ^ 1]:
+                                kept.extend(unvisited)
+                                ok = False
+                                break
+                            true[first] = 1
+                            trail.append(first)
+                            continue
+                    cl[1] = lit
+                    cl[t] = falsified
+                    watches[lit].append(cl)
                 watches[falsified] = kept
             stats["propagations"] += q - qhead
             qhead = q

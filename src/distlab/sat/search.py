@@ -197,7 +197,8 @@ def search(params: SearchParams) -> SearchOutcome:
 
     Each level gets its own formula and solver, and the first model is the
     witness; ``Unsat`` means every level was unsatisfiable, or none fits
-    (:func:`solved_levels` is empty).  Budgets count across levels.
+    (:func:`solved_levels` is empty).  Budgets count across levels, and a
+    spent budget ends the search before it builds the next level.
     """
     start = time.monotonic()
     stats = SearchStats()
@@ -206,20 +207,26 @@ def search(params: SearchParams) -> SearchOutcome:
     def outcome(cls, *fields) -> SearchOutcome:
         return cls(calls, time.monotonic() - start, stats, *fields)
 
+    def time_left() -> float | None:
+        """Seconds of the budget left, 0 once spent; None without a budget."""
+        if params.budget_seconds is None:
+            return None
+        return max(0.0, params.budget_seconds - (time.monotonic() - start))
+
     levels = solved_levels(params)
     if not levels:
         stats.cap_levels = cap_levels(params)
         return outcome(Unsat)
     for max_d in levels:
         stats.cap_levels.append(max_d)
+        if time_left() == 0:  # spent: build nothing more
+            return outcome(BudgetExhausted, "time budget")
         with stats.phase("encode"):
             vm, formula = build_formula(params, max_d)
             solver = DpllSolver(formula.var_count, _handed_over(formula.clauses))
-        remaining: float | None = None
-        if params.budget_seconds is not None:
-            remaining = params.budget_seconds - (time.monotonic() - start)
-            if remaining <= 0:
-                return outcome(BudgetExhausted, "time budget")
+        remaining = time_left()
+        if remaining == 0:
+            return outcome(BudgetExhausted, "time budget")
         calls += 1
         with stats.phase("solve"):
             status, model = solver.solve(time_budget=remaining)

@@ -4,7 +4,7 @@ import pytest
 
 from distlab.sat.cnf import DIMACS_MAX_VARS, CnfFormula, VarMap, emit_dimacs, parse_dimacs
 
-from util import sidecar_entries
+from util import reference_clause, sidecar_entries
 
 
 def test_add_validates_clauses():
@@ -45,6 +45,56 @@ def test_extend():
     f = CnfFormula(2)
     f.extend([[1], [1, 2], [-2]])
     assert f.clauses == [[1], [1, 2], [-2]]
+
+
+def _random_literal(rng, top, earlier):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice([True, False])
+    if kind == 1:
+        return 0
+    if kind == 2:
+        return rng.choice([top + 1, -top - 1])
+    if kind == 3 and earlier:
+        return rng.choice(earlier)
+    if kind == 4 and earlier:
+        return -rng.choice(earlier)
+    if kind == 5:
+        return rng.choice([1.0, 2.5])
+    return rng.choice([-1, 1]) * rng.randrange(1, top + 1)
+
+
+def test_add_stores_or_refuses_each_clause_as_the_full_check_does():
+    """Random clauses (lists, tuples and generators of up to five literals,
+    drawn among ints, bools, 0, out-of-range, repeated and complementary
+    literals and floats) are stored as the rule-by-rule check in
+    ``util.reference_clause`` would store them, or refused with its message."""
+    rng = random.Random(113)
+    verdicts = set()
+    for _ in range(6000):
+        top = rng.randrange(1, 7)
+        items = []
+        for _ in range(rng.choice([0, 1, 2, 2, 2, 3, 3, 3, 4, 5])):
+            items.append(_random_literal(rng, top, items))
+        make = rng.choice([list, tuple, iter])
+        try:
+            want = reference_clause(top, make(items))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                CnfFormula(top).add(make(items))
+            assert str(err.value) == str(exc)
+            verdicts.add(str(exc).split()[0])
+            continue
+        f = CnfFormula(top)
+        clause = make(items)
+        f.add(clause)
+        (stored,) = f.clauses
+        assert type(stored) is list and stored == want
+        assert [type(lit) for lit in stored] == [type(lit) for lit in want]
+        if make is list and len(want) == len(items):
+            assert stored is clause
+        verdicts.add("stored")
+    assert verdicts == {"stored", "empty", "bad", "literal", "tautological"}
 
 
 def test_emit_format():

@@ -6,6 +6,7 @@ import pytest
 
 from distlab.graph6 import emit
 from distlab.sat.dpll import SAT, UNKNOWN, UNSAT, DpllSolver
+from distlab.sat.encode import build_formula
 from distlab.sat.search import SearchParams, Witness, search
 
 
@@ -167,6 +168,16 @@ def test_family_targets_pin_the_search_trace(target, stats, witness):
     assert emit(out.graph) == witness
 
 
+def test_violation_level_pins_the_watch_loop_on_long_clauses():
+    """Cap level 3 of (10, 0, 6) is unsatisfiable, and more than half of
+    its 461,988 watch visits land on clauses of four or more literals,
+    which the family targets above barely reach."""
+    formula = build_formula(SearchParams(10, 0, 6), 3)[1]
+    solver = DpllSolver(formula.var_count, formula.clauses)
+    assert solver.solve(time_budget=60.0) == (UNSAT, None)
+    assert solver.stats == {"decisions": 3_919, "conflicts": 3_920, "propagations": 253_748}
+
+
 def test_pigeonhole_pins_the_search_trace_across_solve_calls():
     nvars, clauses = _pigeonhole(5, 4)
     solver = DpllSolver(nvars, clauses)
@@ -202,6 +213,31 @@ def test_binary_clauses_live_in_implication_lists():
     assert sum(map(len, solver.implied)) == 4
     assert solver.watches[2] == solver.watches[4] == [[2, 4, 6]]
     assert sum(map(len, solver.watches)) == 2
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_one_load_equals_a_clause_at_a_time(order):
+    """A solver built from a whole formula holds, finds and counts what one
+    fed the same clauses by ``add_clause`` does.  In rising order each new
+    variable raises ``top``, so the lists grow part-way through the load."""
+    rng = random.Random(103)
+    growths = 0
+    for _ in range(150):
+        nvars = rng.randrange(2, 40)
+        clauses = _random_width_formula(rng, nvars, rng.randrange(1, 4 * nvars), (1, 2, 2, 3, 3, 4, 5))
+        clauses.sort(key=lambda c: max(map(abs, c)), reverse=order == "falling")
+        whole = DpllSolver(nvars, clauses)
+        one_by_one = DpllSolver(nvars)
+        sizes = set()
+        for clause in clauses:
+            one_by_one.add_clause(clause)
+            sizes.add(len(one_by_one.implied))
+        growths += len(sizes) > 1
+        for name in ("units", "implied", "watches", "top"):
+            assert getattr(whole, name) == getattr(one_by_one, name), name
+        assert whole.solve() == one_by_one.solve()
+        assert whole.stats == one_by_one.stats
+    assert (growths > 100) == (order == "rising")
 
 
 @pytest.mark.parametrize("widths", [(2,), (1, 2, 2, 2, 3)], ids=["2-sat", "mostly-binary"])

@@ -150,6 +150,22 @@ def test_time_budget_zero():
     assert out.solve_calls == 0
 
 
+def test_a_spent_budget_builds_no_formula(monkeypatch):
+    search_mod = sys.modules["distlab.sat.search"]
+    real_build = search_mod.build_formula
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args[1])
+        return real_build(*args)
+
+    monkeypatch.setattr(search_mod, "build_formula", counting_build)
+    out = search(SearchParams(n=6, p2_len=2, min_d2=3, budget_seconds=0.0))
+    assert isinstance(out, BudgetExhausted) and out.reason == "time budget"
+    assert builds == []
+    assert out.stats.phase_seconds["encode"] == 0.0
+
+
 def test_solver_tally_covers_exactly_the_levels_solved():
     """``stats.solver`` adds each solved level's solver stats once, so a
     level built but never solved adds nothing."""

@@ -224,3 +224,24 @@ def sidecar_entries(vm) -> list[tuple]:
         assert int(num) == idx
         out.append((kind, *map(int, verts)))
     return out
+
+
+def reference_clause(var_count: int, clause) -> list[int]:
+    """``CnfFormula.add``'s full check on every clause, with one pass per
+    rule: the list ``add`` stores, or the ``ValueError`` it raises."""
+    lits = clause if type(clause) is list else list(clause)
+    if not lits:
+        raise ValueError("empty clause")
+    top = var_count
+    for lit in lits:
+        if not isinstance(lit, int) or lit == 0:
+            raise ValueError(f"bad literal {lit!r}")
+        if not -top <= lit <= top:
+            raise ValueError(f"literal {lit} exceeds var count {top}")
+    seen = set(lits)
+    for lit in seen:
+        if -lit in seen:
+            raise ValueError(f"tautological clause {lits}")
+    if len(seen) != len(lits):
+        lits = list(dict.fromkeys(lits))
+    return lits

@@ -7,31 +7,45 @@ bytes, truncation and nonzero padding are all rejected, with 1-based
 line numbers when decoding streams.
 
 Neither direction loops over bytes or edges in Python, and each does its
-per-record work in a few C-level calls.  A 6-bit group is one base64
-digit, so ``bytes.translate`` between the two alphabets and
-:mod:`binascii` turn a body into one int and back.  :func:`parse` checks
-the byte range with one ``translate`` that deletes every byte in
-63..126: a record with anything left over is rejected, and only then is
-it scanned for the first bad position.  It writes the body int as a bit
-string, left-justifies each column to ``N`` characters (``N`` a power of
-two, at least 8) through one cached getter of the column slices, and
-reverses the whole: read as one int, it sets bit ``j * N + i`` for each
-edge (i, j) with i < j, the lower triangle of an ``N`` x ``N`` bit
-matrix.  ``log2 N`` delta swaps transpose it, and the lower triangle ORed
-with its transpose, cut into ``N``-bit words, gives the rows.
-:func:`emit` packs row j's bits below j into one triangle int at bit
-``j * (j - 1) / 2``, the graph6 bit order from the lowest bit up, and
-turns it into the body with one ``format``, one reversal, one ``int``
-and one base64 encoding.
+per-record work in a few C-level calls and a few dozen big-int
+operations.  A 6-bit group is one base64 digit, so ``bytes.translate``
+between the two alphabets and :mod:`binascii` turn a body into bytes and
+back.  :func:`parse` checks the byte range with one ``translate`` that
+deletes every byte in 63..126: a record with anything left over is
+rejected, and only then is it scanned for the first bad position.
+
+The body's bits run from the most significant bit of its first byte.
+One more ``translate``, through a 256-entry table that reverses the bits
+of each byte, makes that order little-endian, so ``int.from_bytes(...,
+"little")`` reads the body as one triangle int whose bit
+``j * (j - 1) / 2 + i`` is the pair (i, j), i < j, and any bit from
+``n * (n - 1) / 2`` up is padding.  Rows take ``size`` bits each
+(``size`` a power of two, at least 8 and at least n), and column j must
+move up by its displacement ``j * size - j * (j - 1) / 2`` to land pair
+(i, j) on bit ``j * size + i``, the lower triangle of a ``size`` x
+``size`` bit matrix.  Per order, :func:`_layout` caches one (shift,
+mask) stage for each bit of the largest displacement, highest first,
+skipping any that no column sets: the stage for bit k shifts the
+columns whose displacement has bit k set up by ``2**k``.  The
+displacement grows with j, by ``size - j`` > 0 from one column to the
+next, so it never decreases with bit position; after each stage the
+bits still lie in their order in the triangle, and no stage moves a bit
+onto another.  ``log2 size`` delta swaps then transpose the
+lower triangle, and the two ORed together, cut into ``size``-bit words,
+give the rows.
+
+:func:`emit` runs the same stages in reverse: the rows, packed by one
+``struct.pack`` into one int at bit ``j * size``, masked to the lower
+triangle and shifted down stage by stage, give the triangle int, and
+its little-endian bytes, reversed through the same table, go to one
+base64 encoding.
 """
 from __future__ import annotations
 
 import binascii
 import functools
-import operator
 import struct
 import sys
-from itertools import repeat
 from typing import Iterable, Iterator
 
 from .graphs import MAX_VERTICES, Graph
@@ -42,6 +56,7 @@ _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
 _FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
 _ROW_FORMAT = {8 * struct.calcsize(c): c for c in "BHIQ"}  # native unsigned, by bits
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte bit-reversed
 
 
 class Graph6Error(ValueError):
@@ -71,12 +86,32 @@ def _swap_masks(size: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.cache
-def _columns(n: int) -> operator.itemgetter:
-    """Getter of the ``n`` column slices of an ``n``-vertex bit string, column
-    j the pairs (0, j) .. (j-1, j); a trailing empty slice makes it return a
-    tuple even for n = 1."""
-    columns = [slice(j * (j - 1) // 2, j * (j + 1) // 2) for j in range(n)]
-    return operator.itemgetter(*columns, slice(0, 0))
+def _layout(n: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...],
+                             int, struct.Struct]:
+    """(size, parse stages, emit stages, lower-triangle mask, rows struct)
+    for order ``n``.
+
+    A parse stage (shift, mask) moves the bits of ``mask`` up by ``shift``;
+    in turn the stages take bit ``j * (j - 1) / 2 + i`` of the triangle int
+    to bit ``j * size + i``.  An emit stage moves the bits of its mask down,
+    and the emit stages undo the parse stages in reverse order.
+    """
+    size = max(8, 1 << (n - 1).bit_length())  # whole bytes per row
+    # column j: j bits from bit j * (j - 1) / 2, displaced by j * size minus that
+    columns = [(j * (j - 1) // 2, j * size - j * (j - 1) // 2, (1 << j) - 1)
+               for j in range(1, n)]
+    largest = (n - 1) * size - (n - 1) * (n - 2) // 2  # column n - 1's; 0 at n = 1
+    stages = []
+    for k in reversed(range(largest.bit_length())):
+        # before the stage for bit k, a column has moved by its displacement's
+        # bits above k
+        mask = sum(ones << (base + (disp >> k + 1 << k + 1))
+                   for base, disp, ones in columns if disp >> k & 1)
+        if mask:
+            stages.append((1 << k, mask))
+    lower = sum(((1 << j) - 1) << (j * size) for j in range(1, n))
+    return (size, tuple(stages), tuple((shift, mask << shift) for shift, mask in reversed(stages)),
+            lower, struct.Struct(f"{n}{_ROW_FORMAT[size]}"))
 
 
 def emit(g: Graph) -> str:
@@ -86,20 +121,15 @@ def emit(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    # row j's bits below j, the pairs (0, j) .. (j-1, j), start at bit
-    # j * (j - 1) / 2 of one triangle int: the graph6 bit order read from the
-    # lowest bit up
-    adj = g.adj
-    tri = 0
-    for j in range(n - 1, 0, -1):
-        tri = tri << j | adj[j] & ((1 << j) - 1)
+    _, _, stages, lower, rows = _layout(n)
+    tri = int.from_bytes(rows.pack(*g.adj), sys.byteorder) & lower
+    for shift, mask in stages:
+        t = tri & mask
+        tri ^= t ^ t >> shift
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    width = nbits + -nbits % 24  # whole base64 quads of 24 bits
-    # reversed, the zeros that fill out width trail as padding; format of a
-    # zero width still writes "0", a valid int for the empty body of n = 1
-    raw = int(format(tri, f"0{width}b")[::-1], 2).to_bytes(width // 8, "big")
-    return head + binascii.b2a_base64(raw, newline=False)[:need].translate(
+    # the zero bits that fill out the last byte trail as padding
+    raw = tri.to_bytes((nbits + 7) // 8, "little").translate(_REVERSED)
+    return head + binascii.b2a_base64(raw, newline=False)[:(nbits + 5) // 6].translate(
         _FROM_BASE64).decode("ascii")
 
 
@@ -137,19 +167,13 @@ def parse(text: str, line: int | None = None) -> Graph:
         )
     quads = body.translate(_TO_BASE64)
     quads += b"A" * (-len(quads) % 4)  # zero groups up to a whole quad
-    acc = int.from_bytes(binascii.a2b_base64(quads), "big")
-    pad = 6 * len(quads) - nbits
-    if acc & ((1 << pad) - 1):
+    lower = int.from_bytes(binascii.a2b_base64(quads).translate(_REVERSED), "little")
+    if lower >> nbits:
         raise Graph6Error("nonzero padding bits", line)
-    acc >>= pad
-    # column j (pairs (0, j) .. (j-1, j)) is the next j bits from the top;
-    # left-justified to size bits and reversed, pair (i, j) lands on bit
-    # j * size + i of the lower triangle
-    bits = format(acc, f"0{nbits}b")
-    size = max(8, 1 << (n - 1).bit_length())  # whole bytes per row
-    lower = int(
-        "".join(map(str.ljust, _columns(n)(bits), repeat(size, n), repeat("0", n)))[::-1], 2
-    )
+    size, stages, _, _, _ = _layout(n)
+    for shift, mask in stages:  # pair (i, j) from bit j * (j - 1) / 2 + i to j * size + i
+        t = lower & mask
+        lower ^= t ^ t << shift
     upper = lower  # transposed in place: bit i * size + j for each edge
     for shift, mask in _swap_masks(size):
         t = (upper >> shift ^ upper) & mask

@@ -59,15 +59,14 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def edges(self) -> list[tuple[int, int]]:
+        """Each edge once as (i, j) with i < j, sorted."""
         out = []
-        for i in range(self.n):
-            r = self.adj[i] >> (i + 1)
-            j = i + 1
+        for i, row in enumerate(self.adj):
+            r = row & -(2 << i)  # the neighbours above i
             while r:
-                if r & 1:
-                    out.append((i, j))
-                r >>= 1
-                j += 1
+                low = r & -r
+                out.append((i, low.bit_length() - 1))
+                r ^= low
         return out
 
     def edge_count(self) -> int:

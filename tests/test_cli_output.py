@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import distlab.cli
+import distlab.graph6
 from distlab.bounds import family_graph
 from distlab.cli import main
 from distlab.graph6 import emit
@@ -105,3 +106,26 @@ def test_main_calls_the_traced_names_at_call_time(monkeypatch, capsys):
         assert main(command) == 0
     capsys.readouterr()
     assert calls == {"cmd_transform": 1, "k_distance": 2, "cmd_diam": 1, "cmd_verify": 1}
+
+
+def test_codec_calls_the_traced_names_at_call_time(monkeypatch, capsys):
+    """``iter_graphs`` looks up ``distlab.graph6.parse`` and ``cmd_transform``
+    ``distlab.graph6.emit`` per record, so a wrapper set on the module after
+    import counts every record."""
+    calls = {"parse": 0, "emit": 0}
+
+    def counting(name):
+        real = getattr(distlab.graph6, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(distlab.graph6, name, wrapper)
+
+    counting("parse")
+    counting("emit")
+    text = "".join(emit(cycle_graph(n)) + "\n" for n in (5, 6, 7))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["transform", "--k", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert calls == {"parse": 3, "emit": 3}

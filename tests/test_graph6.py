@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from distlab.graph6 import HEADER, Graph6Error, emit, iter_graphs, parse
+from distlab.graph6 import HEADER, Graph6Error, _layout, emit, iter_graphs, parse
 from distlab.graphs import from_edge_list
 
 from util import complete_graph, cycle_graph, random_graph
@@ -145,6 +145,69 @@ def test_n_64_has_no_padding_bits():
     sets the last six pairs, (57, 63) .. (62, 63)."""
     g = parse("~?@?" + "?" * 335 + "~")
     assert g.edges() == [(i, 63) for i in range(57, 63)]
+
+
+def _head(n):
+    return chr(n + 63) if n <= 62 else "~" + chr(63) + chr(63 + (n >> 6)) + chr(63 + (n & 63))
+
+
+def _body_with_bit(n, p):
+    """The body of n's empty graph with bit p of the body set, counted from
+    the top bit of its first byte."""
+    body = ["?"] * ((n * (n - 1) // 2 + 5) // 6)
+    body[p // 6] = chr(63 + (1 << (5 - p % 6)))
+    return "".join(body)
+
+
+@pytest.mark.parametrize("n", [n for n in range(1, 65) if n * (n - 1) // 2 % 6])
+def test_every_padding_bit_is_refused(n):
+    """Every order with padding: any one padding bit set is refused, and the
+    last data bit is the pair (n - 2, n - 1)."""
+    nbits = n * (n - 1) // 2
+    for p in range(nbits, 6 * ((nbits + 5) // 6)):
+        text = _head(n) + _body_with_bit(n, p)
+        with pytest.raises(Graph6Error) as exc:
+            parse(text)
+        assert str(exc.value) == "nonzero padding bits"
+        with pytest.raises(Graph6Error) as exc:
+            parse(text, line=3)
+        assert str(exc.value) == "line 3: nonzero padding bits"
+    assert parse(_head(n) + _body_with_bit(n, nbits - 1)).edges() == [(n - 2, n - 1)]
+
+
+def _run(stages, x, up):
+    for shift, mask in stages:
+        t = x & mask
+        x ^= t ^ (t << shift if up else t >> shift)
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_stage_tables(n):
+    """The cached stages alone, no base64: parse stages take bit
+    j * (j - 1) / 2 + i to j * size + i and move only triangle bits, the emit
+    stages undo them, and no mask reaches bit n * size."""
+    size, stages, unstages, lower, rows = _layout(n)
+    assert size == max(8, 1 << (n - 1).bit_length())
+    assert rows.size == n * size // 8
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for i, j in pairs:
+        src, dst = 1 << (j * (j - 1) // 2 + i), 1 << (j * size + i)
+        assert _run(stages, src, True) == dst
+        assert _run(unstages, dst, False) == src
+    assert lower == sum(1 << (j * size + i) for i, j in pairs)
+    # with every triangle bit set, each mask lies inside what is set when its
+    # stage runs, so no other bit moves, and no two bits meet
+    x = (1 << len(pairs)) - 1
+    for shift, mask in stages:
+        assert mask & ~x == 0
+        x = _run([(shift, mask)], x, True)
+    assert x == lower
+    for shift, mask in unstages:
+        assert mask & ~x == 0
+        x = _run([(shift, mask)], x, False)
+    assert x == (1 << len(pairs)) - 1
+    assert all(0 < mask < 1 << (n * size) for _, mask in stages + unstages)
 
 
 @pytest.mark.parametrize("n", range(1, 65))

@@ -33,6 +33,17 @@ def test_from_edge_list_basic():
     assert g.adj == (0b10, 0b101, 0b10, 0)
 
 
+def test_edges_in_row_order_at_every_order():
+    """Pairs (i, j), i < j, sorted, from the set bits of each row, up to
+    bit 63 of n = 64."""
+    rng = random.Random(53)
+    for n in [*range(1, 65)] * 2:
+        g = random_graph(rng, n, rng.random())
+        assert g.edges() == [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if g.adj[i] >> j & 1]
+    assert complete_graph(64).edges()[-1] == (62, 63)
+
+
 def test_from_edge_list_rejects_bad_input():
     with pytest.raises(ValueError):
         from_edge_list(3, [(0, 0)])
